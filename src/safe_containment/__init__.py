@@ -3,15 +3,8 @@ linear multi-agent systems: gain synthesis, distributed resilient
 observers, adaptive input compensation, a barrier-based safety filter,
 and a deterministic fixed-step simulator."""
 
-from .attacks import AttackProfile, ExpSignal, eval_attack
-from .compensation import (
-    CompensatorState,
-    ControlBreakdown,
-    compensation_signal,
-    compensator_rate,
-    conventional_input,
-    corrupted_input,
-)
+from .attacks import ExpSignal
+from .compensation import compensation, nominal_input
 from .gains import (
     AgentModel,
     GainSet,
@@ -22,7 +15,7 @@ from .gains import (
     solve_regulator,
     synthesize_gains,
 )
-from .observer import ObserverState, neighborhood_xi, observer_derivatives
+from .observer import neighborhood_signal, observer_rates
 from .safety import (
     FilterResult,
     PairConstraint,
@@ -38,9 +31,7 @@ from .sim import (
     RunResult,
     SimulationError,
     TraceRecord,
-    WorldState,
     containment_error,
-    observer_containment_error,
     run,
 )
 from .topology import (
@@ -53,16 +44,12 @@ from .topology import (
 
 __all__ = [
     "AgentModel",
-    "AttackProfile",
-    "CompensatorState",
-    "ControlBreakdown",
     "Engine",
     "ExpSignal",
     "FilterResult",
     "GainSet",
     "GainSynthesisError",
     "LeaderModel",
-    "ObserverState",
     "PairConstraint",
     "PhiFamily",
     "QPInfeasibleError",
@@ -73,22 +60,17 @@ __all__ = [
     "Topology",
     "TopologyError",
     "TraceRecord",
-    "WorldState",
     "build_constraint",
     "build_phi_family",
     "cbf_value",
     "check_leader_assumption",
     "check_reachability",
-    "compensation_signal",
-    "compensator_rate",
+    "compensation",
     "containment_error",
-    "conventional_input",
-    "corrupted_input",
-    "eval_attack",
     "load_scenario",
-    "neighborhood_xi",
-    "observer_containment_error",
-    "observer_derivatives",
+    "neighborhood_signal",
+    "nominal_input",
+    "observer_rates",
     "run",
     "sequential_filter",
     "solve_agent_qp",

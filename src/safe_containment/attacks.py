@@ -48,24 +48,6 @@ class ExpSignal:
         return cls(np.zeros(dim), np.zeros(dim), start_time)
 
 
-@dataclass(frozen=True)
-class AttackProfile:
-    """Per-agent injection: ``cil`` corrupts the control input (dimension m),
-    ``ol`` corrupts the observer state equation (dimension n)."""
-
-    cil: ExpSignal
-    ol: ExpSignal
-
-
-def eval_attack(
-    profile: AttackProfile, t: float, absolute_clock: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both channels at time t (deterministic, stateless)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return profile.cil(t, absolute_clock), profile.ol(t, absolute_clock)
-
-
 def eval_stacked(
     coefficients: np.ndarray,
     rates: np.ndarray,

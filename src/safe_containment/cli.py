@@ -157,15 +157,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ScenarioError as exc:
-        print(
-            json.dumps({"valid": False, "violations": exc.violations}, indent=2)
-        )
+    if _load(args) is None:
         return EXIT_ERROR
     print(json.dumps({"valid": True, "violations": []}, indent=2))
     return EXIT_OK
@@ -283,3 +275,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,94 +5,45 @@ along B'P eps (eps = x - zeta) with an adaptive magnitude exp(rho_hat)
 that grows at rate alpha * ||eps' P B||, eventually out-pacing any
 exponentially growing injection on the input channel.  The regularizer
 exp(-c t^2) keeps the denominator positive so the signal is smooth.
+
+Both functions work on all N followers at once, one row per follower.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gains import GainSet
-from .observer import DEFAULT_GAIN_CAP
 
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class CompensatorState:
-    """Adaptive compensation state of one follower."""
-
-    rho_hat: float = 0.0
-    alpha: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.c <= 0:
-            raise ValueError("alpha and c must be positive")
-
-
-@dataclass(frozen=True)
-class ControlBreakdown:
-    """Control pipeline snapshot: nominal input, compensation, resilient
-    input u_r = u_c - gamma_hat, and the corrupted value u_bar = u_r + gamma_a
-    that reaches the safety filter."""
-
-    u_c: np.ndarray
-    gamma_hat: np.ndarray
-    u_r: np.ndarray
-    u_bar: np.ndarray
-
-
-def conventional_input(
-    gains: GainSet, x_i: np.ndarray, zeta_i: np.ndarray
+def nominal_input(
+    K: np.ndarray, H: np.ndarray, x: np.ndarray, zeta: np.ndarray
 ) -> np.ndarray:
-    """Nominal tracking input u_c = K x + H zeta."""
-    return gains.K @ x_i + gains.H @ zeta_i
+    """Nominal tracking inputs u_c = K_i x_i + H_i zeta_i, as an (N, m)
+    array from the stacked gains K, H of shape (N, m, n)."""
+    u_c = np.matmul(K, x[:, :, None]) + np.matmul(H, zeta[:, :, None])
+    return u_c[:, :, 0]
 
 
-def compensation_signal(
-    gains: GainSet,
-    b: np.ndarray,
-    eps_i: np.ndarray,
-    comp: CompensatorState,
+def compensation(
+    PB: np.ndarray,
+    eps: np.ndarray,
+    rho_hat: np.ndarray,
+    alpha: np.ndarray,
+    c: np.ndarray,
     t: float,
-    gain_cap: float = DEFAULT_GAIN_CAP,
-) -> np.ndarray:
-    """Adaptive compensation
-    B'P eps * exp(rho_hat) / (||eps' P B|| + exp(-c t^2))."""
-    rho = comp.rho_hat
-    if rho > gain_cap:
-        log.warning(
-            "compensation gain clamped: rho_hat=%.3g exceeds cap %.3g",
-            rho,
-            gain_cap,
-        )
-        rho = gain_cap
-    s = gains.P @ np.atleast_2d(b)  # P symmetric, so B'P eps = (eps' P B)'
-    numerator = s.T @ eps_i
-    denom = np.linalg.norm(numerator) + np.exp(-comp.c * t * t)
-    return numerator * (np.exp(rho) / denom)
+    gain_cap: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive compensation gamma_hat and its gain rate rho_hat'.
 
+    With s_i = eps_i' P_i B_i (PB holds the stacked products P_i B_i):
 
-def compensator_rate(
-    gains: GainSet, b: np.ndarray, eps_i: np.ndarray, comp: CompensatorState
-) -> float:
-    """rho_hat' = alpha * ||eps' P B|| (always nonnegative)."""
-    return comp.alpha * float(
-        np.linalg.norm(eps_i @ gains.P @ np.atleast_2d(b))
-    )
+        gamma_hat_i = s_i' exp(rho_hat_i) / (||s_i|| + exp(-c_i t^2))
+        rho_hat_i'  = alpha_i ||s_i||       (always nonnegative)
 
-
-def corrupted_input(
-    u_c: np.ndarray, gamma_hat: np.ndarray, gamma_a: np.ndarray
-) -> ControlBreakdown:
-    """Compose the resilient input and add the injected attack signal."""
-    u_r = u_c - gamma_hat
-    return ControlBreakdown(
-        u_c=np.asarray(u_c, dtype=float),
-        gamma_hat=np.asarray(gamma_hat, dtype=float),
-        u_r=u_r,
-        u_bar=u_r + gamma_a,
-    )
+    rho_hat is clamped at gain_cap before exponentiation so exp() cannot
+    overflow.
+    """
+    s = np.matmul(eps[:, None, :], PB)[:, 0, :]
+    ns = np.sqrt(np.einsum("ni,ni->n", s, s))
+    denom = ns + np.exp(-c * t * t)
+    gamma_hat = s * (np.exp(np.minimum(rho_hat, gain_cap)) / denom)[:, None]
+    return gamma_hat, alpha * ns

@@ -14,83 +14,50 @@ the same equation with the fixed unit coupling gain (the resilient gain
 at theta = 0) and no adaptation, so theta stays 0:
 
     zeta' = S zeta + xi + gamma_ol
+
+Both functions work on all N followers at once, one row per follower.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gains import LeaderModel
 from .topology import Topology
 
-log = logging.getLogger(__name__)
 
-DEFAULT_GAIN_CAP = 700.0  # exp() overflows just above 709 in double precision
-
-
-@dataclass
-class ObserverState:
-    """Runtime observer state of one follower."""
-
-    zeta: np.ndarray
-    theta: float = 0.0
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("adaptation constant q must be positive")
-        self.zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-
-
-def neighborhood_xi(
-    i: int,
-    zetas: np.ndarray,
-    leader_states: np.ndarray,
-    topology: Topology,
+def neighborhood_signal(
+    zeta: np.ndarray, leader_x: np.ndarray, topology: Topology
 ) -> np.ndarray:
-    """Relative information follower i gathers from its neighbors:
-    sum_j a_ij (zeta_j - zeta_i) + sum_r g_ir (x_r - zeta_i)."""
-    zetas = np.asarray(zetas, dtype=float)
-    leader_states = np.asarray(leader_states, dtype=float)
-    zi = zetas[i]
-    xi = topology.adjacency[i] @ (zetas - zi)
-    xi += topology.pinning[:, i] @ (leader_states - zi)
-    return xi
+    """Relative information each follower gathers from its neighbors,
+    xi_i = sum_j a_ij (zeta_j - zeta_i) + sum_r g_ir (x_r - zeta_i),
+    as an (N, n) array."""
+    return (
+        topology.adjacency @ zeta
+        - topology.self_weight[:, None] * zeta
+        + topology.pinning.T @ leader_x
+    )
 
 
-def stacked_xi(
-    zetas: np.ndarray, leader_states: np.ndarray, topology: Topology
-) -> np.ndarray:
-    """All followers' neighborhood signals as an (N, n) array."""
-    adj = topology.adjacency
-    deg = adj.sum(axis=1)
-    pin = topology.pinning
-    xi = adj @ zetas - deg[:, None] * zetas
-    xi += pin.T @ leader_states - pin.sum(axis=0)[:, None] * zetas
-    return xi
-
-
-def observer_derivatives(
-    state: ObserverState,
-    xi_i: np.ndarray,
+def observer_rates(
+    S: np.ndarray,
+    zeta: np.ndarray,
+    xi: np.ndarray,
     gamma_ol: np.ndarray,
-    leader: LeaderModel,
-    gain_cap: float = DEFAULT_GAIN_CAP,
-) -> tuple[np.ndarray, float]:
-    """Right-hand sides (zeta', theta') of the observer dynamics.
+    theta: np.ndarray,
+    q: np.ndarray,
+    gain_cap: float,
+    resilient: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates (zeta', theta') of every follower's observer.
 
-    theta is clamped at gain_cap before exponentiation to avoid overflow;
-    hitting the cap signals runaway adaptation and is logged.
+    theta is clamped at gain_cap before exponentiation so exp() cannot
+    overflow.  With ``resilient=False`` this is the standard observer:
+    unit gain whatever theta is, and theta' = 0.
     """
-    theta = state.theta
-    if theta > gain_cap:
-        log.warning(
-            "observer gain clamped: theta=%.3g exceeds cap %.3g", theta, gain_cap
-        )
-        theta = gain_cap
-    dzeta = leader.S @ state.zeta + np.exp(theta) * xi_i + gamma_ol
-    dtheta = state.q * float(xi_i @ xi_i)
-    return dzeta, dtheta
+    if resilient:
+        gain = np.exp(np.minimum(theta, gain_cap))[:, None]
+        dtheta = q * np.einsum("ni,ni->n", xi, xi)
+    else:
+        gain = 1.0
+        dtheta = np.zeros_like(theta)
+    return zeta @ S.T + gain * xi + gamma_ol, dtheta

@@ -63,7 +63,6 @@ class ScenarioConfig:
     controller_mode: str = "saar"
     gain_cap: float = 700.0
     divergence_threshold: float = 1e3
-    input_bounds: tuple | None = None  # optional (lo, hi) box, shape (N, m)
 
     @property
     def n_followers(self) -> int:

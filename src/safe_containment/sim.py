@@ -5,7 +5,8 @@ observer states, and both adaptive gains as one coupled ODE system.  The
 control pipeline (neighborhood signal, observer rates, nominal input,
 compensation, attack injection, safety filter) is re-evaluated inside
 every integrator stage, so the filtered input is piecewise constant per
-stage.
+stage.  Each step evaluates the pipeline once at its own state; that one
+evaluation is both the logged sample and the first RK4 stage.
 
 Three controller modes share the pipeline:
 
@@ -20,32 +21,25 @@ Three controller modes share the pipeline:
 from __future__ import annotations
 
 import itertools
+import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import safety
-from .attacks import eval_stacked
+from .attacks import ExpSignal, eval_stacked
+from .compensation import compensation, nominal_input
 from .gains import AgentModel, LeaderModel, synthesize_gains
+from .observer import neighborhood_signal, observer_rates
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
+
+log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
     """Raised when integration produces non-finite state."""
-
-
-@dataclass
-class WorldState:
-    """Complete runtime state of a scenario at one instant."""
-
-    t: float
-    follower_x: np.ndarray  # (N, n)
-    leader_x: np.ndarray    # (M, n)
-    zeta: np.ndarray        # (N, n)
-    theta: np.ndarray       # (N,)
-    rho_hat: np.ndarray     # (N,)
 
 
 @dataclass
@@ -83,20 +77,13 @@ def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
 
 
 def containment_error(
-    follower_x: np.ndarray, leader_x: np.ndarray, phi: PhiFamily
+    states: np.ndarray, leader_x: np.ndarray, phi: PhiFamily
 ) -> np.ndarray:
-    """Stacked containment error of all followers relative to the leaders'
-    convex hull (zero iff every follower sits at its hull reference)."""
-    follower_x = np.atleast_2d(np.asarray(follower_x, dtype=float))
-    return (follower_x - _hull_reference(np.atleast_2d(leader_x), phi)).ravel()
-
-
-def observer_containment_error(
-    zetas: np.ndarray, leader_x: np.ndarray, phi: PhiFamily
-) -> np.ndarray:
-    """Containment error of the observer estimates (same reference)."""
-    zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
-    return (zetas - _hull_reference(np.atleast_2d(leader_x), phi)).ravel()
+    """Stacked error of follower states (or observer estimates) relative
+    to the leaders' convex hull (zero iff every row sits at its hull
+    reference)."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    return (states - _hull_reference(np.atleast_2d(leader_x), phi)).ravel()
 
 
 class Engine:
@@ -108,6 +95,7 @@ class Engine:
         self.n = sc.state_dim
         self.N = sc.n_followers
         self.M = sc.n_leaders
+        self.n_steps = int(round(sc.horizon / sc.dt))
         self.S = np.asarray(sc.S, dtype=float)
         self.leader = LeaderModel(self.S)
         self.models = [AgentModel(f.A, f.B, f.Q, f.U) for f in sc.followers]
@@ -121,46 +109,19 @@ class Engine:
 
         self.topology: Topology = sc.topology
         self.phi: PhiFamily = build_phi_family(self.topology)
-        self.adj = self.topology.adjacency
-        self.deg = self.adj.sum(axis=1)
-        self.pin = self.topology.pinning
-        self.pin_total = self.pin.sum(axis=0)
 
         self.q = np.array([f.q for f in sc.followers])
         self.alpha = np.array([f.alpha for f in sc.followers])
         self.c = np.array([f.c for f in sc.followers])
 
-        zero_m = np.zeros((self.N, self.models[0].m))
-        zero_n = np.zeros((self.N, self.n))
-        self.cil_coeff = np.stack(
-            [
-                f.attack_cil.coefficients if f.attack_cil else zero_m[i]
-                for i, f in enumerate(sc.followers)
-            ]
-        )
-        self.cil_rate = np.stack(
-            [
-                f.attack_cil.rates if f.attack_cil else zero_m[i]
-                for i, f in enumerate(sc.followers)
-            ]
-        )
-        self.ol_coeff = np.stack(
-            [
-                f.attack_ol.coefficients if f.attack_ol else zero_n[i]
-                for i, f in enumerate(sc.followers)
-            ]
-        )
-        self.ol_rate = np.stack(
-            [
-                f.attack_ol.rates if f.attack_ol else zero_n[i]
-                for i, f in enumerate(sc.followers)
-            ]
-        )
+        m = self.models[0].m
+        cil = [f.attack_cil or ExpSignal.zero(m) for f in sc.followers]
+        ol = [f.attack_ol or ExpSignal.zero(self.n) for f in sc.followers]
+        self.cil_coeff = np.stack([sig.coefficients for sig in cil])
+        self.cil_rate = np.stack([sig.rates for sig in cil])
+        self.ol_coeff = np.stack([sig.coefficients for sig in ol])
+        self.ol_rate = np.stack([sig.rates for sig in ol])
 
-        delta = np.asarray(sc.delta, dtype=float)
-        if delta.ndim == 0:
-            delta = np.full((self.N, self.N), float(delta))
-        self.delta = delta
         self.pairs = list(itertools.combinations(range(self.N), 2))
         self._pair_i = np.array([p[0] for p in self.pairs], dtype=int)
         self._pair_j = np.array([p[1] for p in self.pairs], dtype=int)
@@ -174,7 +135,10 @@ class Engine:
 
     # -- state packing ---------------------------------------------------
 
-    def initial_world(self) -> WorldState:
+    def initial_state(self) -> np.ndarray:
+        """The packed state at t = 0: follower states, leader states,
+        observer estimates (zeta0, or x0 where none is given), theta and
+        rho_hat, all gains starting at 0."""
         sc = self.scenario
         x0 = np.stack([f.x0 for f in sc.followers]).astype(float)
         zeta0 = np.stack(
@@ -183,27 +147,17 @@ class Engine:
                 for f in sc.followers
             ]
         ).astype(float)
-        return WorldState(
-            t=0.0,
-            follower_x=x0,
-            leader_x=np.asarray(sc.leader_x0, dtype=float).copy(),
-            zeta=zeta0,
-            theta=np.zeros(self.N),
-            rho_hat=np.zeros(self.N),
-        )
-
-    def _pack(self, w: WorldState) -> np.ndarray:
         return np.concatenate(
             [
-                w.follower_x.ravel(),
-                w.leader_x.ravel(),
-                w.zeta.ravel(),
-                w.theta,
-                w.rho_hat,
+                x0.ravel(),
+                np.asarray(sc.leader_x0, dtype=float).ravel(),
+                zeta0.ravel(),
+                np.zeros(2 * self.N),
             ]
         )
 
     def _unpack(self, y: np.ndarray):
+        """Views (x, leader_x, zeta, theta, rho_hat) into a packed state."""
         x, lead, zeta, theta, rho = np.split(y, self._sizes)
         return (
             x.reshape(self.N, self.n),
@@ -217,66 +171,47 @@ class Engine:
 
     def _pipeline(self, t, x, leader_x, zeta, theta, rho, collect=False):
         sc = self.scenario
-        mode = sc.controller_mode
-        cap = sc.gain_cap
+        resilient = sc.controller_mode != "conventional"
 
-        xi = (
-            self.adj @ zeta
-            - (self.deg + self.pin_total)[:, None] * zeta
-            + self.pin.T @ leader_x
-        )
+        xi = neighborhood_signal(zeta, leader_x, self.topology)
         gamma_ol = eval_stacked(
             self.ol_coeff, self.ol_rate, sc.attack_start, t, sc.absolute_clock
         )
         gamma_a = eval_stacked(
             self.cil_coeff, self.cil_rate, sc.attack_start, t, sc.absolute_clock
         )
+        dzeta, dtheta = observer_rates(
+            self.S, zeta, xi, gamma_ol, theta, self.q, sc.gain_cap, resilient
+        )
 
-        dleader = leader_x @ self.S.T
         eps = x - zeta
-        u_c = (
-            np.matmul(self.K, x[:, :, None]) + np.matmul(self.H, zeta[:, :, None])
-        )[:, :, 0]
-
-        if mode == "conventional":
-            # standard observer: fixed unit coupling gain (the resilient
-            # gain exp(theta) at theta = 0) and no adaptation
-            dzeta = zeta @ self.S.T + xi + gamma_ol
-            dtheta = np.zeros(self.N)
-            gamma_hat = np.zeros_like(u_c)
-            drho = np.zeros(self.N)
-            u_r = u_c
+        u_c = nominal_input(self.K, self.H, x, zeta)
+        if resilient:
+            gamma_hat, drho = compensation(
+                self.PB, eps, rho, self.alpha, self.c, t, sc.gain_cap
+            )
         else:
-            exp_theta = np.exp(np.minimum(theta, cap))
-            dzeta = zeta @ self.S.T + exp_theta[:, None] * xi + gamma_ol
-            dtheta = self.q * np.einsum("ni,ni->n", xi, xi)
-            s = np.matmul(eps[:, None, :], self.PB)[:, 0, :]
-            ns = np.sqrt(np.einsum("ni,ni->n", s, s))
-            denom = ns + np.exp(-self.c * t * t)
-            gamma_hat = s * (np.exp(np.minimum(rho, cap)) / denom)[:, None]
-            drho = self.alpha * ns
-            u_r = u_c - gamma_hat
+            gamma_hat, drho = np.zeros_like(u_c), np.zeros(self.N)
+        u_r = u_c - gamma_hat
         u_bar = u_r + gamma_a
 
-        if mode == "saar":
+        results = None
+        u = u_bar
+        if sc.controller_mode == "saar":
             try:
                 results = safety.sequential_filter(
-                    u_bar, x, self.models, self.delta, sc.d_s
+                    u_bar, x, self.models, sc.delta, sc.d_s
                 )
                 u = np.stack([r.u for r in results])
             except safety.QPInfeasibleError:
                 self.qp_infeasible_count += 1
                 if self.first_infeasible_time is None:
                     self.first_infeasible_time = t
-                results = None
-                u = u_bar
-        else:
-            results = None
-            u = u_bar
 
         dx = (
             np.matmul(self.A, x[:, :, None]) + np.matmul(self.B, u[:, :, None])
         )[:, :, 0]
+        dleader = leader_x @ self.S.T
 
         deriv = np.concatenate(
             [dx.ravel(), dleader.ravel(), dzeta.ravel(), dtheta, drho]
@@ -296,28 +231,19 @@ class Engine:
 
     # -- integration -------------------------------------------------------
 
-    def _rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self._pipeline(t, *self._unpack(y))
+    def _rk4(
+        self, t: float, y: np.ndarray, dt: float, k1: np.ndarray
+    ) -> np.ndarray:
+        """One RK4 step from (t, y), given the first stage k1 = f(t, y)."""
         k2 = self._pipeline(t + dt / 2, *self._unpack(y + (dt / 2) * k1))
         k3 = self._pipeline(t + dt / 2, *self._unpack(y + (dt / 2) * k2))
         k4 = self._pipeline(t + dt, *self._unpack(y + dt * k3))
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def observe(self, world: WorldState) -> TraceRecord:
-        """Evaluate the full pipeline at the world state and log it."""
-        _, parts = self._pipeline(
-            world.t,
-            world.follower_x,
-            world.leader_x,
-            world.zeta,
-            world.theta,
-            world.rho_hat,
-            collect=True,
-        )
-        e_c = containment_error(world.follower_x, world.leader_x, self.phi)
-        delta_o = observer_containment_error(
-            world.zeta, world.leader_x, self.phi
-        )
+    def observe(self, t, state, e_c, delta_o, parts) -> TraceRecord:
+        """Build the record of the pipeline evaluation ``parts`` made at
+        the unpacked ``state`` at time t."""
+        x, _, zeta, theta, rho = state
         n_pairs = len(self.pairs)
         dist = np.zeros(n_pairs)
         h = np.zeros(n_pairs)
@@ -327,25 +253,25 @@ class Engine:
             for res in parts["results"]:
                 active_pairs.update(tuple(p) for p in res.active_set)
         for k, (i, j) in enumerate(self.pairs):
-            diff = world.follower_x[i] - world.follower_x[j]
+            diff = x[i] - x[j]
             dist[k] = np.linalg.norm(diff)
             h[k] = self.scenario.d_s**2 - dist[k] ** 2
             active[k] = (i, j) in active_pairs
         return TraceRecord(
-            t=world.t,
-            x=world.follower_x.copy(),
-            zeta=world.zeta.copy(),
-            theta=world.theta.copy(),
-            rho_hat=world.rho_hat.copy(),
+            t=t,
+            x=x.copy(),
+            zeta=zeta.copy(),
+            theta=theta.copy(),
+            rho_hat=rho.copy(),
             u_c=parts["u_c"],
             gamma_hat=parts["gamma_hat"],
             u_r=parts["u_r"],
             u_bar=parts["u_bar"],
-            u=parts["u"],
+            u=parts["u"].copy(),  # u is u_bar itself when the filter is off
             delta_u=parts["u"] - parts["u_bar"],
             eps=parts["eps"],
-            e_c=e_c.reshape(self.N, self.n),
-            delta_o=delta_o.reshape(self.N, self.n),
+            e_c=e_c,
+            delta_o=delta_o,
             xi=parts["xi"],
             pairs=list(self.pairs),
             pair_distance=dist,
@@ -353,24 +279,41 @@ class Engine:
             pair_active=active,
         )
 
-    def step(self, world: WorldState) -> tuple[WorldState, TraceRecord]:
-        """Advance one RK4 step and log the resulting state."""
-        dt = self.scenario.dt
-        y = self._rk4(world.t, self._pack(world), dt)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(
-                f"non-finite state after step at t={world.t + dt:.6f}"
-            )
-        x, lead, zeta, theta, rho = self._unpack(y)
-        new = WorldState(
-            t=world.t + dt,
-            follower_x=x,
-            leader_x=lead,
-            zeta=zeta,
-            theta=theta,
-            rho_hat=rho,
-        )
-        return new, self.observe(new)
+    def step(self, k: int, y: np.ndarray):
+        """Evaluate the pipeline once at step k's packed state y (time
+        k * dt), log it if step k is sampled, and advance.
+
+        Returns (y_next, ec_norm, min_pair, record): the state of step
+        k + 1 (None once k reaches the horizon), the containment-error
+        norm and the least follower pair distance at step k, and the
+        step's TraceRecord (None on steps between samples).
+        """
+        sc = self.scenario
+        t = k * sc.dt
+        state = self._unpack(y)
+        x, lead, zeta, _, _ = state
+        ref = _hull_reference(lead, self.phi)
+        e_c = x - ref
+        ec_norm = float(np.linalg.norm(e_c))
+        min_pair = np.inf
+        if self.pairs:
+            diffs = x[self._pair_i] - x[self._pair_j]
+            sq = np.einsum("ki,ki->k", diffs, diffs)
+            min_pair = float(np.sqrt(sq.min()))
+
+        record = None
+        if k % sc.output_stride == 0 or k == self.n_steps:
+            deriv, parts = self._pipeline(t, *state, collect=True)
+            record = self.observe(t, state, e_c, zeta - ref, parts)
+        else:
+            deriv = self._pipeline(t, *state)
+        if k >= self.n_steps:
+            return None, ec_norm, min_pair, record
+
+        y_next = self._rk4(t, y, sc.dt, deriv)
+        if not np.all(np.isfinite(y_next)):
+            raise SimulationError(f"non-finite state at t={t + sc.dt:.6f}")
+        return y_next, ec_norm, min_pair, record
 
 
 @dataclass
@@ -384,48 +327,43 @@ def run(scenario: ScenarioConfig) -> RunResult:
 
     The summary reports containment-error extremes, the minimum pairwise
     follower distance, first divergence-threshold crossing (if any), final
-    adaptive gains, the number of infeasible safety QPs, and wall time.
+    adaptive gains, the number of pipeline evaluations whose safety QP was
+    infeasible, and wall time.  A warning is logged if an adaptive gain
+    ended above ``gain_cap``, where the pipeline clamps it.
     """
     engine = Engine(scenario)
-    world = engine.initial_world()
-    n_steps = int(round(scenario.horizon / scenario.dt))
-    stride = scenario.output_stride
+    y = engine.initial_state()
 
     t_start = time.perf_counter()
-    records = [engine.observe(world)]
-    min_pair = float(np.min(records[0].pair_distance)) if engine.pairs else np.inf
-    ec_norms = [float(np.linalg.norm(records[0].e_c))]
-    ec_times = [0.0]
+    records = []
+    ec_norms = []
+    min_pair = np.inf
     first_divergence = None
-
-    y = engine._pack(world)
-    for k in range(1, n_steps + 1):
-        t = (k - 1) * scenario.dt
-        y = engine._rk4(t, y, scenario.dt)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(f"non-finite state at t={t + scenario.dt:.6f}")
-        x, lead, zeta, theta, rho = engine._unpack(y)
-        t_new = k * scenario.dt
-
-        ec = x - _hull_reference(lead, engine.phi)
-        ec_norm = float(np.linalg.norm(ec))
+    for k in range(engine.n_steps + 1):
+        y, ec_norm, pair_min, record = engine.step(k, y)
         ec_norms.append(ec_norm)
-        ec_times.append(t_new)
-        if first_divergence is None and ec_norm > scenario.divergence_threshold:
-            first_divergence = t_new
-        if engine.pairs:
-            diffs = x[engine._pair_i] - x[engine._pair_j]
-            d = float(np.sqrt(np.einsum("ki,ki->k", diffs, diffs).min()))
-            if d < min_pair:
-                min_pair = d
-
-        if k % stride == 0 or k == n_steps:
-            world = WorldState(
-                t=t_new, follower_x=x, leader_x=lead, zeta=zeta,
-                theta=theta, rho_hat=rho,
-            )
-            records.append(engine.observe(world))
+        if pair_min < min_pair:
+            min_pair = pair_min
+        if (
+            first_divergence is None
+            and k > 0
+            and ec_norm > scenario.divergence_threshold
+        ):
+            first_divergence = k * scenario.dt
+        if record is not None:
+            records.append(record)
     wall = time.perf_counter() - t_start
+
+    # theta and rho_hat never decrease, so the final values are the peaks
+    final = records[-1]
+    if max(final.theta.max(), final.rho_hat.max()) > scenario.gain_cap:
+        log.warning(
+            "adaptive gains clamped at gain_cap %.3g: final max theta %.3g, "
+            "max rho_hat %.3g",
+            scenario.gain_cap,
+            final.theta.max(),
+            final.rho_hat.max(),
+        )
 
     ec_norms = np.asarray(ec_norms)
     tail_start = int(len(ec_norms) * 0.7)
@@ -439,8 +377,8 @@ def run(scenario: ScenarioConfig) -> RunResult:
         "final_ec": float(ec_norms[-1]),
         "min_pair_distance": float(min_pair),
         "first_divergence_time": first_divergence,
-        "final_theta": [float(v) for v in records[-1].theta],
-        "final_rho_hat": [float(v) for v in records[-1].rho_hat],
+        "final_theta": [float(v) for v in final.theta],
+        "final_rho_hat": [float(v) for v in final.rho_hat],
         "qp_infeasible_count": engine.qp_infeasible_count,
         "first_infeasible_time": engine.first_infeasible_time,
         "wall_clock_s": wall,

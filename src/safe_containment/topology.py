@@ -11,6 +11,7 @@ for the containment error to be well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,12 @@ class Topology:
     @property
     def n_leaders(self) -> int:
         return self.pinning.shape[0]
+
+    @cached_property
+    def self_weight(self) -> np.ndarray:
+        """(N,) weight each follower puts on its own state in its
+        neighborhood signal: in-degree plus total pinning gain."""
+        return self.adjacency.sum(axis=1) + self.pinning.sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -336,13 +336,13 @@ def test_criterion_09_integrator_order(paper_scenario):
     for dt in (0.05, 0.025):
         scn = dataclasses.replace(paper_scenario, dt=dt, horizon=1.0)
         engine = sim.Engine(scn)
-        world = engine.initial_world()
+        y = engine.initial_state()
         if x0 is None:
-            x0 = world.leader_x.copy()
-        for _ in range(int(round(1.0 / dt))):
-            world, _ = engine.step(world)
+            x0 = engine._unpack(y)[1].copy()
+        for k in range(int(round(1.0 / dt))):
+            y, _, _, _ = engine.step(k, y)
         exact = (expm(engine.S * 1.0) @ x0.T).T
-        errors.append(float(np.linalg.norm(world.leader_x - exact)))
+        errors.append(float(np.linalg.norm(engine._unpack(y)[1] - exact)))
     ratio = errors[0] / errors[1]
     ok = 12.0 <= ratio <= 20.0
     _report(

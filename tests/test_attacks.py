@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from safe_containment.attacks import (
-    AttackProfile,
-    ExpSignal,
-    eval_attack,
-    eval_stacked,
-)
+from safe_containment.attacks import ExpSignal, eval_stacked
 
 
 def test_input_channel_value_at_onset(paper_scenario):
@@ -67,18 +62,6 @@ def test_continuity_after_onset():
         * np.exp(np.array([0.3, 0.1]) * 8.0)
     )
     assert jumps <= bound * dt * 1.01
-
-
-def test_eval_attack_profile():
-    profile = AttackProfile(
-        cil=ExpSignal([1.0], [0.0], 0.0),
-        ol=ExpSignal([0.0, 2.0], [0.0, 0.0], 0.0),
-    )
-    ga, gol = eval_attack(profile, 1.0)
-    assert ga == pytest.approx([1.0])
-    assert gol == pytest.approx([0.0, 2.0])
-    with pytest.raises(ValueError):
-        eval_attack(profile, -1.0)
 
 
 def test_stacked_matches_per_signal(paper_scenario):

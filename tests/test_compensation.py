@@ -1,74 +1,60 @@
-import logging
-
 import numpy as np
 import pytest
 
-from safe_containment.compensation import (
-    CompensatorState,
-    compensation_signal,
-    compensator_rate,
-    conventional_input,
-    corrupted_input,
-)
-from safe_containment.gains import GainSet
+from safe_containment.compensation import compensation, nominal_input
 
 
-def _scalar_gains():
-    return GainSet(
-        P=np.array([[1.0]]),
-        K=np.array([[-1.0]]),
-        H=np.array([[1.0]]),
-        Pi=np.array([[0.0]]),
+def _nominal(K, H, x, zeta):
+    """nominal_input for a single follower, unstacked."""
+    return nominal_input(K[None], H[None], x[None], zeta[None])[0]
+
+
+def _compensation(P, b, eps, t, rho_hat=0.0, alpha=1.0, c=1.0):
+    """(gamma_hat, rho_hat') of a single follower with gains P and input
+    matrix b, unstacked."""
+    gamma_hat, drho = compensation(
+        (P @ np.atleast_2d(b))[None], eps[None], np.array([rho_hat]),
+        np.array([alpha]), np.array([c]), t, 700.0,
     )
+    return gamma_hat[0], drho[0]
 
 
 def test_conventional_input_collapses_to_feedforward():
     # with x = zeta and K + H = Pi the input reduces to Pi x
-    g = GainSet(
-        P=np.eye(2),
-        K=np.array([[-1.0, 0], [0, -2.0]]),
-        Pi=np.array([[0.5, 0], [0, 0.25]]),
-        H=np.array([[1.5, 0], [0, 2.25]]),
-    )
+    K = np.array([[-1.0, 0], [0, -2.0]])
+    Pi = np.array([[0.5, 0], [0, 0.25]])
+    H = np.array([[1.5, 0], [0, 2.25]])
     x = np.array([2.0, -3.0])
-    assert conventional_input(g, x, x) == pytest.approx(g.Pi @ x)
+    assert _nominal(K, H, x, x) == pytest.approx(Pi @ x)
 
 
 def test_conventional_input_zero():
-    g = _scalar_gains()
-    assert conventional_input(g, np.zeros(1), np.zeros(1)) == pytest.approx(
-        [0.0]
-    )
+    K, H = np.array([[-1.0]]), np.array([[1.0]])
+    assert _nominal(K, H, np.zeros(1), np.zeros(1)) == pytest.approx([0.0])
 
 
 def test_conventional_input_scalar_toy():
-    g = _scalar_gains()
-    u = conventional_input(g, np.array([2.0]), np.array([3.0]))
+    K, H = np.array([[-1.0]]), np.array([[1.0]])
+    u = _nominal(K, H, np.array([2.0]), np.array([3.0]))
     assert u == pytest.approx([1.0])
 
 
 def test_compensation_zero_tracking_error():
-    g = _scalar_gains()
-    comp = CompensatorState(rho_hat=3.0)
-    out = compensation_signal(g, np.array([[1.0]]), np.zeros(1), comp, 0.0)
+    out, _ = _compensation(np.eye(1), [[1.0]], np.zeros(1), 0.0, rho_hat=3.0)
     assert out == pytest.approx([0.0])
 
 
 def test_compensation_scalar_toy():
     # P=1, B=1, eps=0.5, rho_hat=ln 2, c=1, t=0: 0.5 * 2 / (0.5 + 1) = 2/3
-    g = _scalar_gains()
-    comp = CompensatorState(rho_hat=np.log(2.0), c=1.0)
-    out = compensation_signal(
-        g, np.array([[1.0]]), np.array([0.5]), comp, 0.0
+    out, _ = _compensation(
+        np.eye(1), [[1.0]], np.array([0.5]), 0.0, rho_hat=np.log(2.0), c=1.0
     )
     assert out == pytest.approx([2.0 / 3.0], rel=1e-15)
 
 
 def test_compensation_saturation_limit():
-    g = _scalar_gains()
-    comp = CompensatorState(rho_hat=1.3, c=1.0)
-    out = compensation_signal(
-        g, np.array([[1.0]]), np.array([1e3]), comp, 1.0
+    out, _ = _compensation(
+        np.eye(1), [[1.0]], np.array([1e3]), 1.0, rho_hat=1.3, c=1.0
     )
     # norm approaches exp(rho_hat) from below as ||eps' P B|| grows
     assert np.linalg.norm(out) < np.exp(1.3)
@@ -81,66 +67,39 @@ def test_compensation_direction_property():
         p = rng.standard_normal((3, 3))
         p = p @ p.T + 3 * np.eye(3)
         b = rng.standard_normal((3, 2))
-        g = GainSet(P=p, K=np.zeros((2, 3)), H=np.zeros((2, 3)),
-                    Pi=np.zeros((2, 3)))
         eps = rng.standard_normal(3)
-        comp = CompensatorState(rho_hat=rng.uniform(0, 2))
-        out = compensation_signal(g, b, eps, comp, rng.uniform(0, 4))
+        rho_hat = rng.uniform(0, 2)
+        out, _ = _compensation(p, b, eps, rng.uniform(0, 4), rho_hat=rho_hat)
         direction = b.T @ p @ eps
         cross = np.outer(out, direction) - np.outer(direction, out)
         assert np.max(np.abs(cross)) < 1e-9 * max(
             1.0, np.linalg.norm(direction) ** 2
         )
         assert out @ direction >= 0
-        assert np.linalg.norm(out) < np.exp(comp.rho_hat)
+        assert np.linalg.norm(out) < np.exp(rho_hat)
 
 
 def test_compensator_rate_scalar_toy():
-    g = _scalar_gains()
-    comp = CompensatorState(alpha=2.0)
-    rate = compensator_rate(g, np.array([[1.0]]), np.array([0.5]), comp)
+    _, rate = _compensation(np.eye(1), [[1.0]], np.array([0.5]), 0.0, alpha=2.0)
     assert rate == pytest.approx(1.0)
-    assert compensator_rate(
-        g, np.array([[1.0]]), np.zeros(1), comp
-    ) == pytest.approx(0.0)
-    doubled = CompensatorState(alpha=4.0)
-    assert compensator_rate(
-        g, np.array([[1.0]]), np.array([0.5]), doubled
-    ) == pytest.approx(2.0)
-
-
-def test_compensator_state_validation():
-    with pytest.raises(ValueError):
-        CompensatorState(alpha=0.0)
-    with pytest.raises(ValueError):
-        CompensatorState(c=-1.0)
-
-
-def test_corrupted_input_composition():
-    out = corrupted_input(
-        np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), np.array([0.0, 0, 2])
+    _, rate = _compensation(np.eye(1), [[1.0]], np.zeros(1), 0.0, alpha=2.0)
+    assert rate == pytest.approx(0.0)
+    _, doubled = _compensation(
+        np.eye(1), [[1.0]], np.array([0.5]), 0.0, alpha=4.0
     )
-    assert out.u_r == pytest.approx([1.0, -1.0, 0.0])
-    assert out.u_bar == pytest.approx([1.0, -1.0, 2.0])
-
-    clean = corrupted_input(np.array([3.0]), np.zeros(1), np.zeros(1))
-    assert clean.u_bar == pytest.approx([3.0])
-
-    cancel = corrupted_input(
-        np.array([3.0]), np.array([0.5]), np.array([0.5])
-    )
-    assert cancel.u_bar == pytest.approx([3.0])
+    assert doubled == pytest.approx(2.0)
 
 
-def test_compensation_gain_clamp_logs(caplog):
-    g = _scalar_gains()
-    comp = CompensatorState(rho_hat=900.0)
-    with caplog.at_level(logging.WARNING):
-        out = compensation_signal(
-            g, np.array([[1.0]]), np.array([1.0]), comp, 0.0
-        )
-    assert np.all(np.isfinite(out))
-    assert any("clamped" in rec.message for rec in caplog.records)
+def test_corrupted_input_composition(paper_scenario, saar_result):
+    # every logged input splits exactly into its layers:
+    # u_r = u_c - gamma_hat, and u_bar adds the injected input attack
+    injected = 0
+    for rec in saar_result.records:
+        gamma_a = np.stack([f.attack_cil(rec.t) for f in paper_scenario.followers])
+        assert np.array_equal(rec.u_r, rec.u_c - rec.gamma_hat)
+        assert np.array_equal(rec.u_bar, rec.u_r + gamma_a)
+        injected += bool(np.any(gamma_a != 0))
+    assert injected > 100  # the attack must actually be on
 
 
 def test_rho_monotone_along_trace(saar_result):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -5,13 +6,8 @@ import pytest
 
 import oracles
 from safe_containment import sim
-from safe_containment.gains import LeaderModel
-from safe_containment.observer import (
-    ObserverState,
-    neighborhood_xi,
-    observer_derivatives,
-    stacked_xi,
-)
+from safe_containment.compensation import compensation
+from safe_containment.observer import neighborhood_signal, observer_rates
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
 from safe_containment.topology import Topology, build_phi_family
 
@@ -21,10 +17,11 @@ def test_consensus_fixed_point(paper_scenario):
     point = np.array([0.3, -1.0, 2.0])
     zetas = np.tile(point, (4, 1))
     leaders = np.tile(point, (4, 1))
-    for i in range(4):
-        assert neighborhood_xi(i, zetas, leaders, top) == pytest.approx(
-            np.zeros(3), abs=0
-        )
+    # the stacked form subtracts the self-weighted estimate from the
+    # weighted neighbor sums, so at consensus the terms cancel to within
+    # one rounding of those sums rather than exactly
+    bound = np.finfo(float).eps * top.self_weight[:, None] * np.abs(zetas)
+    assert np.all(np.abs(neighborhood_signal(zetas, leaders, top)) <= bound)
 
 
 def test_single_edge_arithmetic():
@@ -34,50 +31,52 @@ def test_single_edge_arithmetic():
     )
     zetas = np.array([[1.0, 0, 0], [0.0, 0, 0]])
     leaders = np.zeros((1, 3))
-    assert neighborhood_xi(0, zetas, leaders, top) == pytest.approx(
+    assert neighborhood_signal(zetas, leaders, top)[0] == pytest.approx(
         [-1.0, 0.0, 0.0]
     )
 
 
-def test_stacked_matches_per_agent_and_dense_oracle(paper_scenario):
+def test_stacked_matches_dense_oracle(paper_scenario):
     top = paper_scenario.topology
     fam = build_phi_family(top)
     rng = np.random.default_rng(3)
     for _ in range(20):
         zetas = rng.standard_normal((4, 3))
         leaders = rng.standard_normal((4, 3))
-        xs = stacked_xi(zetas, leaders, top)
-        for i in range(4):
-            assert xs[i] == pytest.approx(
-                neighborhood_xi(i, zetas, leaders, top), abs=1e-13
-            )
+        xs = neighborhood_signal(zetas, leaders, top)
         # global identity: stacked xi equals the dense Kronecker assembly
         dense = oracles.kron_stacked_xi(zetas, leaders, fam)
         assert xs.ravel() == pytest.approx(dense, abs=1e-12)
         # and equals -sum_nu (Phi_nu kron I) applied to the observer
         # containment error
-        delta_o = sim.observer_containment_error(zetas, leaders, fam)
+        delta_o = sim.containment_error(zetas, leaders, fam)
         big = sum(
             np.kron(fam.phi[r], np.eye(3)) for r in range(fam.phi.shape[0])
         )
         assert xs.ravel() == pytest.approx(-big @ delta_o, abs=1e-12)
 
 
-def test_unforced_observer(paper_scenario):
-    leader = LeaderModel(paper_scenario.S)
-    state = ObserverState(zeta=np.array([1.0, 1.0, 1.0]), theta=0.0, q=2.0)
-    dzeta, dtheta = observer_derivatives(
-        state, np.zeros(3), np.zeros(3), leader
+def _rates(S, zeta, xi, gamma_ol, theta, q, gain_cap=700.0):
+    """observer_rates for a single follower, unstacked."""
+    dzeta, dtheta = observer_rates(
+        S, zeta[None, :], xi[None, :], gamma_ol[None, :],
+        np.array([theta]), np.array([q]), gain_cap,
     )
-    assert dzeta == pytest.approx(leader.S @ state.zeta)
+    return dzeta[0], dtheta[0]
+
+
+def test_unforced_observer(paper_scenario):
+    S = paper_scenario.S
+    zeta = np.array([1.0, 1.0, 1.0])
+    dzeta, dtheta = _rates(S, zeta, np.zeros(3), np.zeros(3), 0.0, 2.0)
+    assert dzeta == pytest.approx(S @ zeta)
     assert dtheta == 0.0
 
 
 def test_unit_gain_at_zero_theta(paper_scenario):
-    leader = LeaderModel(paper_scenario.S)
-    state = ObserverState(zeta=np.zeros(3), theta=0.0, q=0.7)
-    dzeta, dtheta = observer_derivatives(
-        state, np.array([1.0, 0, 0]), np.zeros(3), leader
+    dzeta, dtheta = _rates(
+        paper_scenario.S, np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3),
+        0.0, 0.7,
     )
     assert dzeta == pytest.approx([1.0, 0.0, 0.0])
     assert dtheta == pytest.approx(0.7)
@@ -85,31 +84,38 @@ def test_unit_gain_at_zero_theta(paper_scenario):
 
 def test_hand_evaluated_derivatives(paper_scenario):
     # S zeta = (-1, 3, -2); exp(ln 2) * (0,1,0) = (0,2,0); plus (0,0,1)
-    leader = LeaderModel(paper_scenario.S)
-    state = ObserverState(
-        zeta=np.array([1.0, 1.0, 1.0]), theta=np.log(2.0), q=1.0
-    )
-    dzeta, dtheta = observer_derivatives(
-        state, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), leader
+    dzeta, dtheta = _rates(
+        paper_scenario.S, np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0]),
+        np.array([0.0, 0.0, 1.0]), np.log(2.0), 1.0,
     )
     assert dzeta == pytest.approx([-1.0, 5.0, -1.0], abs=1e-14)
     assert dtheta == pytest.approx(1.0)
 
 
 def test_gain_clamp_logs_and_stays_finite(paper_scenario, caplog):
-    leader = LeaderModel(paper_scenario.S)
-    state = ObserverState(zeta=np.zeros(3), theta=800.0, q=1.0)
-    with caplog.at_level(logging.WARNING):
-        dzeta, _ = observer_derivatives(
-            state, np.array([1.0, 0, 0]), np.zeros(3), leader, gain_cap=700.0
-        )
-    assert np.all(np.isfinite(dzeta))
-    assert any("clamped" in rec.message for rec in caplog.records)
+    # gains past exp()'s overflow point are clamped in both layers
+    dzeta, _ = _rates(
+        np.zeros((3, 3)), np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3),
+        800.0, 1.0, gain_cap=700.0,
+    )
+    assert dzeta == pytest.approx([np.exp(700.0), 0.0, 0.0])
+    gamma_hat, _ = compensation(
+        np.eye(1)[None], np.ones((1, 1)), np.array([900.0]), np.ones(1),
+        np.ones(1), 0.0, 700.0,
+    )
+    assert np.all(np.isfinite(gamma_hat))
 
-
-def test_observer_state_validation():
-    with pytest.raises(ValueError):
-        ObserverState(zeta=np.zeros(3), q=0.0)
+    # the pipeline clamps theta and rho_hat at gain_cap; the run reports
+    # it once, from the final gains (every follower's theta passes 1.2)
+    scn = dataclasses.replace(paper_scenario, gain_cap=0.5, horizon=0.05)
+    with caplog.at_level(logging.WARNING, logger="safe_containment.sim"):
+        result = sim.run(scn)
+    clamped = [r for r in caplog.records if "clamped" in r.message]
+    assert len(clamped) == 1
+    assert max(result.summary["final_theta"]) > scn.gain_cap
+    for rec in result.records:
+        for name in ("x", "zeta", "theta", "rho_hat", "u", "gamma_hat"):
+            assert np.all(np.isfinite(getattr(rec, name)))
 
 
 def test_theta_monotone_along_trace(saar_result):

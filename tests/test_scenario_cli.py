@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +115,27 @@ def test_validation_collects_all_violations():
     text = "\n".join(err.value.violations)
     assert "dt" in text and "d_s" in text and "q" in text
     assert len(err.value.violations) >= 3
+
+
+def test_validation_rejects_zero_q():
+    # negative q is covered by test_validation_collects_all_violations
+    doc = _tiny_doc()
+    doc["followers"][1]["q"] = 0.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.violations == ["follower 1: q must be positive"]
+
+
+def test_validation_rejects_nonpositive_alpha_and_c():
+    for key in ("alpha", "c"):
+        for value in (0.0, -1.0):
+            doc = _tiny_doc()
+            doc["followers"][0][key] = value
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(doc)
+            assert err.value.violations == [
+                f"follower 0: {key} must be positive"
+            ]
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -259,3 +283,18 @@ def test_cli_mode_override(tmp_path):
     )
     assert code == cli.EXIT_OK
     assert (out / "tiny_conventional.csv").exists()
+
+
+def test_cli_module_entry_point_runs():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "safe_containment.cli", "validate",
+         "--scenario", "paper_sec4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert json.loads(proc.stdout) == {"valid": True, "violations": []}

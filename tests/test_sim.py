@@ -7,12 +7,7 @@ from scipy.linalg import expm
 import oracles
 from safe_containment import sim
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
-from safe_containment.sim import (
-    Engine,
-    SimulationError,
-    containment_error,
-    observer_containment_error,
-)
+from safe_containment.sim import Engine, SimulationError, containment_error
 from safe_containment.topology import Topology, build_phi_family
 
 
@@ -43,7 +38,7 @@ def test_containment_error_matches_dense_oracle(paper_engine):
         )
         assert got == pytest.approx(want, abs=1e-12)
         zetas = rng.standard_normal((4, 3))
-        got_o = observer_containment_error(zetas, leaders, paper_engine.phi)
+        got_o = containment_error(zetas, leaders, paper_engine.phi)
         want_o = oracles.kron_containment_error(
             zetas, leaders, paper_engine.phi
         )
@@ -59,7 +54,7 @@ def test_observer_error_zero_at_hull_reference(paper_engine):
     rng = np.random.default_rng(19)
     leaders = rng.standard_normal((4, 3))
     reference = sim._hull_reference(leaders, paper_engine.phi)
-    out = observer_containment_error(reference, leaders, paper_engine.phi)
+    out = containment_error(reference, leaders, paper_engine.phi)
     assert out == pytest.approx(np.zeros(12), abs=1e-12)
 
 
@@ -79,29 +74,39 @@ def _equilibrium_scenario(paper_scenario):
     )
 
 
+def _advance(engine, n_steps):
+    """The packed state an engine reaches n_steps steps from its
+    initial state."""
+    y = engine.initial_state()
+    for k in range(n_steps):
+        y, _, _, _ = engine.step(k, y)
+    return y
+
+
 def test_step_equilibrium_world_unchanged(paper_scenario):
     engine = Engine(_equilibrium_scenario(paper_scenario))
-    world = engine.initial_world()
-    new, rec = engine.step(world)
-    assert new.t == pytest.approx(world.t + engine.scenario.dt)
-    assert np.array_equal(new.follower_x, world.follower_x)
-    assert np.array_equal(new.leader_x, world.leader_x)
-    assert np.array_equal(new.zeta, world.zeta)
-    assert np.array_equal(new.theta, world.theta)
-    assert np.array_equal(new.rho_hat, world.rho_hat)
+    y0 = engine.initial_state()
+    y1, _, _, rec = engine.step(0, y0)
+    assert rec.t == 0.0
+    # follower, leader and observer states and both gains stay put
+    assert np.array_equal(y1, y0)
     assert rec.u == pytest.approx(np.zeros((4, 3)), abs=0)
+    # the last step is always sampled, at the horizon, and ends the run
+    y_end, _, _, rec = engine.step(engine.n_steps, y1)
+    assert y_end is None
+    assert rec.t == pytest.approx(engine.scenario.horizon)
 
 
 def test_leader_rotation_norm_conserved_and_matches_expm(paper_scenario):
     engine = Engine(paper_scenario)
-    world = engine.initial_world()
-    norms0 = np.linalg.norm(world.leader_x, axis=1)
-    for _ in range(100):
-        world, _ = engine.step(world)
-    norms = np.linalg.norm(world.leader_x, axis=1)
+    leader0 = engine._unpack(engine.initial_state())[1]
+    norms0 = np.linalg.norm(leader0, axis=1)
+    y = _advance(engine, 100)
+    leader = engine._unpack(y)[1]
+    norms = np.linalg.norm(leader, axis=1)
     assert norms == pytest.approx(norms0, abs=1e-12)
-    oracle = (expm(engine.S * world.t) @ engine.initial_world().leader_x.T).T
-    assert world.leader_x == pytest.approx(oracle, abs=1e-12)
+    oracle = (expm(engine.S * 100 * engine.scenario.dt) @ leader0.T).T
+    assert leader == pytest.approx(oracle, abs=1e-12)
 
 
 def test_full_scenario_dt_halving_fourth_order(paper_scenario):
@@ -114,11 +119,8 @@ def test_full_scenario_dt_halving_fourth_order(paper_scenario):
             paper_scenario, dt=dt, horizon=1.0,
             controller_mode="conventional",
         )
-        engine = Engine(scn)
-        world = engine.initial_world()
-        for _ in range(int(round(1.0 / dt))):
-            world, _ = engine.step(world)
-        finals.append(engine._pack(world))
+        y = _advance(Engine(scn), int(round(1.0 / dt)))
+        finals.append(y)
     r = np.linalg.norm(finals[0] - finals[1]) / np.linalg.norm(
         finals[1] - finals[2]
     )
@@ -224,11 +226,7 @@ def test_saar_equals_unfiltered_mode_while_filter_idle(paper_scenario):
             paper_scenario, horizon=horizon, controller_mode=mode,
             delta=np.asarray(50.0),
         )
-        engine = Engine(scn)
-        world = engine.initial_world()
-        for _ in range(int(round(horizon / scn.dt))):
-            world, _ = engine.step(world)
-        packs[mode] = engine._pack(world)
+        packs[mode] = _advance(Engine(scn), int(round(horizon / scn.dt)))
     assert np.array_equal(packs["saar"], packs["resilient_unsafe"])
 
 
@@ -239,24 +237,31 @@ def test_conventional_mode_runs_standard_observer(paper_scenario):
         paper_scenario, horizon=0.2, controller_mode="conventional"
     )
     engine = Engine(scn)
-    world = engine.initial_world()
-    for _ in range(int(round(scn.horizon / scn.dt))):
-        world, rec = engine.step(world)
-        assert np.array_equal(world.theta, np.zeros(4))
-        assert np.array_equal(rec.theta, np.zeros(4))
+    y = engine.initial_state()
+    for k in range(engine.n_steps):
+        y, _, _, rec = engine.step(k, y)
+        assert np.array_equal(engine._unpack(y)[3], np.zeros(4))
+        if rec is not None:
+            assert np.array_equal(rec.theta, np.zeros(4))
 
+    x, leader, zeta, _, rho_hat = engine._unpack(y)
     t = scn.attack_start + 1.0
-    deriv = engine._pipeline(
-        t, world.follower_x, world.leader_x, world.zeta,
-        np.full(4, 2.0), world.rho_hat,
-    )
+    deriv = engine._pipeline(t, x, leader, zeta, np.full(4, 2.0), rho_hat)
     _, _, dzeta, dtheta, _ = engine._unpack(deriv)
-    xi = oracles.kron_stacked_xi(
-        world.zeta, world.leader_x, engine.phi
-    ).reshape(4, 3)
+    xi = oracles.kron_stacked_xi(zeta, leader, engine.phi).reshape(4, 3)
     gamma_ol = np.stack([f.attack_ol(t) for f in scn.followers])
     assert np.any(gamma_ol != 0)
-    assert dzeta == pytest.approx(
-        world.zeta @ engine.S.T + xi + gamma_ol, abs=1e-12
-    )
+    assert dzeta == pytest.approx(zeta @ engine.S.T + xi + gamma_ol, abs=1e-12)
     assert np.array_equal(dtheta, np.zeros(4))
+
+
+def test_record_input_is_not_the_requested_input(paper_scenario):
+    # with the filter off u equals u_bar, but each record holds its own copy
+    scn = dataclasses.replace(
+        paper_scenario, horizon=0.02, controller_mode="resilient_unsafe"
+    )
+    rec = sim.run(scn).records[-1]
+    assert np.array_equal(rec.u, rec.u_bar)
+    u_bar = rec.u_bar.copy()
+    rec.u += 1.0
+    assert np.array_equal(rec.u_bar, u_bar)

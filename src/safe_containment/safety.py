@@ -8,12 +8,17 @@ of that agent's inequalities, found with a small dense active-set solver.
 
 Agents are processed backward: the highest-indexed agent keeps its
 requested input, and each agent i < N solves a QP whose constraints use
-the already-finalized inputs of all agents j > i.
+the already-finalized inputs of all agents j > i.  The parts of every
+pair's constraint that do not depend on an input are assembled for all
+pairs at once, so each agent's constraints are a slice of stacked rows.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +59,79 @@ class FilterResult:
     active_set: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class AgentRows:
+    """One agent's constraints a_k' u <= b_k as arrays: rows ``a`` (k, m),
+    bounds ``b`` (k,) and the follower pair of each row."""
+
+    a: np.ndarray
+    b: np.ndarray
+    pairs: Sequence[tuple[int, int]]
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    @classmethod
+    def of(cls, constraints) -> "AgentRows":
+        """An AgentRows as it is; a list of PairConstraint stacked in list
+        order."""
+        if isinstance(constraints, cls):
+            return constraints
+        return cls(
+            a=np.array([c.a for c in constraints], dtype=float),
+            b=np.array([c.b for c in constraints], dtype=float),
+            pairs=[c.pair for c in constraints],
+        )
+
+
 def cbf_value(x_i: np.ndarray, x_j: np.ndarray, d_s: float) -> float:
     """Barrier value d_s^2 - ||x_i - x_j||^2; nonpositive means safe."""
     if d_s <= 0:
         raise ValueError("d_s must be positive")
     diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
     return float(d_s * d_s - diff @ diff)
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n_agents: int):
+    """Every follower pair (i, j), i < j, in ``itertools.combinations``
+    order, with the pairs' i and j as read-only index arrays.  Agent i's
+    pairs are one contiguous run of N - 1 - i rows."""
+    pairs = tuple(itertools.combinations(range(n_agents), 2))
+    index = np.array(pairs, dtype=int).reshape(-1, 2).T.copy()
+    index.setflags(write=False)
+    return pairs, index[0], index[1]
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row k of u dotted with row k of v, one dot call per row."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _barrier_terms(x_i, x_j, ax_i, ax_j, b_i, delta, d_s):
+    """The input-free barrier terms of a stack of pairs (i_k, j_k), one
+    row per pair, from the pairs' states x, products A x and matrices B_i.
+
+    With r = x_i - x_j the barrier derivative along the joint dynamics is
+    -2 r' (A_i x_i + B_i u_i - A_j x_j - B_j u_j), so h' <= -delta * h
+    rearranges to the row a = -2 r' B_i on u_i and the bound
+    b = -delta*h - 2 r'(A_j x_j) - 2 r'(B_j u_j) - lf with lf = -2 r'(A_i x_i).
+    Returns r, h, a, b0 = -delta*h - 2 r'(A_j x_j) (the part of b that
+    needs no input; ``_barrier_rhs`` completes b) and lf.
+    """
+    r = x_i - x_j
+    h = d_s * d_s - _rowdot(r, r)
+    lf = -2.0 * _rowdot(r, ax_i)
+    a = -2.0 * np.matmul(r[:, None, :], b_i)[:, 0]
+    b0 = -delta * h - 2.0 * _rowdot(r, ax_j)
+    return r, h, a, b0, lf
+
+
+def _barrier_rhs(b0, r, bu_j, lf):
+    """b of each row, given B_j u_j of the row's finalized agent j.  The
+    terms are summed in the formula's order: regrouping them moves b in
+    the last bits, which a long run amplifies."""
+    return b0 - 2.0 * _rowdot(r, bu_j) - lf
 
 
 def build_constraint(
@@ -71,30 +143,27 @@ def build_constraint(
     delta_ij: float,
     d_s: float,
 ) -> PairConstraint:
-    """Constraint on u_i for the pair (i, j), given agent j's finalized input.
-
-    With r = x_i - x_j the barrier derivative along the joint dynamics is
-    -2 r' (A_i x_i + B_i u_i - A_j x_j - B_j u_j), so h' <= -delta * h
-    rearranges to (-2 r' B_i) u_i <= -delta*h + 2 r'(A_i x_i) + ... with
-    the j-side terms moved to the right-hand side.
-    """
+    """Constraint on u_i for the pair (i, j), given agent j's finalized
+    input: the one-pair case of the filter's stacked assembly."""
     x_i, x_j = states[i], states[j]
-    r = x_i - x_j
-    h = d_s * d_s - r @ r
-    lf = -2.0 * (r @ (models[i].A @ x_i))
-    a = -2.0 * (r @ models[i].B)
-    b = (
-        -delta_ij * h
-        - 2.0 * (r @ (models[j].A @ x_j))
-        - 2.0 * (r @ (models[j].B @ u_j))
-        - lf
+    r, h, a, b0, lf = _barrier_terms(
+        x_i[None],
+        x_j[None],
+        (models[i].A @ x_i)[None],
+        (models[j].A @ x_j)[None],
+        models[i].B[None],
+        delta_ij,
+        d_s,
     )
-    return PairConstraint(i=i, j=j, a=a, b=float(b), delta=delta_ij, h=float(h))
+    b = _barrier_rhs(b0, r, (models[j].B @ u_j)[None], lf)
+    return PairConstraint(
+        i=i, j=j, a=a[0], b=float(b[0]), delta=delta_ij, h=float(h[0])
+    )
 
 
 def solve_agent_qp(
     u_bar: np.ndarray,
-    constraints: list[PairConstraint],
+    constraints: AgentRows | list[PairConstraint],
     tol: float = QP_TOL,
     max_iter: int = 100,
 ) -> FilterResult:
@@ -112,8 +181,8 @@ def solve_agent_qp(
     if not constraints:
         return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
 
-    rows = np.array([c.a for c in constraints], dtype=float)
-    rhs = np.array([c.b for c in constraints], dtype=float)
+    stacked = AgentRows.of(constraints)
+    rows, rhs, pairs = stacked.a, stacked.b, stacked.pairs
     scale = np.maximum(1.0, np.abs(rhs))
 
     # Fast path: the requested input already satisfies every constraint.
@@ -127,8 +196,9 @@ def solve_agent_qp(
         viol = rows @ u - rhs
         p = int(np.argmax(viol / scale))
         if viol[p] <= tol * scale[p]:
-            pairs = [constraints[k].pair for k in active]
-            return FilterResult(u=u, delta_u=u - u_bar, active_set=pairs)
+            return FilterResult(
+                u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
+            )
         cp = rows[p]
         cc = float(cp @ cp)
         lam_p = 0.0
@@ -154,11 +224,10 @@ def solve_agent_qp(
                         t_part, block = cand, idx
             step = min(t_full, t_part)
             if not np.isfinite(step):
-                pairs = [constraints[k].pair for k in active]
-                pairs.append(constraints[p].pair)
+                blocking = [pairs[k] for k in active] + [pairs[p]]
                 raise QPInfeasibleError(
-                    f"no input satisfies constraints for pairs {pairs}",
-                    pairs=pairs,
+                    f"no input satisfies constraints for pairs {blocking}",
+                    pairs=blocking,
                 )
             u = u - step * z
             lam = [lv + step * rv for lv, rv in zip(lam, r)]
@@ -171,7 +240,7 @@ def solve_agent_qp(
             lam.pop(block)
     raise QPInfeasibleError(
         "active-set iteration cap exceeded",
-        pairs=[c.pair for c in constraints],
+        pairs=list(pairs),
     )
 
 
@@ -185,29 +254,43 @@ def sequential_filter(
     """Backward sweep over agents: u_N stays as requested, then each lower
     index is filtered against all higher-indexed, already-finalized inputs.
 
-    delta may be a scalar or an (N, N) array of per-pair constraint rates.
+    Every pair's input-free barrier terms are assembled in one batch;
+    agent i's rows are then a slice, completed with B_j u_j of the agents
+    already finalized.  delta may be a scalar or an (N, N) array of
+    per-pair constraint rates.
     """
     n_agents = len(u_bars)
+    states = np.asarray(states, dtype=float)
+    pairs, pair_i, pair_j = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim == 0:
-        delta = np.full((n_agents, n_agents), float(delta))
-    results: list[FilterResult] = [None] * n_agents
-    final_u = [None] * n_agents
+    delta = delta[pair_i, pair_j] if delta.ndim else float(delta)
+    a_mats = np.stack([m.A for m in models])
+    b_mats = np.stack([m.B for m in models])
+    ax = np.matmul(a_mats, states[:, :, None])[:, :, 0]
+    r, _, a, b0, lf = _barrier_terms(
+        states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],
+        b_mats[pair_i], delta, d_s,
+    )
 
+    results: list[FilterResult] = [None] * n_agents
     last = n_agents - 1
     u_last = np.asarray(u_bars[last], dtype=float).copy()
     results[last] = FilterResult(u=u_last, delta_u=np.zeros_like(u_last))
-    final_u[last] = u_last
+    bu = np.empty_like(states)  # B_j u_j of each finalized agent j
+    bu[last] = b_mats[last] @ u_last
 
+    stop = len(pairs)
     for i in range(n_agents - 2, -1, -1):
-        constraints = [
-            build_constraint(i, j, states, models, final_u[j], delta[i, j], d_s)
-            for j in range(i + 1, n_agents)
-        ]
+        rows = slice(stop - (last - i), stop)
+        b = _barrier_rhs(b0[rows], r[rows], bu[i + 1:], lf[rows])
         try:
-            results[i] = solve_agent_qp(np.asarray(u_bars[i], dtype=float), constraints)
+            results[i] = solve_agent_qp(
+                np.asarray(u_bars[i], dtype=float),
+                AgentRows(a=a[rows], b=b, pairs=pairs[rows]),
+            )
         except QPInfeasibleError as err:
             err.agent = i
             raise
-        final_u[i] = results[i].u
+        bu[i] = b_mats[i] @ results[i].u
+        stop = rows.start
     return results

@@ -114,10 +114,20 @@ class ScenarioConfig:
             for key, val in (("q", f.q), ("alpha", f.alpha), ("c", f.c)):
                 if val <= 0:
                     errs.append(f"{tag}: {key} must be positive")
-            if f.attack_cil is not None and f.attack_cil.dim != m:
-                errs.append(f"{tag}: attack_cil must have dimension {m}")
-            if f.attack_ol is not None and f.attack_ol.dim != n:
-                errs.append(f"{tag}: attack_ol must have dimension {n}")
+            for key, sig, dim in (
+                ("attack_cil", f.attack_cil, m),
+                ("attack_ol", f.attack_ol, n),
+            ):
+                if sig is None:
+                    continue
+                if sig.dim != dim:
+                    errs.append(f"{tag}: {key} must have dimension {dim}")
+                for part, vals in (
+                    ("coeff", sig.coefficients),
+                    ("rate", sig.rates),
+                ):
+                    if not np.all(np.isfinite(vals)):
+                        errs.append(f"{tag}: {key} {part} must be finite")
 
         if self.leader_x0.ndim != 2 or self.leader_x0.shape[1] != n:
             errs.append(f"leader_x0 must be (M, {n})")
@@ -140,8 +150,15 @@ class ScenarioConfig:
         ):
             if not val > 0:
                 errs.append(f"{key} must be positive")
-        if np.any(np.asarray(self.delta) <= 0):
-            errs.append("delta must be positive")
+        delta = np.asarray(self.delta, dtype=float)
+        n_f = self.n_followers
+        if delta.ndim != 0 and delta.shape != (n_f, n_f):
+            errs.append(
+                f"delta must be a scalar or a {n_f}x{n_f} array, "
+                f"not shape {delta.shape}"
+            )
+        if not np.all(np.isfinite(delta) & (delta > 0)):
+            errs.append("delta entries must be finite and positive")
         if self.attack_start < 0:
             errs.append("attack_start must be nonnegative")
         if self.output_stride < 1:

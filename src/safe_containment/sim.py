@@ -129,9 +129,12 @@ class Engine:
         self.qp_infeasible_count = 0
         self.first_infeasible_time: float | None = None
 
-        self._sizes = np.cumsum(
+        ends = np.cumsum(
             [self.N * self.n, self.M * self.n, self.N * self.n, self.N]
-        )
+        ).tolist()
+        self._slices = [
+            slice(start, end) for start, end in zip([0] + ends, ends + [None])
+        ]
 
     # -- state packing ---------------------------------------------------
 
@@ -158,13 +161,13 @@ class Engine:
 
     def _unpack(self, y: np.ndarray):
         """Views (x, leader_x, zeta, theta, rho_hat) into a packed state."""
-        x, lead, zeta, theta, rho = np.split(y, self._sizes)
+        x, lead, zeta, theta, rho = self._slices
         return (
-            x.reshape(self.N, self.n),
-            lead.reshape(self.M, self.n),
-            zeta.reshape(self.N, self.n),
-            theta,
-            rho,
+            y[x].reshape(self.N, self.n),
+            y[lead].reshape(self.M, self.n),
+            y[zeta].reshape(self.N, self.n),
+            y[theta],
+            y[rho],
         )
 
     # -- control pipeline -------------------------------------------------

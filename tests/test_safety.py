@@ -207,21 +207,104 @@ def test_sequential_filter_head_on_deflects_lower_agent():
 def test_sequential_filter_pair_enumeration_order(
     paper_engine, monkeypatch
 ):
+    # row order decides argmax ties in the QP, so it is part of the output
     seen = []
-    original = safety.build_constraint
+    original = safety.solve_agent_qp
 
-    def spy(i, j, *args, **kwargs):
-        seen.append((i, j))
-        return original(i, j, *args, **kwargs)
+    def spy(u_bar, constraints, *args, **kwargs):
+        seen.append(list(constraints.pairs))
+        assert len(constraints) == len(constraints.pairs)
+        return original(u_bar, constraints, *args, **kwargs)
 
-    monkeypatch.setattr(safety, "build_constraint", spy)
+    monkeypatch.setattr(safety, "solve_agent_qp", spy)
     states = np.array(
         [[2.0, 0, 0], [0.0, 2, 0], [-2.0, 0, 0], [0.0, -2, 0]]
     )
     sequential_filter(
         np.zeros((4, 3)), states, paper_engine.models, 5.0, 0.3
     )
-    assert seen == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
+    assert seen == [
+        [(2, 3)],
+        [(1, 2), (1, 3)],
+        [(0, 1), (0, 2), (0, 3)],
+    ]
+    assert all(type(k) is int for rows in seen for pair in rows for k in pair)
+
+
+def _reference_sweep(u_bars, states, models, delta, d_s):
+    """The filter pair by pair: build_constraint on each finalized u_j,
+    then solve_agent_qp on the agent's list of constraints."""
+    n = len(u_bars)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n, n))
+    results = [None] * n
+    u_last = u_bars[-1].copy()
+    results[-1] = safety.FilterResult(u=u_last, delta_u=np.zeros_like(u_last))
+    for i in range(n - 2, -1, -1):
+        cons = [
+            build_constraint(i, j, states, models, results[j].u, delta[i, j], d_s)
+            for j in range(i + 1, n)
+        ]
+        try:
+            results[i] = solve_agent_qp(u_bars[i], cons)
+        except QPInfeasibleError as err:
+            err.agent = i
+            raise
+    return results
+
+
+def _random_plants(rng, n):
+    return [
+        _plant(
+            rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 3)) + 2.0 * np.eye(3),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_stacked_filter_matches_pairwise_reference():
+    rng = np.random.default_rng(41)
+    d_s = 0.3
+    for n in (2, 4, 16):
+        active_rows = 0
+        for trial in range(30):
+            models = _random_plants(rng, n)
+            # the tighter the box, the more pairs sit near d_s
+            states = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.2, 2.0)
+            u_bars = rng.standard_normal((n, 3)) * rng.uniform(0.5, 20.0)
+            delta = (
+                rng.uniform(0.5, 8.0)
+                if trial % 2
+                else rng.uniform(0.5, 8.0, (n, n))
+            )
+            try:
+                expected = _reference_sweep(u_bars, states, models, delta, d_s)
+            except QPInfeasibleError:
+                continue
+            got = sequential_filter(u_bars, states, models, delta, d_s)
+            for res, ref in zip(got, expected):
+                assert np.array_equal(res.u, ref.u)
+                assert np.array_equal(res.delta_u, ref.delta_u)
+                assert res.active_set == ref.active_set
+                active_rows += len(res.active_set)
+        assert active_rows > 0, n
+
+
+def test_stacked_filter_reports_the_reference_infeasibility():
+    rng = np.random.default_rng(43)
+    models = _random_plants(rng, 4)
+    models[1] = _plant(models[1].A, np.zeros((3, 3)))  # no input authority
+    states = rng.uniform(-5.0, 5.0, (4, 3))
+    states[3] = states[1] + 0.1  # inside d_s of agent 1, which cannot act
+    u_bars = rng.standard_normal((4, 3))
+    with pytest.raises(QPInfeasibleError) as ref:
+        _reference_sweep(u_bars, states, models, 5.0, 0.3)
+    with pytest.raises(QPInfeasibleError) as err:
+        sequential_filter(u_bars, states, models, 5.0, 0.3)
+    assert err.value.agent == ref.value.agent == 1
+    assert err.value.pairs == ref.value.pairs
+    assert (1, 3) in err.value.pairs
+    assert all(type(k) is int for pair in err.value.pairs for k in pair)
 
 
 def test_sequential_filter_propagates_agent_index():

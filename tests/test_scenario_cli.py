@@ -138,6 +138,69 @@ def test_validation_rejects_nonpositive_alpha_and_c():
             ]
 
 
+def test_validation_rejects_misshapen_delta():
+    doc = _bundled_doc()  # four followers
+    doc["delta"] = [[5.0, 5.0], [5.0, 5.0]]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.violations == [
+        "delta must be a scalar or a 4x4 array, not shape (2, 2)"
+    ]
+    doc["delta"] = np.full((4, 4), 5.0).tolist()
+    assert scenario_from_dict(doc).delta.shape == (4, 4)
+
+
+def test_validation_rejects_nonfinite_delta():
+    for value in (float("nan"), float("inf")):
+        for delta in (value, [[5.0, value], [5.0, 5.0]]):
+            doc = _tiny_doc()
+            doc["delta"] = delta
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(doc)
+            assert err.value.violations == [
+                "delta entries must be finite and positive"
+            ]
+
+
+def test_validation_rejects_nonfinite_attacks_and_lists_every_violation():
+    doc = _tiny_doc()
+    doc["followers"][0]["attack_cil"]["coeff"][1] = float("nan")
+    doc["followers"][0]["attack_ol"]["rate"][0] = float("inf")
+    doc["followers"][1]["attack_cil"]["rate"][2] = float("-inf")
+    doc["followers"][1]["attack_ol"]["coeff"][2] = float("nan")
+    doc["delta"] = [[5.0, float("nan"), 5.0]] * 3
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.violations == [
+        "follower 0: attack_cil coeff must be finite",
+        "follower 0: attack_ol rate must be finite",
+        "follower 1: attack_cil rate must be finite",
+        "follower 1: attack_ol coeff must be finite",
+        "delta must be a scalar or a 2x2 array, not shape (3, 3)",
+        "delta entries must be finite and positive",
+    ]
+
+
+def test_cli_validate_rejects_bad_delta_and_attack_without_traceback(
+    tmp_path,
+):
+    for field, edit in (
+        ("delta", lambda doc: doc.update(delta=[[5.0]])),
+        ("delta", lambda doc: doc.update(delta=float("nan"))),
+        ("attack_cil", lambda doc: doc["followers"][0]["attack_cil"]
+         .update(rate=[float("nan")] * 3)),
+    ):
+        doc = _tiny_doc()
+        edit(doc)
+        path = _write(tmp_path, doc)
+        proc = _run_module_cli("validate", "--scenario", path)
+        assert proc.returncode == cli.EXIT_ERROR
+        assert "Traceback" not in proc.stderr + proc.stdout
+        out = json.loads(proc.stdout)
+        assert out["valid"] is False
+        assert any(field in v for v in out["violations"])
+
+
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "name": "x",\n  oops\n}\n')
@@ -285,16 +348,20 @@ def test_cli_mode_override(tmp_path):
     assert (out / "tiny_conventional.csv").exists()
 
 
-def test_cli_module_entry_point_runs():
+def _run_module_cli(*args):
+    """``python -m safe_containment.cli`` in a fresh process."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "safe_containment.cli", "validate",
-         "--scenario", "paper_sec4"],
+    return subprocess.run(
+        [sys.executable, "-m", "safe_containment.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_cli_module_entry_point_runs():
+    proc = _run_module_cli("validate", "--scenario", "paper_sec4")
     assert proc.returncode == cli.EXIT_OK
     assert json.loads(proc.stdout) == {"valid": True, "violations": []}

@@ -19,6 +19,8 @@ models = [
     SimpleNamespace(A=-0.2 * np.eye(3), B=np.eye(3)),
     SimpleNamespace(A=-0.2 * np.eye(3), B=np.eye(3)),
 ]
+A = np.stack([m.A for m in models])
+B = np.stack([m.B for m in models])
 
 
 def simulate(filtered: bool) -> np.ndarray:
@@ -28,7 +30,7 @@ def simulate(filtered: bool) -> np.ndarray:
         def rate(xs):
             u_bar = np.stack([2.0 * (xs[1] - xs[0]), 2.0 * (xs[0] - xs[1])])
             if filtered:
-                res = sequential_filter(u_bar, xs, models, 5.0, D_S)
+                res = sequential_filter(u_bar, xs, A, B, 5.0, D_S)
                 u = np.stack([r.u for r in res])
             else:
                 u = u_bar

@@ -12,9 +12,11 @@ threshold crossed during the run, 3 at least one infeasible safety QP.
 
 CSV schema (stable): one header row; column order is ``t``, then one block
 per follower i (x, zeta, theta, rho_hat, u_c, gamma_hat, u_r, u_bar, u,
-delta_u, eps, e_c, delta_o, with vector components suffixed _1.._n), then
-one block per follower pair (i, j) in lexicographic order (d_i_j, h_i_j,
-active_i_j).  Floats carry 17 significant digits so values round-trip.
+delta_u, eps, e_c, delta_o; state blocks x, zeta, eps, e_c and delta_o have
+components suffixed _1.._n, input blocks u_c .. delta_u _1.._m), then one
+block per follower pair (i, j) in lexicographic order (d_i_j, h_i_j,
+active_i_j).  The layout is ``sim.TRACE_FIELDS``.  Floats carry 17
+significant digits so values round-trip.
 """
 
 from __future__ import annotations
@@ -37,72 +39,26 @@ EXIT_ERROR = 1
 EXIT_DIVERGENCE = 2
 EXIT_QP_INFEASIBLE = 3
 
-_VECTOR_FIELDS = (
-    ("x", "x"),
-    ("zeta", "zeta"),
-    ("theta", None),
-    ("rho_hat", None),
-    ("u_c", "uc"),
-    ("gamma_hat", "gammahat"),
-    ("u_r", "ur"),
-    ("u_bar", "ubar"),
-    ("u", "u"),
-    ("delta_u", "du"),
-    ("eps", "eps"),
-    ("e_c", "ec"),
-    ("delta_o", "do"),
-)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def trace_header(n_followers: int, state_dim: int, pairs: list) -> list[str]:
-    cols = ["t"]
-    for i in range(1, n_followers + 1):
-        for attr, name in _VECTOR_FIELDS:
-            if name is None:
-                cols.append(f"{attr}_{i}")
-            else:
-                cols.extend(f"{name}_{i}_{k}" for k in range(1, state_dim + 1))
-    for i, j in pairs:
-        cols.extend(
-            (f"d_{i + 1}_{j + 1}", f"h_{i + 1}_{j + 1}", f"active_{i + 1}_{j + 1}")
-        )
-    return cols
-
-
-def trace_row(rec: sim.TraceRecord) -> list[str]:
-    vals = [_fmt(rec.t)]
-    n_followers = rec.x.shape[0]
-    for i in range(n_followers):
-        for attr, name in _VECTOR_FIELDS:
-            data = getattr(rec, attr)
-            if name is None:
-                vals.append(_fmt(float(data[i])))
-            else:
-                vals.extend(_fmt(float(v)) for v in data[i])
-    for k in range(len(rec.pairs)):
-        vals.append(_fmt(float(rec.pair_distance[k])))
-        vals.append(_fmt(float(rec.pair_h[k])))
-        vals.append("1" if rec.pair_active[k] else "0")
-    return vals
-
 
 def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
-    records = result.records
-    header = trace_header(records[0].x.shape[0], state_dim, records[0].pairs)
+    """Write the run's table as the trace CSV, one format call per row.
+    ``state_dim`` is not needed: the result's layout gives the columns."""
+    layout = result.layout
+    row_fmt = ",".join(["%.17g"] * layout.n_csv) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in records:
-            fh.write(",".join(trace_row(rec)) + "\n")
+        fh.write(",".join(layout.header()) + "\n")
+        for row in result.table:
+            fh.write(row_fmt % tuple(row[:layout.n_csv].tolist()))
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_summary_json(path: Path, result: RunResult) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, result.summary)
 
 
 def _load(args) -> "ScenarioConfig | None":
@@ -172,15 +128,10 @@ def cmd_gains(args) -> int:
     for idx, (model, gainset) in enumerate(zip(engine.models, engine.gains)):
         reg_res = np.linalg.norm(s - model.A - model.B @ gainset.Pi)
         print(f"follower {idx + 1}:")
-        for name, mat in (
-            ("P", gainset.P),
-            ("K", gainset.K),
-            ("H", gainset.H),
-            ("Pi", gainset.Pi),
-        ):
+        for name in ("P", "K", "H", "Pi"):
             print(f"  {name} =")
-            for row in np.atleast_2d(mat):
-                print("    [" + ", ".join(_fmt(v) for v in row) + "]")
+            for row in np.atleast_2d(getattr(gainset, name)):
+                print("    [" + ", ".join(f"{v:.17g}" for v in row) + "]")
         print(f"  riccati_residual = {care_residual(model, gainset.P):.3e}")
         print(f"  regulator_residual = {reg_res:.3e}")
     return EXIT_OK
@@ -227,10 +178,7 @@ def cmd_sweep(args) -> int:
         print(json.dumps(row, sort_keys=True))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / f"{scenario.name}_sweep_{args.param}.json"
-    with open(out, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / f"{scenario.name}_sweep_{args.param}.json", rows)
     return EXIT_OK
 
 

@@ -247,7 +247,8 @@ def solve_agent_qp(
 def sequential_filter(
     u_bars: np.ndarray,
     states: np.ndarray,
-    models,
+    a_mats: np.ndarray,
+    b_mats: np.ndarray,
     delta: np.ndarray,
     d_s: float,
 ) -> list[FilterResult]:
@@ -256,16 +257,15 @@ def sequential_filter(
 
     Every pair's input-free barrier terms are assembled in one batch;
     agent i's rows are then a slice, completed with B_j u_j of the agents
-    already finalized.  delta may be a scalar or an (N, N) array of
-    per-pair constraint rates.
+    already finalized.  a_mats (N, n, n) and b_mats (N, n, m) stack the
+    agents' A and B; delta may be a scalar or an (N, N) array of per-pair
+    constraint rates.
     """
     n_agents = len(u_bars)
     states = np.asarray(states, dtype=float)
     pairs, pair_i, pair_j = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
     delta = delta[pair_i, pair_j] if delta.ndim else float(delta)
-    a_mats = np.stack([m.A for m in models])
-    b_mats = np.stack([m.B for m in models])
     ax = np.matmul(a_mats, states[:, :, None])[:, :, 0]
     r, _, a, b0, lf = _barrier_terms(
         states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],

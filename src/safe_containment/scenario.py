@@ -19,6 +19,8 @@ import numpy as np
 from . import attacks, gains, topology as topo
 
 CONTROLLER_MODES = ("saar", "resilient_unsafe", "conventional")
+# the largest gain whose exponential is a finite float (about 709.78)
+MAX_GAIN_CAP = float(np.log(np.finfo(float).max))
 
 
 class ScenarioError(ValueError):
@@ -80,12 +82,10 @@ class ScenarioConfig:
         """Return every constraint violation found (empty list if valid)."""
         errs: list[str] = []
         n = self.state_dim
-        s = np.asarray(self.S)
-        if s.shape != (n, n):
+        if np.shape(self.S) != (n, n):
             errs.append("S must be square")
-
-        check = gains.check_leader_assumption(gains.LeaderModel(self.S))
-        if not check.passed:
+        else:
+            check = gains.check_leader_assumption(gains.LeaderModel(self.S))
             errs.extend(f"leader S: {r}" for r in check.reasons)
 
         for idx, f in enumerate(self.followers):
@@ -129,6 +129,8 @@ class ScenarioConfig:
                     if not np.all(np.isfinite(vals)):
                         errs.append(f"{tag}: {key} {part} must be finite")
 
+        if len({f.B.shape[1] for f in self.followers}) > 1:
+            errs.append("every follower's B must have the same column count m")
         if self.leader_x0.ndim != 2 or self.leader_x0.shape[1] != n:
             errs.append(f"leader_x0 must be (M, {n})")
         if self.topology.n_followers != self.n_followers:
@@ -150,6 +152,14 @@ class ScenarioConfig:
         ):
             if not val > 0:
                 errs.append(f"{key} must be positive")
+        if self.gain_cap > MAX_GAIN_CAP:
+            errs.append(f"gain_cap must be at most {MAX_GAIN_CAP:.6g}, "
+                        "where exp(gain_cap) overflows")
+        steps = self.horizon / self.dt if self.dt > 0 else 0.0
+        off = abs(steps - round(steps)) if np.isfinite(steps) else 0.0
+        if off > 1e-9 * abs(steps):
+            errs.append(f"horizon must be a whole number of dt steps, "
+                        f"not {steps:.6g}")
         delta = np.asarray(self.delta, dtype=float)
         n_f = self.n_followers
         if delta.ndim != 0 and delta.shape != (n_f, n_f):
@@ -161,7 +171,9 @@ class ScenarioConfig:
             errs.append("delta entries must be finite and positive")
         if self.attack_start < 0:
             errs.append("attack_start must be nonnegative")
-        if self.output_stride < 1:
+        if not float(self.output_stride).is_integer():
+            errs.append("output_stride must be a whole number")
+        elif self.output_stride < 1:
             errs.append("output_stride must be at least 1")
         if self.controller_mode not in CONTROLLER_MODES:
             errs.append(f"controller_mode must be one of {CONTROLLER_MODES}")
@@ -192,6 +204,11 @@ def _matrix(obj, what: str) -> np.ndarray:
         return np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError([f"{what}: not a numeric array ({exc})"]) from exc
+
+
+def _whole(value):
+    """An int if value is whole, else a float for ``validate`` to report."""
+    return int(value) if float(value).is_integer() else float(value)
 
 
 def _signal(obj, start: float, what: str) -> attacks.ExpSignal | None:
@@ -253,7 +270,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
             absolute_clock=bool(doc.get("absolute_clock", False)),
             dt=float(doc.get("dt", 1e-3)),
             horizon=float(doc.get("horizon", 16.0)),
-            output_stride=int(doc.get("output_stride", 10)),
+            output_stride=_whole(doc.get("output_stride", 10)),
             controller_mode=str(doc.get("controller_mode", "saar")),
             gain_cap=float(doc.get("gain_cap", 700.0)),
             divergence_threshold=float(doc.get("divergence_threshold", 1e3)),

@@ -20,10 +20,9 @@ Three controller modes share the pipeline:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -42,29 +41,84 @@ class SimulationError(RuntimeError):
     """Raised when integration produces non-finite state."""
 
 
-@dataclass
-class TraceRecord:
-    """Per-sample log of every pipeline quantity."""
+# Per-follower trace fields in CSV column order: the TraceRecord
+# attribute, its CSV column prefix and its component count ("n" state
+# components, "m" input components, or 1 for a scalar).
+TRACE_FIELDS = (
+    ("x", "x", "n"),
+    ("zeta", "zeta", "n"),
+    ("theta", "theta", 1),
+    ("rho_hat", "rho_hat", 1),
+    ("u_c", "uc", "m"),
+    ("gamma_hat", "gammahat", "m"),
+    ("u_r", "ur", "m"),
+    ("u_bar", "ubar", "m"),
+    ("u", "u", "m"),
+    ("delta_u", "du", "m"),
+    ("eps", "eps", "n"),
+    ("e_c", "ec", "n"),
+    ("delta_o", "do", "n"),
+)
 
-    t: float
-    x: np.ndarray
-    zeta: np.ndarray
-    theta: np.ndarray
-    rho_hat: np.ndarray
-    u_c: np.ndarray
-    gamma_hat: np.ndarray
-    u_r: np.ndarray
-    u_bar: np.ndarray
-    u: np.ndarray
-    delta_u: np.ndarray
-    eps: np.ndarray
-    e_c: np.ndarray
-    delta_o: np.ndarray
-    xi: np.ndarray
-    pairs: list
-    pair_distance: np.ndarray
-    pair_h: np.ndarray
-    pair_active: np.ndarray
+
+# One sample of a run as views into its row of the run's table: t, then
+# (N, ·) arrays for the TRACE_FIELDS attributes and xi, the pair list and
+# (P,) arrays per pair.
+TraceRecord = make_dataclass(
+    "TraceRecord",
+    ["t", *(attr for attr, _, _ in TRACE_FIELDS), "xi", "pairs",
+     "pair_distance", "pair_h", "pair_active"],
+    namespace={"__module__": __name__},
+)
+
+
+class TraceLayout:
+    """The columns of a run's table.  A row holds the CSV columns in
+    schema order (t, one block of TRACE_FIELDS per follower, then d, h
+    and active per follower pair), then the followers' xi, which the CSV
+    leaves out."""
+
+    def __init__(self, n_followers: int, n: int, m: int):
+        self.N, self.n = n_followers, n
+        self.pairs = safety._pair_index(n_followers)[0]
+        self.widths = [{"n": n, "m": m}.get(d, 1) for _, _, d in TRACE_FIELDS]
+        ends = np.cumsum(self.widths).tolist()
+        # a field's place in a follower block: a column if scalar, else a slice
+        self.columns = {
+            attr: end - 1 if dim == 1 else slice(end - width, end)
+            for (attr, _, dim), width, end in zip(TRACE_FIELDS, self.widths, ends)
+        }
+        self.pair_start = 1 + n_followers * ends[-1]
+        self.n_csv = self.pair_start + 3 * len(self.pairs)
+        self.width = self.n_csv + n_followers * n
+
+    def header(self) -> list[str]:
+        cols = ["t"]
+        for i in range(1, self.N + 1):
+            for (_, prefix, dim), width in zip(TRACE_FIELDS, self.widths):
+                cols += [f"{prefix}_{i}"] if dim == 1 else [
+                    f"{prefix}_{i}_{k}" for k in range(1, width + 1)]
+        for i, j in self.pairs:
+            cols.extend(f"{c}_{i + 1}_{j + 1}" for c in ("d", "h", "active"))
+        return cols
+
+    def split(self, row: np.ndarray):
+        """Views of a row's follower blocks (N, ·), pair columns (P, 3)
+        and xi (N, n)."""
+        return (
+            row[1:self.pair_start].reshape(self.N, -1),
+            row[self.pair_start:self.n_csv].reshape(-1, 3),
+            row[self.n_csv:].reshape(self.N, self.n),
+        )
+
+    def record(self, row: np.ndarray) -> TraceRecord:
+        """The TraceRecord viewing one row of a table."""
+        body, pair, xi = self.split(row)
+        return TraceRecord(
+            t=float(row[0]), xi=xi, pairs=list(self.pairs),
+            pair_distance=pair[:, 0], pair_h=pair[:, 1], pair_active=pair[:, 2],
+            **{attr: body[:, col] for attr, col in self.columns.items()},
+        )
 
 
 def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
@@ -122,9 +176,7 @@ class Engine:
         self.ol_coeff = np.stack([sig.coefficients for sig in ol])
         self.ol_rate = np.stack([sig.rates for sig in ol])
 
-        self.pairs = list(itertools.combinations(range(self.N), 2))
-        self._pair_i = np.array([p[0] for p in self.pairs], dtype=int)
-        self._pair_j = np.array([p[1] for p in self.pairs], dtype=int)
+        self.layout = TraceLayout(self.N, self.n, m)
 
         self.qp_infeasible_count = 0
         self.first_infeasible_time: float | None = None
@@ -143,21 +195,14 @@ class Engine:
         observer estimates (zeta0, or x0 where none is given), theta and
         rho_hat, all gains starting at 0."""
         sc = self.scenario
-        x0 = np.stack([f.x0 for f in sc.followers]).astype(float)
-        zeta0 = np.stack(
-            [
-                f.zeta0 if f.zeta0 is not None else f.x0
-                for f in sc.followers
-            ]
-        ).astype(float)
-        return np.concatenate(
-            [
-                x0.ravel(),
-                np.asarray(sc.leader_x0, dtype=float).ravel(),
-                zeta0.ravel(),
-                np.zeros(2 * self.N),
-            ]
-        )
+        x0 = np.stack([f.x0 for f in sc.followers])
+        zeta0 = np.stack([
+            f.zeta0 if f.zeta0 is not None else f.x0 for f in sc.followers
+        ])
+        return np.concatenate([
+            x0.ravel(), np.ravel(sc.leader_x0), zeta0.ravel(),
+            np.zeros(2 * self.N),
+        ]).astype(float)
 
     def _unpack(self, y: np.ndarray):
         """Views (x, leader_x, zeta, theta, rho_hat) into a packed state."""
@@ -203,7 +248,7 @@ class Engine:
         if sc.controller_mode == "saar":
             try:
                 results = safety.sequential_filter(
-                    u_bar, x, self.models, sc.delta, sc.d_s
+                    u_bar, x, self.A, self.B, sc.delta, sc.d_s
                 )
                 u = np.stack([r.u for r in results])
             except safety.QPInfeasibleError:
@@ -221,16 +266,10 @@ class Engine:
         )
         if not collect:
             return deriv
-        return deriv, {
-            "xi": xi,
-            "eps": eps,
-            "u_c": u_c,
-            "gamma_hat": gamma_hat,
-            "u_r": u_r,
-            "u_bar": u_bar,
-            "u": u,
-            "results": results,
-        }
+        return deriv, dict(
+            xi=xi, eps=eps, u_c=u_c, gamma_hat=gamma_hat, u_r=u_r,
+            u_bar=u_bar, u=u, delta_u=u - u_bar, results=results,
+        )
 
     # -- integration -------------------------------------------------------
 
@@ -243,53 +282,39 @@ class Engine:
         k4 = self._pipeline(t + dt, *self._unpack(y + dt * k3))
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def observe(self, t, state, e_c, delta_o, parts) -> TraceRecord:
-        """Build the record of the pipeline evaluation ``parts`` made at
-        the unpacked ``state`` at time t."""
+    def observe(self, row, t, state, parts, e_c, delta_o, dist) -> None:
+        """Write into a table row the sample of the pipeline evaluation
+        ``parts`` made at the unpacked ``state`` at time t, whose follower
+        pairs are ``dist`` apart."""
         x, _, zeta, theta, rho = state
-        n_pairs = len(self.pairs)
-        dist = np.zeros(n_pairs)
-        h = np.zeros(n_pairs)
-        active = np.zeros(n_pairs, dtype=bool)
-        active_pairs = set()
-        if parts["results"] is not None:
-            for res in parts["results"]:
-                active_pairs.update(tuple(p) for p in res.active_set)
-        for k, (i, j) in enumerate(self.pairs):
-            diff = x[i] - x[j]
-            dist[k] = np.linalg.norm(diff)
-            h[k] = self.scenario.d_s**2 - dist[k] ** 2
-            active[k] = (i, j) in active_pairs
-        return TraceRecord(
-            t=t,
-            x=x.copy(),
-            zeta=zeta.copy(),
-            theta=theta.copy(),
-            rho_hat=rho.copy(),
-            u_c=parts["u_c"],
-            gamma_hat=parts["gamma_hat"],
-            u_r=parts["u_r"],
-            u_bar=parts["u_bar"],
-            u=parts["u"].copy(),  # u is u_bar itself when the filter is off
-            delta_u=parts["u"] - parts["u_bar"],
-            eps=parts["eps"],
-            e_c=e_c,
-            delta_o=delta_o,
-            xi=parts["xi"],
-            pairs=list(self.pairs),
-            pair_distance=dist,
-            pair_h=h,
-            pair_active=active,
-        )
+        values = dict(parts, x=x, zeta=zeta, theta=theta, rho_hat=rho,
+                      e_c=e_c, delta_o=delta_o)
+        body, pair, xi = self.layout.split(row)
+        row[0] = t
+        np.concatenate([values[attr].reshape(self.N, -1)
+                        for attr, _, _ in TRACE_FIELDS], axis=1, out=body)
+        xi[...] = parts["xi"]
+        pair[:, 0] = dist
+        # Python float ** is libm pow; numpy's array square differs in last bits
+        pair[:, 1] = [self.scenario.d_s**2 - d**2 for d in dist.tolist()]
+        active = {p for res in parts["results"] or () for p in res.active_set}
+        pair[:, 2] = [p in active for p in self.layout.pairs]
 
-    def step(self, k: int, y: np.ndarray):
+    def new_table(self) -> np.ndarray:
+        """An unfilled table with one row per sampled step: every
+        output_stride-th step and the last."""
+        rows = -(-self.n_steps // self.scenario.output_stride) + 1
+        return np.empty((rows, self.layout.width))
+
+    def step(self, k: int, y: np.ndarray, table: np.ndarray | None = None):
         """Evaluate the pipeline once at step k's packed state y (time
-        k * dt), log it if step k is sampled, and advance.
+        k * dt), write the sample into its row of ``table`` (from
+        ``new_table``) if step k is sampled, and advance.
 
-        Returns (y_next, ec_norm, min_pair, record): the state of step
-        k + 1 (None once k reaches the horizon), the containment-error
-        norm and the least follower pair distance at step k, and the
-        step's TraceRecord (None on steps between samples).
+        Returns (y_next, ec_norm, min_pair, row): the state of step k + 1
+        (None once k reaches the horizon), the containment-error norm and
+        the least follower pair distance at step k, and the table row
+        written (None on steps between samples or without a table).
         """
         sc = self.scenario
         t = k * sc.dt
@@ -298,31 +323,42 @@ class Engine:
         ref = _hull_reference(lead, self.phi)
         e_c = x - ref
         ec_norm = float(np.linalg.norm(e_c))
-        min_pair = np.inf
-        if self.pairs:
-            diffs = x[self._pair_i] - x[self._pair_j]
-            sq = np.einsum("ki,ki->k", diffs, diffs)
-            min_pair = float(np.sqrt(sq.min()))
+        _, pair_i, pair_j = safety._pair_index(self.N)
+        diffs = x[pair_i] - x[pair_j]
+        dist = np.sqrt(safety._rowdot(diffs, diffs))  # bits of a per-pair norm
+        min_pair = float(dist.min()) if len(dist) else np.inf
 
-        record = None
-        if k % sc.output_stride == 0 or k == self.n_steps:
+        row = None
+        stride = sc.output_stride
+        if table is not None and (k % stride == 0 or k == self.n_steps):
+            row = table[-(-k // stride)]
             deriv, parts = self._pipeline(t, *state, collect=True)
-            record = self.observe(t, state, e_c, zeta - ref, parts)
+            self.observe(row, t, state, parts, e_c, zeta - ref, dist)
         else:
             deriv = self._pipeline(t, *state)
         if k >= self.n_steps:
-            return None, ec_norm, min_pair, record
+            return None, ec_norm, min_pair, row
 
         y_next = self._rk4(t, y, sc.dt, deriv)
         if not np.all(np.isfinite(y_next)):
             raise SimulationError(f"non-finite state at t={t + sc.dt:.6f}")
-        return y_next, ec_norm, min_pair, record
+        return y_next, ec_norm, min_pair, row
 
 
 @dataclass
 class RunResult:
-    records: list[TraceRecord]
+    """A run's trace, one table row per sample laid out by ``layout``,
+    and its summary."""
+
+    table: np.ndarray
+    layout: TraceLayout
     summary: dict
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """One TraceRecord per sample, viewing the table; built anew on
+        every read."""
+        return [self.layout.record(row) for row in self.table]
 
 
 def run(scenario: ScenarioConfig) -> RunResult:
@@ -337,28 +373,25 @@ def run(scenario: ScenarioConfig) -> RunResult:
     engine = Engine(scenario)
     y = engine.initial_state()
 
+    table = engine.new_table()
     t_start = time.perf_counter()
-    records = []
     ec_norms = []
     min_pair = np.inf
     first_divergence = None
     for k in range(engine.n_steps + 1):
-        y, ec_norm, pair_min, record = engine.step(k, y)
+        y, ec_norm, pair_min, _ = engine.step(k, y, table)
         ec_norms.append(ec_norm)
-        if pair_min < min_pair:
-            min_pair = pair_min
+        min_pair = min(min_pair, pair_min)
         if (
             first_divergence is None
             and k > 0
             and ec_norm > scenario.divergence_threshold
         ):
             first_divergence = k * scenario.dt
-        if record is not None:
-            records.append(record)
     wall = time.perf_counter() - t_start
 
     # theta and rho_hat never decrease, so the final values are the peaks
-    final = records[-1]
+    final = engine.layout.record(table[-1])
     if max(final.theta.max(), final.rho_hat.max()) > scenario.gain_cap:
         log.warning(
             "adaptive gains clamped at gain_cap %.3g: final max theta %.3g, "
@@ -386,4 +419,4 @@ def run(scenario: ScenarioConfig) -> RunResult:
         "first_infeasible_time": engine.first_infeasible_time,
         "wall_clock_s": wall,
     }
-    return RunResult(records=records, summary=summary)
+    return RunResult(table=table, layout=engine.layout, summary=summary)

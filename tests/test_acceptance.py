@@ -256,6 +256,8 @@ def test_criterion_07_forward_invariance():
             a = g - (np.max(np.linalg.eigvals(g).real) + 1.0) * np.eye(3)
             b = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
             models.append(SimpleNamespace(A=a, B=b))
+        a_mats = np.stack([m.A for m in models])
+        b_mats = np.stack([m.B for m in models])
         x = np.zeros((2, 3))
         gap = rng.uniform(0.31, 0.8)
         direction = rng.standard_normal(3)
@@ -269,7 +271,7 @@ def test_criterion_07_forward_invariance():
             u_bars = np.stack(
                 [pull * (xs[1] - xs[0]), pull * (xs[0] - xs[1])]
             )
-            res = sequential_filter(u_bars, xs, models, 5.0, d_s)
+            res = sequential_filter(u_bars, xs, a_mats, b_mats, 5.0, d_s)
             return np.stack(
                 [models[i].A @ xs[i] + models[i].B @ res[i].u
                  for i in range(2)]

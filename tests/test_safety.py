@@ -19,6 +19,11 @@ def _plant(a, b):
     return SimpleNamespace(A=np.asarray(a, float), B=np.asarray(b, float))
 
 
+def _stack(models):
+    """The models' A and B, stacked as ``sequential_filter`` takes them."""
+    return np.stack([m.A for m in models]), np.stack([m.B for m in models])
+
+
 def test_cbf_value_examples():
     assert cbf_value([0.3, 0, 0], [0.0, 0, 0], 0.3) == pytest.approx(0.0)
     assert cbf_value([1.0, 0, 0], [0.0, 0, 0], 0.3) == pytest.approx(-0.91)
@@ -185,7 +190,7 @@ def test_sequential_filter_inactive_when_far_apart():
     models = [_plant(np.zeros((3, 3)), np.eye(3))] * 3
     states = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10, 0]])
     u_bars = 0.01 * np.ones((3, 3))
-    results = sequential_filter(u_bars, states, models, 5.0, 0.3)
+    results = sequential_filter(u_bars, states, *_stack(models), 5.0, 0.3)
     for k, res in enumerate(results):
         assert np.array_equal(res.u, u_bars[k])
         assert res.active_set == []
@@ -196,7 +201,7 @@ def test_sequential_filter_head_on_deflects_lower_agent():
     states = np.array([[0.2, 0, 0], [-0.2, 0, 0]])
     u_bars = np.array([[-5.0, 0, 0], [5.0, 0, 0]])  # closing fast
     delta = 5.0
-    results = sequential_filter(u_bars, states, models, delta, 0.3)
+    results = sequential_filter(u_bars, states, *_stack(models), delta, 0.3)
     assert np.array_equal(results[1].u, u_bars[1])  # last agent untouched
     assert not np.array_equal(results[0].u, u_bars[0])
     hdot = _analytic_hdot(states, models, results[0].u, results[1].u)
@@ -221,7 +226,7 @@ def test_sequential_filter_pair_enumeration_order(
         [[2.0, 0, 0], [0.0, 2, 0], [-2.0, 0, 0], [0.0, -2, 0]]
     )
     sequential_filter(
-        np.zeros((4, 3)), states, paper_engine.models, 5.0, 0.3
+        np.zeros((4, 3)), states, paper_engine.A, paper_engine.B, 5.0, 0.3
     )
     assert seen == [
         [(2, 3)],
@@ -281,7 +286,7 @@ def test_stacked_filter_matches_pairwise_reference():
                 expected = _reference_sweep(u_bars, states, models, delta, d_s)
             except QPInfeasibleError:
                 continue
-            got = sequential_filter(u_bars, states, models, delta, d_s)
+            got = sequential_filter(u_bars, states, *_stack(models), delta, d_s)
             for res, ref in zip(got, expected):
                 assert np.array_equal(res.u, ref.u)
                 assert np.array_equal(res.delta_u, ref.delta_u)
@@ -300,7 +305,7 @@ def test_stacked_filter_reports_the_reference_infeasibility():
     with pytest.raises(QPInfeasibleError) as ref:
         _reference_sweep(u_bars, states, models, 5.0, 0.3)
     with pytest.raises(QPInfeasibleError) as err:
-        sequential_filter(u_bars, states, models, 5.0, 0.3)
+        sequential_filter(u_bars, states, *_stack(models), 5.0, 0.3)
     assert err.value.agent == ref.value.agent == 1
     assert err.value.pairs == ref.value.pairs
     assert (1, 3) in err.value.pairs
@@ -312,7 +317,7 @@ def test_sequential_filter_propagates_agent_index():
     # coincident agents with zero input authority: h > 0 and a = 0
     states = np.array([[0.0], [0.0]])
     with pytest.raises(QPInfeasibleError) as err:
-        sequential_filter(np.zeros((2, 1)), states, models, 5.0, 0.3)
+        sequential_filter(np.zeros((2, 1)), states, *_stack(models), 5.0, 0.3)
     assert err.value.agent == 0
 
 
@@ -328,7 +333,7 @@ def test_two_agent_forward_invariance_deterministic():
     for k in range(1500):
         def rate(xs):
             u_bars = np.stack([3.0 * (xs[1] - xs[0]), 3.0 * (xs[0] - xs[1])])
-            res = sequential_filter(u_bars, xs, models, 5.0, d_s)
+            res = sequential_filter(u_bars, xs, *_stack(models), 5.0, d_s)
             return np.stack(
                 [models[i].A @ xs[i] + models[i].B @ res[i].u
                  for i in range(2)]

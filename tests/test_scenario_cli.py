@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from safe_containment import cli
+from safe_containment import cli, sim
 from safe_containment.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -53,6 +53,20 @@ def _tiny_doc():
         "adjacency": [[0, 1], [1, 0]],
         "pinning": [[1, 1]],
     }
+    return doc
+
+
+def _tiny_doc_m2():
+    """``_tiny_doc`` with two inputs per follower (m = 2 < n = 3).  Each
+    A is S - B Pi for a Pi, so the regulator equation has a solution."""
+    doc = _tiny_doc()
+    for f in doc["followers"]:
+        f["A"] = [[-2, 1, 0], [0, -3, 1], [-1, -1, 0]]
+        f["B"] = [[1, 0], [0, 1], [0, 0]]
+        f["U"] = [[1, 0], [0, 1]]
+        f["attack_cil"] = {
+            key: vals[:2] for key, vals in f["attack_cil"].items()
+        }
     return doc
 
 
@@ -201,6 +215,84 @@ def test_cli_validate_rejects_bad_delta_and_attack_without_traceback(
         assert any(field in v for v in out["violations"])
 
 
+def _violations(doc):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    return err.value.violations
+
+
+def test_validation_rejects_nonsquare_s():
+    doc = _tiny_doc()
+    doc["S"] = [[0, -2, 1], [2, 0, 1]]
+    assert "S must be square" in _violations(doc)
+
+
+def test_validation_rejects_gain_cap_past_exp_overflow():
+    doc = _tiny_doc()
+    doc["gain_cap"] = 1000.0
+    assert _violations(doc) == [
+        "gain_cap must be at most 709.783, where exp(gain_cap) overflows"
+    ]
+    doc["gain_cap"] = 709.78
+    assert scenario_from_dict(doc).gain_cap == 709.78
+
+
+def test_validation_rejects_fractional_output_stride():
+    doc = _tiny_doc()
+    doc["output_stride"] = 2.5
+    assert _violations(doc) == ["output_stride must be a whole number"]
+    doc["output_stride"] = 2.0
+    stride = scenario_from_dict(doc).output_stride
+    assert stride == 2 and type(stride) is int
+
+
+def test_validation_rejects_horizon_off_the_dt_grid():
+    doc = _tiny_doc()
+    doc["dt"] = 0.3
+    doc["horizon"] = 16.0
+    assert _violations(doc) == [
+        "horizon must be a whole number of dt steps, not 53.3333"
+    ]
+    # the bundled horizon and the benchmark's short ones stay valid
+    for horizon in (16.0, 0.4, 10 * 1e-3, 0.1):
+        doc["dt"] = 1e-3
+        doc["horizon"] = horizon
+        assert scenario_from_dict(doc).horizon == horizon
+
+
+def test_validation_rejects_mixed_input_dimensions():
+    doc = _tiny_doc()
+    doc["followers"][1] = _tiny_doc_m2()["followers"][1]
+    assert _violations(doc) == [
+        "every follower's B must have the same column count m"
+    ]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_each_validation_gap_without_traceback(
+    tmp_path, capsys, command
+):
+    def mixed_m(doc):
+        doc["followers"][1] = _tiny_doc_m2()["followers"][1]
+
+    for field, edit in (
+        ("S", lambda doc: doc.update(S=[[0, -2, 1], [2, 0, 1]])),
+        ("gain_cap", lambda doc: doc.update(gain_cap=1000.0)),
+        ("output_stride", lambda doc: doc.update(output_stride=2.5)),
+        ("horizon", lambda doc: doc.update(dt=0.3)),
+        ("column count m", mixed_m),
+    ):
+        doc = _tiny_doc()
+        edit(doc)
+        args = [command, "--scenario", _write(tmp_path, doc)]
+        if command == "run":
+            args += ["--output-dir", str(tmp_path / "o")]
+        assert cli.run_command(args) == cli.EXIT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] is False
+        assert any(field in v for v in out["violations"]), field
+
+
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "name": "x",\n  oops\n}\n')
@@ -220,8 +312,11 @@ def test_attack_free_copy_zeroes_signals():
         assert np.array_equal(f.attack_ol(10.0), np.zeros(3))
 
 
-def test_cli_run_writes_csv_and_summary(tmp_path):
-    scn_path = _write(tmp_path, _tiny_doc())
+@pytest.mark.parametrize(
+    "make_doc, m", [(_tiny_doc, 3), (_tiny_doc_m2, 2)], ids=["m3", "m2"]
+)
+def test_cli_run_writes_csv_and_summary(tmp_path, make_doc, m):
+    scn_path = _write(tmp_path, make_doc())
     out = tmp_path / "out"
     code = cli.run_command(
         ["run", "--scenario", scn_path, "--output-dir", str(out)]
@@ -235,10 +330,13 @@ def test_cli_run_writes_csv_and_summary(tmp_path):
     header = lines[0].split(",")
     assert header[0] == "t"
     assert header[1:4] == ["x_1_1", "x_1_2", "x_1_3"]
-    # 2 followers x 13 vector/scalar blocks + 1 pair block
-    n_cols = 1 + 2 * (11 * 3 + 2) + 3
+    # 2 followers x (5 state blocks, 6 input blocks, 2 gains) + 1 pair
+    n, n_followers, n_pairs = 3, 2, 1
+    n_cols = 1 + n_followers * (5 * n + 6 * m + 2) + 3 * n_pairs
     assert len(header) == n_cols
     assert all(len(line.split(",")) == n_cols for line in lines[1:])
+    uc = [col for col in header if col.startswith("uc_1_")]
+    assert uc == [f"uc_1_{k}" for k in range(1, m + 1)]
     assert header[-3:] == ["d_1_2", "h_1_2", "active_1_2"]
 
     summary = json.loads(summary_path.read_text())
@@ -260,6 +358,14 @@ def test_cli_float_round_trip(tmp_path):
     for line in lines[1:3]:
         for tok in line.split(","):
             assert f"{float(tok):.17g}" == tok
+    # every row parses back exactly to the run's table (runs are
+    # deterministic), and the table's extra columns are xi
+    result = sim.run(load_scenario(scn_path))
+    n_csv = len(lines[0].split(","))
+    assert result.table.shape == (len(lines) - 1, n_csv + 2 * 3)
+    for line, row in zip(lines[1:], result.table):
+        assert np.array_equal(np.array(line.split(","), dtype=float),
+                              row[:n_csv])
 
 
 def test_cli_divergence_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -85,16 +86,24 @@ def _advance(engine, n_steps):
 
 def test_step_equilibrium_world_unchanged(paper_scenario):
     engine = Engine(_equilibrium_scenario(paper_scenario))
+    table = engine.new_table()
     y0 = engine.initial_state()
-    y1, _, _, rec = engine.step(0, y0)
+    y1, _, _, row = engine.step(0, y0, table)
+    rec = engine.layout.record(row)
     assert rec.t == 0.0
     # follower, leader and observer states and both gains stay put
     assert np.array_equal(y1, y0)
     assert rec.u == pytest.approx(np.zeros((4, 3)), abs=0)
-    # the last step is always sampled, at the horizon, and ends the run
-    y_end, _, _, rec = engine.step(engine.n_steps, y1)
+    # the last step is always sampled, at the horizon, into the last row,
+    # and ends the run
+    y_end, _, _, row = engine.step(engine.n_steps, y1, table)
     assert y_end is None
-    assert rec.t == pytest.approx(engine.scenario.horizon)
+    assert np.shares_memory(row, table[-1])
+    assert engine.layout.record(row).t == pytest.approx(
+        engine.scenario.horizon
+    )
+    # without a table nothing is sampled
+    assert engine.step(0, y0)[3] is None
 
 
 def test_leader_rotation_norm_conserved_and_matches_expm(paper_scenario):
@@ -237,12 +246,13 @@ def test_conventional_mode_runs_standard_observer(paper_scenario):
         paper_scenario, horizon=0.2, controller_mode="conventional"
     )
     engine = Engine(scn)
+    table = engine.new_table()
     y = engine.initial_state()
     for k in range(engine.n_steps):
-        y, _, _, rec = engine.step(k, y)
+        y, _, _, row = engine.step(k, y, table)
         assert np.array_equal(engine._unpack(y)[3], np.zeros(4))
-        if rec is not None:
-            assert np.array_equal(rec.theta, np.zeros(4))
+        if row is not None:
+            assert np.array_equal(engine.layout.record(row).theta, np.zeros(4))
 
     x, leader, zeta, _, rho_hat = engine._unpack(y)
     t = scn.attack_start + 1.0
@@ -265,3 +275,24 @@ def test_record_input_is_not_the_requested_input(paper_scenario):
     u_bar = rec.u_bar.copy()
     rec.u += 1.0
     assert np.array_equal(rec.u_bar, u_bar)
+
+
+def test_records_are_views_built_on_read(paper_scenario):
+    scn = dataclasses.replace(paper_scenario, horizon=0.02, output_stride=5)
+    result = sim.run(scn)
+    first, second = result.records, result.records
+    assert first is not second and len(first) == len(result.table) == 5
+    for a, b in zip(first, second):
+        for name in ("t", "x", "u", "theta", "xi", "pair_distance"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    rec = first[2]
+    assert np.shares_memory(rec.u, result.table)
+    assert rec.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    # a deep copy owns its data: editing it leaves the table alone
+    table = result.table.copy()
+    copied = copy.deepcopy(rec)
+    copied.x += 1.0
+    copied.pair_active[:] = 1.0
+    copied.theta = np.zeros(4)
+    assert np.array_equal(result.table, table)
+    assert np.array_equal(result.records[2].x, rec.x)

@@ -3,7 +3,7 @@ linear multi-agent systems: gain synthesis, distributed resilient
 observers, adaptive input compensation, a barrier-based safety filter,
 and a deterministic fixed-step simulator."""
 
-from .attacks import ExpSignal
+from .attacks import eval_stacked
 from .compensation import compensation, nominal_input
 from .gains import (
     AgentModel,
@@ -11,12 +11,14 @@ from .gains import (
     GainSynthesisError,
     LeaderModel,
     check_leader_assumption,
+    model_problems,
     solve_care,
     solve_regulator,
     synthesize_gains,
 )
 from .observer import neighborhood_signal, observer_rates
 from .safety import (
+    AgentRows,
     FilterResult,
     PairConstraint,
     QPInfeasibleError,
@@ -44,8 +46,8 @@ from .topology import (
 
 __all__ = [
     "AgentModel",
+    "AgentRows",
     "Engine",
-    "ExpSignal",
     "FilterResult",
     "GainSet",
     "GainSynthesisError",
@@ -67,7 +69,9 @@ __all__ = [
     "check_reachability",
     "compensation",
     "containment_error",
+    "eval_stacked",
     "load_scenario",
+    "model_problems",
     "neighborhood_signal",
     "nominal_input",
     "observer_rates",

@@ -22,19 +22,39 @@ class GainSynthesisError(ValueError):
     """Raised when a gain synthesis subproblem has no acceptable solution."""
 
 
-def _symmetric_pd(mat: np.ndarray, name: str) -> None:
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise GainSynthesisError(f"{name} must be symmetric")
-    if np.any(np.linalg.eigvalsh(mat) <= 0):
-        raise GainSynthesisError(f"{name} must be positive definite")
-
-
 def _controllable(a: np.ndarray, b: np.ndarray) -> bool:
     n = a.shape[0]
     blocks = [b]
     for _ in range(n - 1):
         blocks.append(a @ blocks[-1])
     return np.linalg.matrix_rank(np.hstack(blocks)) == n
+
+
+def model_problems(A, B, Q, U, n: int | None = None) -> list[str]:
+    """Every problem of the follower model (A, B, Q, U), one line each:
+    A n x n, B n x m, Q n x n and U m x m, all finite, Q and U symmetric
+    positive definite, and (A, B) controllable.  n defaults to A's row
+    count; a matrix with a wrong shape is not checked further."""
+    a, b, q, u = (np.asarray(mat, dtype=float) for mat in (A, B, Q, U))
+    if n is None:
+        n = len(a) if a.ndim else 0
+    # without a B matrix, U's own size stands in for the input count m
+    m = b.shape[1] if b.ndim == 2 else len(u) if u.ndim else 0
+    problems = []
+    for name, mat, rows, cols in (
+        ("A", a, n, n), ("B", b, n, m), ("Q", q, n, n), ("U", u, m, m)
+    ):
+        if mat.shape != (rows, cols):
+            problems.append(f"{name} must be {rows}x{cols}")
+        elif not np.all(np.isfinite(mat)):
+            problems.append(f"{name} must be finite")
+        elif name in "QU" and not np.allclose(mat, mat.T, atol=1e-12):
+            problems.append(f"{name} must be symmetric")
+        elif name in "QU" and np.any(np.linalg.eigvalsh(mat) <= 0):
+            problems.append(f"{name} must be positive definite")
+    if not problems and not _controllable(a, b):
+        problems.append("(A, B) is not controllable")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -47,20 +67,14 @@ class AgentModel:
     U: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_2d(np.asarray(self.B, dtype=float))
-        q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        u = np.atleast_2d(np.asarray(self.U, dtype=float))
-        n = a.shape[0]
-        if a.shape != (n, n) or b.shape[0] != n:
-            raise GainSynthesisError("A must be square and B must have n rows")
-        if q.shape != (n, n) or u.shape != (b.shape[1], b.shape[1]):
-            raise GainSynthesisError("Q must be n x n and U must be m x m")
-        _symmetric_pd(q, "Q")
-        _symmetric_pd(u, "U")
-        if not _controllable(a, b):
-            raise GainSynthesisError("(A, B) is not controllable")
-        for field, val in (("A", a), ("B", b), ("Q", q), ("U", u)):
+        mats = {
+            field: np.atleast_2d(np.asarray(getattr(self, field), dtype=float))
+            for field in "ABQU"
+        }
+        problems = model_problems(*mats.values())
+        if problems:
+            raise GainSynthesisError(problems[0])
+        for field, val in mats.items():
             object.__setattr__(self, field, val)
 
     @property

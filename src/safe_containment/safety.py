@@ -71,18 +71,6 @@ class AgentRows:
     def __len__(self) -> int:
         return len(self.b)
 
-    @classmethod
-    def of(cls, constraints) -> "AgentRows":
-        """An AgentRows as it is; a list of PairConstraint stacked in list
-        order."""
-        if isinstance(constraints, cls):
-            return constraints
-        return cls(
-            a=np.array([c.a for c in constraints], dtype=float),
-            b=np.array([c.b for c in constraints], dtype=float),
-            pairs=[c.pair for c in constraints],
-        )
-
 
 def cbf_value(x_i: np.ndarray, x_j: np.ndarray, d_s: float) -> float:
     """Barrier value d_s^2 - ||x_i - x_j||^2; nonpositive means safe."""
@@ -163,7 +151,7 @@ def build_constraint(
 
 def solve_agent_qp(
     u_bar: np.ndarray,
-    constraints: AgentRows | list[PairConstraint],
+    constraints: AgentRows,
     tol: float = QP_TOL,
     max_iter: int = 100,
 ) -> FilterResult:
@@ -181,8 +169,7 @@ def solve_agent_qp(
     if not constraints:
         return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
 
-    stacked = AgentRows.of(constraints)
-    rows, rhs, pairs = stacked.a, stacked.b, stacked.pairs
+    rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
     scale = np.maximum(1.0, np.abs(rhs))
 
     # Fast path: the requested input already satisfies every constraint.

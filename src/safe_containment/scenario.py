@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, gains, topology as topo
+from . import gains, topology as topo
 
 CONTROLLER_MODES = ("saar", "resilient_unsafe", "conventional")
 # the largest gain whose exponential is a finite float (about 709.78)
@@ -35,6 +35,11 @@ class ScenarioError(ValueError):
 
 @dataclass
 class FollowerSpec:
+    """One follower's model, initial state, adaptation constants and the
+    (coefficients, rates) arrays of its input-layer and observer-layer
+    attacks; an attack left as None becomes zeros of B's column count or
+    A's row count."""
+
     A: np.ndarray
     B: np.ndarray
     Q: np.ndarray
@@ -44,8 +49,14 @@ class FollowerSpec:
     q: float = 1.0
     alpha: float = 1.0
     c: float = 1.0
-    attack_cil: attacks.ExpSignal | None = None
-    attack_ol: attacks.ExpSignal | None = None
+    attack_cil: tuple[np.ndarray, np.ndarray] | None = None
+    attack_ol: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        for key, size in (("attack_cil", np.shape(self.B)[1:2]),
+                          ("attack_ol", np.shape(self.A)[:1])):
+            if getattr(self, key) is None:
+                setattr(self, key, (np.zeros(size), np.zeros(size)))
 
 
 @dataclass
@@ -81,61 +92,55 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Return every constraint violation found (empty list if valid)."""
         errs: list[str] = []
-        n = self.state_dim
-        if np.shape(self.S) != (n, n):
+        s = np.asarray(self.S)
+        n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
+        leader = None
+        if n is None:
             errs.append("S must be square")
+        elif not np.all(np.isfinite(s)):
+            errs.append("S must be finite")
         else:
-            check = gains.check_leader_assumption(gains.LeaderModel(self.S))
+            leader = gains.LeaderModel(s)
+            check = gains.check_leader_assumption(leader)
             errs.extend(f"leader S: {r}" for r in check.reasons)
 
         for idx, f in enumerate(self.followers):
             tag = f"follower {idx}"
-            if f.A.shape != (n, n):
-                errs.append(f"{tag}: A must be {n}x{n}")
-            if f.B.shape[0] != n:
-                errs.append(f"{tag}: B must have {n} rows")
-            m = f.B.shape[1]
-            if not np.allclose(f.Q, f.Q.T, atol=1e-12):
-                errs.append(f"{tag}: Q is not symmetric")
-            elif f.Q.shape != (n, n) or np.any(np.linalg.eigvalsh(f.Q) <= 0):
-                errs.append(f"{tag}: Q must be {n}x{n} positive definite")
-            if not np.allclose(f.U, f.U.T, atol=1e-12):
-                errs.append(f"{tag}: U is not symmetric")
-            elif f.U.shape != (m, m) or np.any(np.linalg.eigvalsh(f.U) <= 0):
-                errs.append(f"{tag}: U must be {m}x{m} positive definite")
-            try:
-                gains.AgentModel(f.A, f.B, f.Q, f.U)
-            except gains.GainSynthesisError as exc:
-                errs.append(f"{tag}: {exc}")
-            if f.x0.shape != (n,):
-                errs.append(f"{tag}: x0 must have length {n}")
-            if f.zeta0 is not None and f.zeta0.shape != (n,):
-                errs.append(f"{tag}: zeta0 must have length {n}")
-            for key, val in (("q", f.q), ("alpha", f.alpha), ("c", f.c)):
-                if val <= 0:
-                    errs.append(f"{tag}: {key} must be positive")
-            for key, sig, dim in (
-                ("attack_cil", f.attack_cil, m),
-                ("attack_ol", f.attack_ol, n),
+            problems = gains.model_problems(f.A, f.B, f.Q, f.U, n)
+            errs.extend(f"{tag}: {p}" for p in problems)
+            if leader is not None and not problems:
+                try:  # synthesize_gains' check; it reads only A and B
+                    gains.solve_regulator(f, leader)
+                except gains.GainSynthesisError as exc:
+                    errs.append(f"{tag}: {exc}")
+            m = f.B.shape[1] if f.B.ndim == 2 else None
+            for key, vec, size in (
+                ("x0", f.x0, n),
+                ("zeta0", f.zeta0, n),
+                ("attack_cil coeff", f.attack_cil[0], m),
+                ("attack_cil rate", f.attack_cil[1], m),
+                ("attack_ol coeff", f.attack_ol[0], n),
+                ("attack_ol rate", f.attack_ol[1], n),
             ):
-                if sig is None:
+                if vec is None:
                     continue
-                if sig.dim != dim:
-                    errs.append(f"{tag}: {key} must have dimension {dim}")
-                for part, vals in (
-                    ("coeff", sig.coefficients),
-                    ("rate", sig.rates),
-                ):
-                    if not np.all(np.isfinite(vals)):
-                        errs.append(f"{tag}: {key} {part} must be finite")
+                if size is not None and vec.shape != (size,):
+                    errs.append(f"{tag}: {key} must have length {size}")
+                elif not np.all(np.isfinite(vec)):
+                    errs.append(f"{tag}: {key} must be finite")
+            for key, val in (("q", f.q), ("alpha", f.alpha), ("c", f.c)):
+                errs.extend(_positive(f"{tag}: {key}", val))
 
-        if len({f.B.shape[1] for f in self.followers}) > 1:
+        if len({f.B.shape[1] for f in self.followers if f.B.ndim == 2}) > 1:
             errs.append("every follower's B must have the same column count m")
-        if self.leader_x0.ndim != 2 or self.leader_x0.shape[1] != n:
-            errs.append(f"leader_x0 must be (M, {n})")
+        lead = self.leader_x0
+        if lead.ndim != 2 or n not in (None, lead.shape[1]):
+            errs.append(f"leader_x0 must be (M, {n or 'n'})")
+        elif not np.all(np.isfinite(lead)):
+            errs.append("leader_x0 must be finite")
         if self.topology.n_followers != self.n_followers:
             errs.append("topology follower count does not match followers")
-        if self.topology.n_leaders != self.n_leaders:
+        if lead.ndim and self.topology.n_leaders != len(lead):
             errs.append("topology leader count does not match leader_x0")
         unreachable = topo.check_reachability(self.topology)
         if unreachable:
@@ -147,12 +152,13 @@ class ScenarioConfig:
             ("d_s", self.d_s),
             ("dt", self.dt),
             ("horizon", self.horizon),
-            ("gain_cap", self.gain_cap),
-            ("divergence_threshold", self.divergence_threshold),
         ):
-            if not val > 0:
-                errs.append(f"{key} must be positive")
-        if self.gain_cap > MAX_GAIN_CAP:
+            errs.extend(_positive(key, val))
+        if not self.divergence_threshold > 0:  # inf: never diverges
+            errs.append("divergence_threshold must be positive")
+        if not self.gain_cap > 0:
+            errs.append("gain_cap must be positive")
+        elif self.gain_cap > MAX_GAIN_CAP:
             errs.append(f"gain_cap must be at most {MAX_GAIN_CAP:.6g}, "
                         "where exp(gain_cap) overflows")
         steps = self.horizon / self.dt if self.dt > 0 else 0.0
@@ -169,12 +175,14 @@ class ScenarioConfig:
             )
         if not np.all(np.isfinite(delta) & (delta > 0)):
             errs.append("delta entries must be finite and positive")
-        if self.attack_start < 0:
+        if not self.attack_start >= 0:  # inf: no attack
             errs.append("attack_start must be nonnegative")
         if not float(self.output_stride).is_integer():
             errs.append("output_stride must be a whole number")
         elif self.output_stride < 1:
             errs.append("output_stride must be at least 1")
+        if not isinstance(self.absolute_clock, bool):
+            errs.append("absolute_clock must be true or false")
         if self.controller_mode not in CONTROLLER_MODES:
             errs.append(f"controller_mode must be one of {CONTROLLER_MODES}")
         return errs
@@ -185,101 +193,95 @@ class ScenarioConfig:
     def attack_free(self) -> "ScenarioConfig":
         """Copy of this scenario with every attack coefficient zeroed."""
         followers = [
-            replace(
-                f,
-                attack_cil=attacks.ExpSignal.zero(
-                    f.B.shape[1], self.attack_start
-                ),
-                attack_ol=attacks.ExpSignal.zero(
-                    self.state_dim, self.attack_start
-                ),
-            )
-            for f in self.followers
+            replace(f, attack_cil=None, attack_ol=None) for f in self.followers
         ]
         return replace(self, followers=followers)
 
 
-def _matrix(obj, what: str) -> np.ndarray:
+def _positive(key: str, value: float) -> list[str]:
+    """The violation, if any, of a quantity that must be finite and
+    positive."""
+    if not value > 0:
+        return [f"{key} must be positive"]
+    return [] if np.isfinite(value) else [f"{key} must be finite"]
+
+
+def _matrix(obj, key: str, where: str = "", default=None) -> np.ndarray:
+    """obj[key] (default if it is absent and a default is given) as a
+    float array; errors name the field ``where + key``."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if value is None:
+        raise ScenarioError([f"missing required field {where}{key}"])
     try:
-        return np.asarray(obj, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError([f"{what}: not a numeric array ({exc})"]) from exc
+        raise ScenarioError(
+            [f"{where}{key}: not a numeric array ({exc})"]
+        ) from exc
 
 
-def _whole(value):
-    """An int if value is whole, else a float for ``validate`` to report."""
-    return int(value) if float(value).is_integer() else float(value)
-
-
-def _signal(obj, start: float, what: str) -> attacks.ExpSignal | None:
-    if obj is None:
-        return None
+def _number(obj: dict, key: str, default: float, where: str = "") -> float:
     try:
-        return attacks.ExpSignal(
-            _matrix(obj["coeff"], f"{what}.coeff"),
-            _matrix(obj["rate"], f"{what}.rate"),
-            start,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError([f"{what}: {exc}"]) from exc
+        return float(obj.get(key, default))
+    except (TypeError, ValueError):
+        raise ScenarioError([f"{where}{key}: not a number"]) from None
+
+
+def _attack(obj: dict, key: str, where: str):
+    """An attack table's (coefficients, rates) arrays; None without one."""
+    if obj.get(key) is None:
+        return None
+    return tuple(_matrix(obj[key], part, f"{where}{key}.")
+                 for part in ("coeff", "rate"))
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Build and fully validate a ScenarioConfig from parsed JSON."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(["a scenario must be a JSON object"])
+    followers = doc.get("followers")
+    if not isinstance(followers, list):
+        raise ScenarioError(["followers must be a list"])
+    specs = []
+    for idx, f in enumerate(followers):
+        where = f"followers[{idx}]."
+        if not isinstance(f, dict):
+            raise ScenarioError([f"{where[:-1]} must be an object"])
+        specs.append(FollowerSpec(
+            *(_matrix(f, key, where) for key in ("A", "B", "Q", "U", "x0")),
+            zeta0=None if f.get("zeta0") is None else _matrix(f, "zeta0", where),
+            **{key: _number(f, key, 1.0, where) for key in ("q", "alpha", "c")},
+            attack_cil=_attack(f, "attack_cil", where),
+            attack_ol=_attack(f, "attack_ol", where),
+        ))
     try:
-        attack_start = float(doc.get("attack_start", 3.0))
-        followers = []
-        for idx, f in enumerate(doc["followers"]):
-            tag = f"followers[{idx}]"
-            followers.append(
-                FollowerSpec(
-                    A=_matrix(f["A"], f"{tag}.A"),
-                    B=_matrix(f["B"], f"{tag}.B"),
-                    Q=_matrix(f["Q"], f"{tag}.Q"),
-                    U=_matrix(f["U"], f"{tag}.U"),
-                    x0=_matrix(f["x0"], f"{tag}.x0"),
-                    zeta0=(
-                        _matrix(f["zeta0"], f"{tag}.zeta0")
-                        if f.get("zeta0") is not None
-                        else None
-                    ),
-                    q=float(f.get("q", 1.0)),
-                    alpha=float(f.get("alpha", 1.0)),
-                    c=float(f.get("c", 1.0)),
-                    attack_cil=_signal(
-                        f.get("attack_cil"), attack_start, f"{tag}.attack_cil"
-                    ),
-                    attack_ol=_signal(
-                        f.get("attack_ol"), attack_start, f"{tag}.attack_ol"
-                    ),
-                )
-            )
-        graph = topo.Topology(
-            adjacency=_matrix(doc["topology"]["adjacency"], "topology.adjacency"),
-            pinning=_matrix(doc["topology"]["pinning"], "topology.pinning"),
+        graph = topo.Topology(*(
+            _matrix(doc.get("topology"), key, "topology.")
+            for key in ("adjacency", "pinning")
+        ))
+    except topo.TopologyError as exc:
+        raise ScenarioError([f"topology: {exc}"]) from exc
+    numbers = {
+        key: _number(doc, key, default)
+        for key, default in (
+            ("d_s", 0.3), ("attack_start", 3.0), ("dt", 1e-3),
+            ("horizon", 16.0), ("output_stride", 10), ("gain_cap", 700.0),
+            ("divergence_threshold", 1e3),
         )
-        config = ScenarioConfig(
-            name=doc.get("name", name),
-            followers=followers,
-            S=_matrix(doc["S"], "S"),
-            leader_x0=_matrix(doc["leader_x0"], "leader_x0"),
-            topology=graph,
-            d_s=float(doc.get("d_s", 0.3)),
-            delta=_matrix(doc.get("delta", 5.0), "delta"),
-            attack_start=attack_start,
-            absolute_clock=bool(doc.get("absolute_clock", False)),
-            dt=float(doc.get("dt", 1e-3)),
-            horizon=float(doc.get("horizon", 16.0)),
-            output_stride=_whole(doc.get("output_stride", 10)),
-            controller_mode=str(doc.get("controller_mode", "saar")),
-            gain_cap=float(doc.get("gain_cap", 700.0)),
-            divergence_threshold=float(doc.get("divergence_threshold", 1e3)),
-        )
-    except KeyError as exc:
-        raise ScenarioError([f"missing required field {exc}"]) from exc
-    except (TypeError, ValueError, topo.TopologyError) as exc:
-        raise ScenarioError([str(exc)]) from exc
-
+    }
+    stride = numbers["output_stride"]  # an int if whole, for validate
+    numbers["output_stride"] = int(stride) if stride.is_integer() else stride
+    config = ScenarioConfig(
+        name=doc.get("name", name),
+        followers=specs,
+        S=_matrix(doc, "S"),
+        leader_x0=_matrix(doc, "leader_x0"),
+        topology=graph,
+        delta=_matrix(doc, "delta", default=5.0),
+        absolute_clock=doc.get("absolute_clock", False),
+        controller_mode=str(doc.get("controller_mode", "saar")),
+        **numbers,
+    )
     violations = config.validate()
     if violations:
         raise ScenarioError(violations)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from . import safety
-from .attacks import ExpSignal, eval_stacked
+from .attacks import eval_stacked
 from .compensation import compensation, nominal_input
 from .gains import AgentModel, LeaderModel, synthesize_gains
 from .observer import neighborhood_signal, observer_rates
@@ -124,10 +124,7 @@ class TraceLayout:
 def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
     """The (N, n) convex-hull reference each follower is measured against:
     (sum_nu Phi_nu)^-1 sum_r (Phi_r 1) x_r, row per follower."""
-    rows = np.zeros((phi.phi.shape[1], leader_x.shape[1]))
-    for r in range(phi.phi.shape[0]):
-        rows += np.outer(phi.phi[r].sum(axis=1), leader_x[r])
-    return np.linalg.solve(phi.phi_sum, rows)
+    return phi.hull_weights @ leader_x
 
 
 def containment_error(
@@ -168,15 +165,14 @@ class Engine:
         self.alpha = np.array([f.alpha for f in sc.followers])
         self.c = np.array([f.c for f in sc.followers])
 
-        m = self.models[0].m
-        cil = [f.attack_cil or ExpSignal.zero(m) for f in sc.followers]
-        ol = [f.attack_ol or ExpSignal.zero(self.n) for f in sc.followers]
-        self.cil_coeff = np.stack([sig.coefficients for sig in cil])
-        self.cil_rate = np.stack([sig.rates for sig in cil])
-        self.ol_coeff = np.stack([sig.coefficients for sig in ol])
-        self.ol_rate = np.stack([sig.rates for sig in ol])
+        self.cil_coeff, self.cil_rate = map(
+            np.stack, zip(*(f.attack_cil for f in sc.followers))
+        )
+        self.ol_coeff, self.ol_rate = map(
+            np.stack, zip(*(f.attack_ol for f in sc.followers))
+        )
 
-        self.layout = TraceLayout(self.N, self.n, m)
+        self.layout = TraceLayout(self.N, self.n, self.models[0].m)
 
         self.qp_infeasible_count = 0
         self.first_infeasible_time: float | None = None

@@ -42,8 +42,10 @@ class Topology:
             )
         if pin.shape[0] < 1:
             raise TopologyError("at least one leader is required")
-        if np.any(adj < 0) or np.any(pin < 0):
-            raise TopologyError("edge and pinning weights must be nonnegative")
+        if not all(np.all(np.isfinite(w) & (w >= 0)) for w in (adj, pin)):
+            raise TopologyError(
+                "edge and pinning weights must be finite and nonnegative"
+            )
         if np.any(np.diag(adj) != 0):
             raise TopologyError("adjacency diagonal must be zero")
         object.__setattr__(self, "adjacency", adj)
@@ -66,11 +68,14 @@ class Topology:
 
 @dataclass(frozen=True)
 class PhiFamily:
-    """Coupling matrices Phi_r = (1/M) L + G_r and their sum."""
+    """Coupling matrices Phi_r = (1/M) L + G_r, their sum, and the hull
+    weights W = (sum_nu Phi_nu)^-1 [Phi_1 1, ..., Phi_M 1]: row i of
+    W @ leader_x is follower i's convex-hull reference."""
 
-    phi: np.ndarray        # (M, N, N)
-    phi_sum: np.ndarray    # (N, N)
-    laplacian: np.ndarray  # (N, N)
+    phi: np.ndarray           # (M, N, N)
+    phi_sum: np.ndarray       # (N, N)
+    laplacian: np.ndarray     # (N, N)
+    hull_weights: np.ndarray  # (N, M)
 
 
 def check_reachability(topology: Topology) -> set[int]:
@@ -119,4 +124,7 @@ def build_phi_family(topology: Topology) -> PhiFamily:
     smin = np.linalg.svd(phi_sum, compute_uv=False)[-1]
     if smin <= 0:
         raise TopologyError("sum of Phi_r is singular")
-    return PhiFamily(phi=phi, phi_sum=phi_sum, laplacian=laplacian)
+    return PhiFamily(
+        phi=phi, phi_sum=phi_sum, laplacian=laplacian,
+        hull_weights=np.linalg.solve(phi_sum, phi.sum(axis=2).T),
+    )

@@ -28,7 +28,7 @@ from safe_containment.gains import (
     synthesize_gains,
 )
 from safe_containment.safety import (
-    PairConstraint,
+    AgentRows,
     QPInfeasibleError,
     sequential_filter,
     solve_agent_qp,
@@ -122,9 +122,8 @@ def test_criterion_03_baseline_divergence(
     min_rate = min(
         float(r)
         for f in paper_scenario.followers
-        for sig in (f.attack_cil, f.attack_ol)
-        if sig is not None
-        for r in sig.rates
+        for _, rates in (f.attack_cil, f.attack_ol)
+        for r in rates
         if r > 0
     )
     args = (paper_scenario.attack_start, paper_scenario.horizon, min_rate)
@@ -209,11 +208,7 @@ def test_criterion_06_qp_oracle_equivalence():
         u_bar = rng.standard_normal(m) * rng.uniform(0.5, 3.0)
         rows = rng.standard_normal((k, m))
         rhs = rng.standard_normal(k)
-        cons = [
-            PairConstraint(i=0, j=1, a=rows[idx], b=float(rhs[idx]),
-                           delta=1.0, h=0.0)
-            for idx in range(k)
-        ]
+        cons = AgentRows(a=rows, b=rhs, pairs=[(0, 1)] * k)
         oracle = oracles.qp_enumeration(u_bar, rows, rhs) if k else (
             u_bar.copy(), ()
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from safe_containment.attacks import eval_stacked
 from safe_containment.compensation import compensation, nominal_input
 
 
@@ -94,8 +95,11 @@ def test_corrupted_input_composition(paper_scenario, saar_result):
     # every logged input splits exactly into its layers:
     # u_r = u_c - gamma_hat, and u_bar adds the injected input attack
     injected = 0
+    coeff, rate = map(
+        np.stack, zip(*(f.attack_cil for f in paper_scenario.followers))
+    )
     for rec in saar_result.records:
-        gamma_a = np.stack([f.attack_cil(rec.t) for f in paper_scenario.followers])
+        gamma_a = eval_stacked(coeff, rate, paper_scenario.attack_start, rec.t)
         assert np.array_equal(rec.u_r, rec.u_c - rec.gamma_hat)
         assert np.array_equal(rec.u_bar, rec.u_r + gamma_a)
         injected += bool(np.any(gamma_a != 0))

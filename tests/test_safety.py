@@ -6,6 +6,7 @@ import pytest
 import oracles
 from safe_containment import safety
 from safe_containment.safety import (
+    AgentRows,
     PairConstraint,
     QPInfeasibleError,
     build_constraint,
@@ -103,9 +104,18 @@ def _constraint(a, b):
     )
 
 
+def _rows(constraints):
+    """The AgentRows of a list of PairConstraint, in list order."""
+    return AgentRows(
+        a=np.array([c.a for c in constraints], dtype=float),
+        b=np.array([c.b for c in constraints], dtype=float),
+        pairs=[c.pair for c in constraints],
+    )
+
+
 def test_qp_no_constraints_returns_request():
     u_bar = np.array([1.0, -2.0, 0.5])
-    res = solve_agent_qp(u_bar, [])
+    res = solve_agent_qp(u_bar, _rows([]))
     assert np.array_equal(res.u, u_bar)
     assert np.array_equal(res.delta_u, np.zeros(3))
     assert res.active_set == []
@@ -113,7 +123,7 @@ def test_qp_no_constraints_returns_request():
 
 def test_qp_satisfied_constraints_inactive():
     u_bar = np.array([0.0, 0.0])
-    res = solve_agent_qp(u_bar, [_constraint([1.0, 0.0], 5.0)])
+    res = solve_agent_qp(u_bar, _rows([_constraint([1.0, 0.0], 5.0)]))
     assert np.array_equal(res.u, u_bar)
     assert res.active_set == []
 
@@ -125,7 +135,7 @@ def test_qp_single_violated_is_halfspace_projection():
         u_bar = rng.standard_normal(m)
         a = rng.standard_normal(m)
         b = a @ u_bar - rng.uniform(0.1, 3.0)  # guaranteed violated
-        res = solve_agent_qp(u_bar, [_constraint(a, b)])
+        res = solve_agent_qp(u_bar, _rows([_constraint(a, b)]))
         expected = u_bar - ((a @ u_bar - b) / (a @ a)) * a
         assert res.u == pytest.approx(expected, abs=1e-12)
         assert res.active_set == [(0, 1)]
@@ -135,7 +145,7 @@ def test_qp_single_violated_is_halfspace_projection():
 def test_qp_two_orthogonal_constraints():
     u_bar = np.array([2.0, 2.0])
     cons = [_constraint([1.0, 0.0], 1.0), _constraint([0.0, 1.0], 0.5)]
-    res = solve_agent_qp(u_bar, cons)
+    res = solve_agent_qp(u_bar, _rows(cons))
     assert res.u == pytest.approx([1.0, 0.5], abs=1e-12)
     rows = np.array([c.a for c in cons])
     rhs = np.array([c.b for c in cons])
@@ -150,16 +160,16 @@ def test_qp_infeasible_antagonistic_constraints():
         _constraint([-1.0, 0, 0], -5.0),
     ]
     with pytest.raises(QPInfeasibleError) as err:
-        solve_agent_qp(u_bar, cons)
+        solve_agent_qp(u_bar, _rows(cons))
     assert (0, 1) in err.value.pairs
 
 
 def test_qp_degenerate_zero_row():
     u_bar = np.array([1.0])
-    ok = solve_agent_qp(u_bar, [_constraint([0.0], 1.0)])
+    ok = solve_agent_qp(u_bar, _rows([_constraint([0.0], 1.0)]))
     assert np.array_equal(ok.u, u_bar)
     with pytest.raises(QPInfeasibleError):
-        solve_agent_qp(u_bar, [_constraint([0.0], -1.0)])
+        solve_agent_qp(u_bar, _rows([_constraint([0.0], -1.0)]))
 
 
 def test_qp_minimality_against_random_feasible_points():
@@ -175,7 +185,7 @@ def test_qp_minimality_against_random_feasible_points():
         oracle = oracles.qp_enumeration(u_bar, rows, rhs)
         if oracle is None:
             continue
-        res = solve_agent_qp(u_bar, cons)
+        res = solve_agent_qp(u_bar, _rows(cons))
         cost = np.linalg.norm(res.u - u_bar)
         feasible = 0
         while feasible < 1000:
@@ -238,7 +248,7 @@ def test_sequential_filter_pair_enumeration_order(
 
 def _reference_sweep(u_bars, states, models, delta, d_s):
     """The filter pair by pair: build_constraint on each finalized u_j,
-    then solve_agent_qp on the agent's list of constraints."""
+    then solve_agent_qp on the agent's constraints stacked in pair order."""
     n = len(u_bars)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), (n, n))
     results = [None] * n
@@ -250,7 +260,7 @@ def _reference_sweep(u_bars, states, models, delta, d_s):
             for j in range(i + 1, n)
         ]
         try:
-            results[i] = solve_agent_qp(u_bars[i], cons)
+            results[i] = solve_agent_qp(u_bars[i], _rows(cons))
         except QPInfeasibleError as err:
             err.agent = i
             raise

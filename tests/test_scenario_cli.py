@@ -87,14 +87,9 @@ def test_bundled_scenario_matrices_bit_exact():
         assert np.array_equal(f.A, np.array(PAPER_A[i], dtype=float))
         assert np.array_equal(f.Q, 3.0 * np.eye(3))
         assert np.array_equal(f.U, np.eye(3))
-        assert np.array_equal(
-            f.attack_cil.coefficients, np.array(PAPER_CIL[i][0])
-        )
-        assert np.array_equal(f.attack_cil.rates, np.array(PAPER_CIL[i][1]))
-        assert np.array_equal(
-            f.attack_ol.coefficients, np.array(PAPER_OL[i][0])
-        )
-        assert np.array_equal(f.attack_ol.rates, np.array(PAPER_OL[i][1]))
+        for got, want in zip(f.attack_cil + f.attack_ol,
+                             PAPER_CIL[i] + PAPER_OL[i]):
+            assert np.array_equal(got, np.array(want))
     assert np.array_equal(scn.followers[0].B, np.eye(3))
     assert np.array_equal(scn.followers[1].B, np.array(PAPER_B2, dtype=float))
     assert np.array_equal(scn.followers[2].B, np.eye(3))
@@ -268,6 +263,65 @@ def test_validation_rejects_mixed_input_dimensions():
     ]
 
 
+def test_loader_errors_are_listed_once_and_name_the_field():
+    doc = _tiny_doc()
+    doc["followers"][0]["A"] = [["a", 1, 0], [0, 1, 0], [0, 0, 1]]
+    (violation,) = _violations(doc)
+    assert violation.startswith("followers[0].A: not a numeric array (")
+    assert "\n" not in violation
+    doc = _tiny_doc()
+    del doc["followers"][1]["attack_ol"]["rate"]
+    assert _violations(doc) == [
+        "missing required field followers[1].attack_ol.rate"
+    ]
+    doc = _tiny_doc()
+    del doc["topology"]["pinning"]
+    assert _violations(doc) == ["missing required field topology.pinning"]
+    assert _violations([doc]) == ["a scenario must be a JSON object"]
+
+
+@pytest.mark.parametrize("field, edit, violation", [
+    ("Q", lambda f: f.update(Q=[[3, 1, 0], [0, 3, 0], [0, 0, 3]]),
+     "Q must be symmetric"),
+    ("Q", lambda f: f.update(Q=[[3, 0], [0, 3]]), "Q must be 3x3"),
+    ("U", lambda f: f.update(U=[[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+     "U must be positive definite"),
+    ("A", lambda f: f.update(A=[[-2, 1, 0], [0, -3, 1]]), "A must be 3x3"),
+    ("A", lambda f: f.update(A=[[0, 0, 0], [0, 0, 0], [0, 0, float("nan")]]),
+     "A must be finite"),
+], ids=["Q-asymmetric", "Q-shape", "U-indefinite", "A-shape", "A-nan"])
+def test_bad_model_matrix_is_one_violation(field, edit, violation):
+    doc = _tiny_doc()
+    edit(doc["followers"][1])
+    assert _violations(doc) == [f"follower 1: {violation}"]
+
+
+def _paper_doc_m2():
+    """``paper_sec4`` with every B, U and input attack cut to two inputs:
+    S - A is outside the range of B, so the regulator equation
+    S = A + B Pi has no solution."""
+    doc = _bundled_doc()
+    for f in doc["followers"]:
+        f["B"] = [row[:2] for row in f["B"]]
+        f["U"] = [row[:2] for row in f["U"][:2]]
+        f["attack_cil"] = {k: v[:2] for k, v in f["attack_cil"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_unsolvable_regulator_equation(tmp_path, capsys, command):
+    args = [command, "--scenario", _write(tmp_path, _paper_doc_m2())]
+    if command == "run":
+        args += ["--output-dir", str(tmp_path / "o")]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False
+    assert len(out["violations"]) == 4
+    for idx, v in enumerate(out["violations"]):
+        assert v.startswith(f"follower {idx}: regulator equation unsolvable")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_each_validation_gap_without_traceback(
     tmp_path, capsys, command
@@ -306,10 +360,14 @@ def test_missing_scenario_file():
 
 
 def test_attack_free_copy_zeroes_signals():
-    scn = load_scenario("paper_sec4").attack_free()
-    for f in scn.followers:
-        assert np.array_equal(f.attack_cil(10.0), np.zeros(3))
-        assert np.array_equal(f.attack_ol(10.0), np.zeros(3))
+    scn = load_scenario("paper_sec4")
+    free = scn.attack_free()
+    assert free.attack_start == scn.attack_start
+    for f in free.followers:
+        for table in (f.attack_cil, f.attack_ol):
+            assert [part.tolist() for part in table] == [[0.0] * 3] * 2
+    # the source scenario keeps its tables
+    assert np.array_equal(scn.followers[0].attack_cil[0], PAPER_CIL[0][0])
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 import oracles
 from safe_containment import sim
+from safe_containment.attacks import eval_stacked
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
 from safe_containment.sim import Engine, SimulationError, containment_error
 from safe_containment.topology import Topology, build_phi_family
@@ -259,7 +260,10 @@ def test_conventional_mode_runs_standard_observer(paper_scenario):
     deriv = engine._pipeline(t, x, leader, zeta, np.full(4, 2.0), rho_hat)
     _, _, dzeta, dtheta, _ = engine._unpack(deriv)
     xi = oracles.kron_stacked_xi(zeta, leader, engine.phi).reshape(4, 3)
-    gamma_ol = np.stack([f.attack_ol(t) for f in scn.followers])
+    gamma_ol = eval_stacked(
+        *map(np.stack, zip(*(f.attack_ol for f in scn.followers))),
+        scn.attack_start, t,
+    )
     assert np.any(gamma_ol != 0)
     assert dzeta == pytest.approx(zeta @ engine.S.T + xi + gamma_ol, abs=1e-12)
     assert np.array_equal(dtheta, np.zeros(4))

@@ -11,11 +11,14 @@ requested input, and each agent i < N solves a QP whose constraints use
 the already-finalized inputs of all agents j > i.  The parts of every
 pair's constraint that do not depend on an input are assembled for all
 pairs at once, so each agent's constraints are a slice of stacked rows.
+A screen tests every row against the QP's fast-path condition in one
+batch, so only the agents with a possibly binding row reach the QP.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,6 +26,22 @@ from functools import lru_cache
 import numpy as np
 
 QP_TOL = 1e-9
+
+# The screen in ``sequential_filter`` certifies a row a u <= b when the
+# batched a u_bar - b is at most _SCREEN_TOL max(1, |b|) - margin, with
+# margin = _SCREEN_DOT m S, S = sum_l |a_l u_bar_l|.  solve_agent_qp's own
+# product a u_bar sums the same m terms in another order, with or without
+# fused multiply-adds.  Each sum lies within gamma_m S of the exact value
+# (gamma_m = m u / (1 - m u), u = eps / 2), so the two differ by at most
+# 2 gamma_m S, about m eps S; the margin of 4 m eps S bounds that with room
+# for the rounding of S and of the margin itself.  Shrinking the tolerance
+# by a relative 4 eps leaves a gap of at least 3 eps QP_TOL max(1, |b|) for
+# the rounding of the subtraction and of the threshold, which is what
+# counts where S is near 0.  A certified row therefore passes the QP's
+# fast-path test a u_bar - b <= QP_TOL max(1, |b|) exactly as computed
+# there, and a NaN never certifies.
+_SCREEN_TOL = QP_TOL * (1.0 - 4.0 * np.finfo(float).eps)
+_SCREEN_DOT = 4.0 * np.finfo(float).eps
 
 
 class QPInfeasibleError(RuntimeError):
@@ -164,6 +183,7 @@ def solve_agent_qp(
     rows.  A blocking multiplier hitting zero drops its constraint; a zero
     step direction with no blocking constraint certifies infeasibility.
     Problems here have at most a handful of rows, so dense solves are cheap.
+    Scalars are Python floats, which round as numpy's float64 does.
     """
     u_bar = np.asarray(u_bar, dtype=float)
     if not constraints:
@@ -171,18 +191,20 @@ def solve_agent_qp(
 
     rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
     scale = np.maximum(1.0, np.abs(rhs))
+    bound = tol * scale
 
     # Fast path: the requested input already satisfies every constraint.
-    if np.all(rows @ u_bar - rhs <= tol * scale):
+    viol = rows @ u_bar - rhs
+    if (viol <= bound).all():
         return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
 
+    rhs_f, bound_f = rhs.tolist(), bound.tolist()
     u = u_bar.copy()
     active: list[int] = []
     lam: list[float] = []
     for _ in range(max_iter):
-        viol = rows @ u - rhs
-        p = int(np.argmax(viol / scale))
-        if viol[p] <= tol * scale[p]:
+        p = int((viol / scale).argmax())
+        if viol[p] <= bound_f[p]:
             return FilterResult(
                 u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
             )
@@ -194,23 +216,24 @@ def solve_agent_qp(
                 n_mat = rows[active]
                 r = -np.linalg.solve(n_mat @ n_mat.T, n_mat @ cp)
                 z = cp + n_mat.T @ r
+                r = r.tolist()
             else:
-                r = np.zeros(0)
+                r = []
                 z = cp
             zz = float(z @ z)
-            s_p = float(cp @ u - rhs[p])
+            s_p = float(cp @ u) - rhs_f[p]
             # full step reaches the violated constraint's boundary
-            t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else np.inf
+            t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else math.inf
             # partial step where an active multiplier would turn negative
-            t_part = np.inf
+            t_part = math.inf
             block = -1
-            for idx in range(len(active)):
-                if r[idx] < -1e-12:
-                    cand = -lam[idx] / r[idx]
+            for idx, r_idx in enumerate(r):
+                if r_idx < -1e-12:
+                    cand = -lam[idx] / r_idx
                     if cand < t_part:
                         t_part, block = cand, idx
             step = min(t_full, t_part)
-            if not np.isfinite(step):
+            if not math.isfinite(step):
                 blocking = [pairs[k] for k in active] + [pairs[p]]
                 raise QPInfeasibleError(
                     f"no input satisfies constraints for pairs {blocking}",
@@ -225,6 +248,7 @@ def solve_agent_qp(
                 break
             active.pop(block)
             lam.pop(block)
+        viol = rows @ u - rhs
     raise QPInfeasibleError(
         "active-set iteration cap exceeded",
         pairs=list(pairs),
@@ -242,13 +266,20 @@ def sequential_filter(
     """Backward sweep over agents: u_N stays as requested, then each lower
     index is filtered against all higher-indexed, already-finalized inputs.
 
-    Every pair's input-free barrier terms are assembled in one batch;
-    agent i's rows are then a slice, completed with B_j u_j of the agents
-    already finalized.  a_mats (N, n, n) and b_mats (N, n, m) stack the
-    agents' A and B; delta may be a scalar or an (N, N) array of per-pair
-    constraint rates.
+    Every pair's input-free barrier terms are assembled in one batch, and
+    every row's bound b is completed with B_j u_bar_j.  The screen then
+    certifies each row that u_bar already satisfies; an agent whose rows
+    are all certified keeps u_bar, exactly as its QP's fast path would.
+    The highest agent i with an uncertified row solves its QP on its
+    slice of rows; B_i u_i then completes b anew for the rows of the
+    agents below i, and only those rows are screened again.  The outputs
+    are bit-identical to solving every agent's QP in turn.
+
+    a_mats (N, n, n) and b_mats (N, n, m) stack the agents' A and B; delta
+    may be a scalar or an (N, N) array of per-pair constraint rates.
     """
     n_agents = len(u_bars)
+    u_bars = np.asarray(u_bars, dtype=float)
     states = np.asarray(states, dtype=float)
     pairs, pair_i, pair_j = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
@@ -258,26 +289,31 @@ def sequential_filter(
         states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],
         b_mats[pair_i], delta, d_s,
     )
+    bu = np.matmul(b_mats, u_bars[:, :, None])[:, :, 0]  # B_j u_j
+    b = _barrier_rhs(b0, r, bu[pair_j], lf)
+    rows_u = u_bars[pair_i]
+    au = _rowdot(a, rows_u)
+    margin = _SCREEN_DOT * u_bars.shape[1] * _rowdot(np.abs(a), np.abs(rows_u))
 
-    results: list[FilterResult] = [None] * n_agents
-    last = n_agents - 1
-    u_last = np.asarray(u_bars[last], dtype=float).copy()
-    results[last] = FilterResult(u=u_last, delta_u=np.zeros_like(u_last))
-    bu = np.empty_like(states)  # B_j u_j of each finalized agent j
-    bu[last] = b_mats[last] @ u_last
-
-    stop = len(pairs)
-    for i in range(n_agents - 2, -1, -1):
-        rows = slice(stop - (last - i), stop)
-        b = _barrier_rhs(b0[rows], r[rows], bu[i + 1:], lf[rows])
+    # every agent keeps its u_bar unless its QP runs
+    results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))
+    end = len(pairs)  # rows of the agents not yet finalized
+    while end:
+        bound = _SCREEN_TOL * np.maximum(1.0, np.abs(b)) - margin[:end]
+        certified = au[:end] - b <= bound
+        if certified.all():
+            break
+        i = int(pair_i[end - 1 - certified[::-1].argmin()])  # last open row
+        start = i * (2 * n_agents - i - 1) // 2  # agent i's rows (i, j > i)
+        own = slice(start, start + n_agents - 1 - i)
         try:
             results[i] = solve_agent_qp(
-                np.asarray(u_bars[i], dtype=float),
-                AgentRows(a=a[rows], b=b, pairs=pairs[rows]),
+                u_bars[i], AgentRows(a=a[own], b=b[own], pairs=pairs[own])
             )
         except QPInfeasibleError as err:
             err.agent = i
             raise
+        end = start
         bu[i] = b_mats[i] @ results[i].u
-        stop = rows.start
+        b = _barrier_rhs(b0[:end], r[:end], bu[pair_j[:end]], lf[:end])
     return results

@@ -185,6 +185,12 @@ class ScenarioConfig:
             errs.append("absolute_clock must be true or false")
         if self.controller_mode not in CONTROLLER_MODES:
             errs.append(f"controller_mode must be one of {CONTROLLER_MODES}")
+        # run and sweep write files named after the scenario
+        name = self.name
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or "/" in name or "\\" in name):
+            errs.append("name must be a non-empty string without a path "
+                        f"separator, other than '.' and '..', not {name!r}")
         return errs
 
     def with_mode(self, mode: str) -> "ScenarioConfig":

@@ -175,6 +175,7 @@ class Engine:
         self.layout = TraceLayout(self.N, self.n, self.models[0].m)
 
         self.qp_infeasible_count = 0
+        self.filter_intervention_count = 0
         self.first_infeasible_time: float | None = None
 
         ends = np.cumsum(
@@ -246,7 +247,8 @@ class Engine:
                 results = safety.sequential_filter(
                     u_bar, x, self.A, self.B, sc.delta, sc.d_s
                 )
-                u = np.stack([r.u for r in results])
+                u = np.array([r.u for r in results])
+                self.filter_intervention_count += bool((u != u_bar).any())
             except safety.QPInfeasibleError:
                 self.qp_infeasible_count += 1
                 if self.first_infeasible_time is None:
@@ -362,9 +364,10 @@ def run(scenario: ScenarioConfig) -> RunResult:
 
     The summary reports containment-error extremes, the minimum pairwise
     follower distance, first divergence-threshold crossing (if any), final
-    adaptive gains, the number of pipeline evaluations whose safety QP was
-    infeasible, and wall time.  A warning is logged if an adaptive gain
-    ended above ``gain_cap``, where the pipeline clamps it.
+    adaptive gains, the numbers of pipeline evaluations in which the safety
+    filter changed an input and in which its QP was infeasible, and wall
+    time.  A warning is logged if an adaptive gain ended above
+    ``gain_cap``, where the pipeline clamps it.
     """
     engine = Engine(scenario)
     y = engine.initial_state()
@@ -412,6 +415,7 @@ def run(scenario: ScenarioConfig) -> RunResult:
         "final_theta": [float(v) for v in final.theta],
         "final_rho_hat": [float(v) for v in final.rho_hat],
         "qp_infeasible_count": engine.qp_infeasible_count,
+        "filter_intervention_count": engine.filter_intervention_count,
         "first_infeasible_time": engine.first_infeasible_time,
         "wall_clock_s": wall,
     }

@@ -219,10 +219,8 @@ def test_sequential_filter_head_on_deflects_lower_agent():
     assert hdot <= -delta * h + 1e-9
 
 
-def test_sequential_filter_pair_enumeration_order(
-    paper_engine, monkeypatch
-):
-    # row order decides argmax ties in the QP, so it is part of the output
+def _spy_on_qp(monkeypatch):
+    """The pairs of every solve_agent_qp call the filter makes, in order."""
     seen = []
     original = safety.solve_agent_qp
 
@@ -232,11 +230,22 @@ def test_sequential_filter_pair_enumeration_order(
         return original(u_bar, constraints, *args, **kwargs)
 
     monkeypatch.setattr(safety, "solve_agent_qp", spy)
-    states = np.array(
+    return seen
+
+
+def test_sequential_filter_pair_enumeration_order(
+    paper_engine, monkeypatch
+):
+    # row order decides argmax ties in the QP, so it is part of the output;
+    # the followers sit inside d_s and close on the centre, so every
+    # agent's rows bind and every agent below the last solves its QP
+    seen = _spy_on_qp(monkeypatch)
+    states = 0.05 * np.array(
         [[2.0, 0, 0], [0.0, 2, 0], [-2.0, 0, 0], [0.0, -2, 0]]
     )
+    u_bars = -200.0 * states  # speed 20 towards the centre
     sequential_filter(
-        np.zeros((4, 3)), states, paper_engine.A, paper_engine.B, 5.0, 0.3
+        u_bars, states, paper_engine.A, paper_engine.B, 5.0, 0.3
     )
     assert seen == [
         [(2, 3)],
@@ -244,6 +253,28 @@ def test_sequential_filter_pair_enumeration_order(
         [(0, 1), (0, 2), (0, 3)],
     ]
     assert all(type(k) is int for rows in seen for pair in rows for k in pair)
+
+
+def test_screen_skips_the_qp_of_every_agent_it_certifies(monkeypatch):
+    seen = _spy_on_qp(monkeypatch)
+    a_mats, b_mats = _stack([_plant(np.zeros((3, 3)), np.eye(3))] * 4)
+    far = np.array([[2.0, 0, 0], [0.0, 2, 0], [-2.0, 0, 0], [0.0, -2, 0]])
+    u_bars = np.zeros((4, 3))
+    results = sequential_filter(u_bars, far, a_mats, b_mats, 5.0, 0.3)
+    assert seen == []
+    for res, u_bar in zip(results, u_bars):
+        assert np.array_equal(res.u, u_bar) and res.u is not u_bar
+        assert res.active_set == []
+
+    # followers 1 and 2 head-on, 0 and 3 far away: only agent 1's QP
+    # runs, and agent 0's row on agent 1's new input stays certified
+    states = np.array([[5.0, 5, 0], [0.2, 0, 0], [-0.2, 0, 0], [-5.0, 5, 0]])
+    u_bars[1], u_bars[2] = [-5.0, 0, 0], [5.0, 0, 0]
+    results = sequential_filter(u_bars, states, a_mats, b_mats, 5.0, 0.3)
+    assert seen == [[(1, 2), (1, 3)]]
+    assert results[1].active_set == [(1, 2)]
+    for k in (0, 2, 3):
+        assert np.array_equal(results[k].u, u_bars[k])
 
 
 def _reference_sweep(u_bars, states, models, delta, d_s):
@@ -303,6 +334,84 @@ def test_stacked_filter_matches_pairwise_reference():
                 assert res.active_set == ref.active_set
                 active_rows += len(res.active_set)
         assert active_rows > 0, n
+
+
+def _nudge_to_the_tolerance(rng, u_bars, states, models, delta, d_s):
+    """u_bars with one row of each agent below the last moved onto its QP
+    fast-path boundary a u - b = QP_TOL max(1, |b|), then a few ulps of
+    one component to either side, top agent first so that each agent's
+    rows hold the inputs the sweep finalizes above it.  Returns the inputs
+    and, per nudged row, its violation minus that bound as solve_agent_qp
+    computes them; it stops nudging at an agent whose QP is infeasible."""
+    n = len(u_bars)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n, n))
+    u_bars = u_bars.copy()
+    final = {n - 1: u_bars[-1]}
+    offsets = []
+    for i in range(n - 2, -1, -1):
+        rows = _rows([
+            build_constraint(i, j, states, models, final[j], delta[i, j], d_s)
+            for j in range(i + 1, n)
+        ])
+        k = int(rng.integers(len(rows)))
+        a, b = rows.a[k], rows.b[k]
+        bound = safety.QP_TOL * max(1.0, abs(b))
+        u = u_bars[i] - ((a @ u_bars[i] - b - bound) / (a @ a)) * a
+        c = int(np.argmax(np.abs(a)))
+        steps = int(rng.integers(-3, 4))
+        for _ in range(abs(steps)):
+            u[c] = np.nextafter(u[c], np.copysign(np.inf, a[c] * steps))
+        u_bars[i] = u
+        offsets.append(float((rows.a @ u - rows.b)[k]) - bound)
+        try:
+            final[i] = solve_agent_qp(u, rows).u
+        except QPInfeasibleError:
+            break
+    return u_bars, offsets
+
+
+def test_screen_matches_the_reference_at_the_tolerance_boundary():
+    # the screen's batched a u differs from the QP's own product in the
+    # last bits, by more the larger the inputs (exponential attacks reach
+    # about 1e6); rows a few ulps either side of the QP's tolerance show
+    # whether its margin keeps the outputs those of the exact sweep
+    rng = np.random.default_rng(47)
+    d_s = 0.3
+    offsets = []
+    infeasible = 0
+    for n in (2, 4, 16):
+        for trial in range(24):
+            models = _random_plants(rng, n)
+            states = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.2, 2.0)
+            u_bars = rng.standard_normal((n, 3)) * 10.0 ** (2 * (trial % 4))
+            delta = (
+                rng.uniform(0.5, 8.0)
+                if trial % 2
+                else rng.uniform(0.5, 8.0, (n, n))
+            )
+            u_bars, near = _nudge_to_the_tolerance(
+                rng, u_bars, states, models, delta, d_s
+            )
+            offsets += near
+            args = (u_bars, states, *_stack(models), delta, d_s)
+            try:
+                expected = _reference_sweep(u_bars, states, models, delta, d_s)
+            except QPInfeasibleError as ref:
+                infeasible += 1
+                with pytest.raises(QPInfeasibleError) as err:
+                    sequential_filter(*args)
+                assert err.value.agent == ref.agent
+                assert err.value.pairs == ref.pairs
+                continue
+            got = sequential_filter(*args)
+            for res, ref in zip(got, expected):
+                assert np.array_equal(res.u, ref.u)
+                assert np.array_equal(res.delta_u, ref.delta_u)
+                assert res.active_set == ref.active_set
+    offsets = np.array(offsets)
+    # rows on both sides of the bound, and infeasible sweeps as well
+    assert np.sum(offsets <= 0) > 50 and np.sum(offsets > 0) > 50
+    assert infeasible > 0
 
 
 def test_stacked_filter_reports_the_reference_infeasibility():

@@ -347,6 +347,36 @@ def test_cli_rejects_each_validation_gap_without_traceback(
         assert any(field in v for v in out["violations"]), field
 
 
+@pytest.mark.parametrize(
+    "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None]
+)
+def test_validation_rejects_a_name_that_is_not_a_file_name(name):
+    doc = _tiny_doc()
+    doc["name"] = name
+    (violation,) = _violations(doc)
+    assert violation.startswith("name must be a non-empty string")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_cli_rejects_a_name_that_leaves_the_output_dir(
+    tmp_path, capsys, command
+):
+    doc = _tiny_doc()
+    doc["name"] = "../escaped"
+    work = tmp_path / "work"
+    work.mkdir()
+    args = [command, "--scenario", _write(work, doc)]
+    if command != "validate":
+        args += ["--output-dir", str(work / "out")]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False
+    assert any(v.startswith("name must be") for v in out["violations"])
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scn.json", "work"]
+
+
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "name": "x",\n  oops\n}\n')

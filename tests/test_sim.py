@@ -190,6 +190,26 @@ def test_run_summary_fields(paper_scenario):
     assert summary["min_pair_distance"] > scn.d_s
 
 
+def test_filter_intervention_count_counts_evaluations_that_change_u(
+    paper_scenario, monkeypatch
+):
+    changed = []
+    original = sim.safety.sequential_filter
+
+    def spy(u_bars, *args):
+        results = original(u_bars, *args)
+        changed.append(any(np.any(r.u != u) for r, u in zip(results, u_bars)))
+        return results
+
+    monkeypatch.setattr(sim.safety, "sequential_filter", spy)
+    scn = dataclasses.replace(paper_scenario, horizon=0.3)
+    summary = sim.run(scn).summary
+    assert len(changed) == 4 * 300 + 1  # one filter call per evaluation
+    assert summary["filter_intervention_count"] == sum(changed) > 0
+    unfiltered = sim.run(scn.with_mode("resilient_unsafe")).summary
+    assert unfiltered["filter_intervention_count"] == 0
+
+
 def test_divergence_first_crossing_reported(paper_scenario):
     scn = dataclasses.replace(
         paper_scenario, horizon=0.05, divergence_threshold=0.1

@@ -64,8 +64,11 @@ def write_summary_json(path: Path, result: RunResult) -> None:
 def _load(args) -> "ScenarioConfig | None":
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.scenario} is not UTF-8: {exc}", file=sys.stderr)
         return None
     except ScenarioError as exc:
         print(
@@ -151,7 +154,11 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        print(f"error: --values: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     rows = []
     for value in values:
         if args.param in ("d_s", "dt", "attack_start"):
@@ -171,7 +178,14 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
-        result = sim.run(variant)
+        try:
+            result = sim.run(variant)
+        except SimulationError as exc:
+            print(
+                f"error: {args.param}={value}: simulation aborted: {exc}",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
         row = dict(result.summary)
         row[args.param] = value
         rows.append(row)

@@ -15,7 +15,9 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 CARE_TOL = 1e-8
+CARE_MAX_ITER = 60
 REGULATOR_TOL = 1e-10
+LEADER_TOL = 1e-9
 
 
 class GainSynthesisError(ValueError):
@@ -116,16 +118,16 @@ class GainSet:
     Pi: np.ndarray
 
 
-def check_leader_assumption(leader: LeaderModel, tol: float = 1e-9) -> LeaderCheck:
-    """Marginal-stability check on S: Re(lambda) <= tol everywhere, and any
-    eigenvalue on the imaginary axis must be simple."""
+def check_leader_assumption(leader: LeaderModel) -> LeaderCheck:
+    """Marginal-stability check on S: Re(lambda) <= LEADER_TOL everywhere,
+    and any eigenvalue on the imaginary axis must be simple."""
     eigs = np.linalg.eigvals(leader.S)
     reasons = []
-    if np.any(eigs.real > tol):
+    if np.any(eigs.real > LEADER_TOL):
         reasons.append(
             f"eigenvalue with positive real part: max Re = {eigs.real.max():.3e}"
         )
-    on_axis = eigs[np.abs(eigs.real) <= tol]
+    on_axis = eigs[np.abs(eigs.real) <= LEADER_TOL]
     for k, lam in enumerate(on_axis):
         close = np.sum(np.abs(on_axis - lam) <= 1e-7)
         if close > 1:
@@ -171,9 +173,7 @@ def care_residual(model: AgentModel, p: np.ndarray) -> float:
     )
 
 
-def solve_care(
-    model: AgentModel, tol: float = CARE_TOL, max_iter: int = 60
-) -> np.ndarray:
+def solve_care(model: AgentModel) -> np.ndarray:
     """Newton-Kleinman iteration for the stabilizing Riccati solution.
 
     Each Newton step solves the Lyapunov equation
@@ -184,15 +184,15 @@ def solve_care(
     a, b, q, u = model.A, model.B, model.Q, model.U
     k = _initial_stabilizing_gain(a, b)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(CARE_MAX_ITER):
         acl = a + b @ k
         p = solve_continuous_lyapunov(acl.T, -(q + k.T @ u @ k))
         p = 0.5 * (p + p.T)
         k = -np.linalg.solve(u, b.T @ p)
         residual = care_residual(model, p)
-        if residual <= tol * 1e-2 or residual <= 1e-12:
+        if residual <= CARE_TOL * 1e-2 or residual <= 1e-12:
             break
-    if residual > tol:
+    if residual > CARE_TOL:
         raise GainSynthesisError(
             f"Riccati iteration did not converge: final residual {residual:.3e}"
         )

@@ -11,8 +11,9 @@ requested input, and each agent i < N solves a QP whose constraints use
 the already-finalized inputs of all agents j > i.  The parts of every
 pair's constraint that do not depend on an input are assembled for all
 pairs at once, so each agent's constraints are a slice of stacked rows.
-A screen tests every row against the QP's fast-path condition in one
-batch, so only the agents with a possibly binding row reach the QP.
+Every row is tested once, in one batch, with the same comparison the
+QP's first iteration makes, so only the agents that the QP would move
+reach it.
 """
 
 from __future__ import annotations
@@ -26,22 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 QP_TOL = 1e-9
-
-# The screen in ``sequential_filter`` certifies a row a u <= b when the
-# batched a u_bar - b is at most _SCREEN_TOL max(1, |b|) - margin, with
-# margin = _SCREEN_DOT m S, S = sum_l |a_l u_bar_l|.  solve_agent_qp's own
-# product a u_bar sums the same m terms in another order, with or without
-# fused multiply-adds.  Each sum lies within gamma_m S of the exact value
-# (gamma_m = m u / (1 - m u), u = eps / 2), so the two differ by at most
-# 2 gamma_m S, about m eps S; the margin of 4 m eps S bounds that with room
-# for the rounding of S and of the margin itself.  Shrinking the tolerance
-# by a relative 4 eps leaves a gap of at least 3 eps QP_TOL max(1, |b|) for
-# the rounding of the subtraction and of the threshold, which is what
-# counts where S is near 0.  A certified row therefore passes the QP's
-# fast-path test a u_bar - b <= QP_TOL max(1, |b|) exactly as computed
-# there, and a NaN never certifies.
-_SCREEN_TOL = QP_TOL * (1.0 - 4.0 * np.finfo(float).eps)
-_SCREEN_DOT = 4.0 * np.finfo(float).eps
+QP_MAX_ITER = 100
 
 
 class QPInfeasibleError(RuntimeError):
@@ -168,12 +154,7 @@ def build_constraint(
     )
 
 
-def solve_agent_qp(
-    u_bar: np.ndarray,
-    constraints: AgentRows,
-    tol: float = QP_TOL,
-    max_iter: int = 100,
-) -> FilterResult:
+def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     """Project u_bar onto the polyhedron {u : a_k' u <= b_k}.
 
     Dual active-set iteration (Goldfarb-Idnani scheme specialized to an
@@ -182,6 +163,8 @@ def solve_agent_qp(
     along the projection of its gradient onto the null space of the active
     rows.  A blocking multiplier hitting zero drops its constraint; a zero
     step direction with no blocking constraint certifies infeasibility.
+    A row holds when (a u - b) / max(1, |b|) <= QP_TOL; at u_bar, a u is
+    the ``_rowdot`` product that ``sequential_filter`` screens with.
     Problems here have at most a handful of rows, so dense solves are cheap.
     Scalars are Python floats, which round as numpy's float64 does.
     """
@@ -191,27 +174,22 @@ def solve_agent_qp(
 
     rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
     scale = np.maximum(1.0, np.abs(rhs))
-    bound = tol * scale
-
-    # Fast path: the requested input already satisfies every constraint.
-    viol = rows @ u_bar - rhs
-    if (viol <= bound).all():
-        return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
-
-    rhs_f, bound_f = rhs.tolist(), bound.tolist()
+    viol = _rowdot(rows, u_bar[None]) - rhs
+    rhs_f = rhs.tolist()
     u = u_bar.copy()
     active: list[int] = []
     lam: list[float] = []
-    for _ in range(max_iter):
-        p = int((viol / scale).argmax())
-        if viol[p] <= bound_f[p]:
+    for _ in range(QP_MAX_ITER):
+        scaled = viol / scale
+        p = int(scaled.argmax())
+        if scaled[p] <= QP_TOL:
             return FilterResult(
                 u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
             )
         cp = rows[p]
         cc = float(cp @ cp)
         lam_p = 0.0
-        for _ in range(max_iter):
+        for _ in range(QP_MAX_ITER):
             if active:
                 n_mat = rows[active]
                 r = -np.linalg.solve(n_mat @ n_mat.T, n_mat @ cp)
@@ -268,12 +246,13 @@ def sequential_filter(
 
     Every pair's input-free barrier terms are assembled in one batch, and
     every row's bound b is completed with B_j u_bar_j.  The screen then
-    certifies each row that u_bar already satisfies; an agent whose rows
-    are all certified keeps u_bar, exactly as its QP's fast path would.
-    The highest agent i with an uncertified row solves its QP on its
-    slice of rows; B_i u_i then completes b anew for the rows of the
-    agents below i, and only those rows are screened again.  The outputs
-    are bit-identical to solving every agent's QP in turn.
+    tests every row at u_bar with the QP's own first test, on the same
+    products: (a u_bar - b) / max(1, |b|) <= QP_TOL.  An agent whose rows
+    all pass keeps u_bar, as its QP would return it.  The highest agent i
+    with a failing row solves its QP on its slice of rows; B_i u_i then
+    completes b anew for the rows of the agents below i, and only those
+    rows are tested again.  The outputs are bit-identical to solving every
+    agent's QP in turn.
 
     a_mats (N, n, n) and b_mats (N, n, m) stack the agents' A and B; delta
     may be a scalar or an (N, N) array of per-pair constraint rates.
@@ -291,16 +270,13 @@ def sequential_filter(
     )
     bu = np.matmul(b_mats, u_bars[:, :, None])[:, :, 0]  # B_j u_j
     b = _barrier_rhs(b0, r, bu[pair_j], lf)
-    rows_u = u_bars[pair_i]
-    au = _rowdot(a, rows_u)
-    margin = _SCREEN_DOT * u_bars.shape[1] * _rowdot(np.abs(a), np.abs(rows_u))
+    au = _rowdot(a, u_bars[pair_i])
 
     # every agent keeps its u_bar unless its QP runs
     results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))
     end = len(pairs)  # rows of the agents not yet finalized
     while end:
-        bound = _SCREEN_TOL * np.maximum(1.0, np.abs(b)) - margin[:end]
-        certified = au[:end] - b <= bound
+        certified = (au[:end] - b) / np.maximum(1.0, np.abs(b)) <= QP_TOL
         if certified.all():
             break
         i = int(pair_i[end - 1 - certified[::-1].argmin()])  # last open row

@@ -312,7 +312,7 @@ def load_scenario(path_or_name) -> ScenarioConfig:
                 f"no scenario file or bundled scenario named {path_or_name!r}"
             )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(

@@ -410,7 +410,7 @@ def run(scenario: ScenarioConfig) -> RunResult:
         "max_ec": float(ec_norms.max()),
         "max_ec_tail": float(ec_norms[tail_start:].max()),
         "final_ec": float(ec_norms[-1]),
-        "min_pair_distance": float(min_pair),
+        "min_pair_distance": float(min_pair) if engine.N > 1 else None,
         "first_divergence_time": first_divergence,
         "final_theta": [float(v) for v in final.theta],
         "final_rho_hat": [float(v) for v in final.rho_hat],

@@ -219,15 +219,19 @@ def test_sequential_filter_head_on_deflects_lower_agent():
     assert hdot <= -delta * h + 1e-9
 
 
-def _spy_on_qp(monkeypatch):
-    """The pairs of every solve_agent_qp call the filter makes, in order."""
+def _spy_on_qp(monkeypatch, returned=None):
+    """The pairs of every solve_agent_qp call the filter makes, in order;
+    ``returned``, if given, collects what each call returns."""
     seen = []
     original = safety.solve_agent_qp
 
     def spy(u_bar, constraints, *args, **kwargs):
         seen.append(list(constraints.pairs))
         assert len(constraints) == len(constraints.pairs)
-        return original(u_bar, constraints, *args, **kwargs)
+        result = original(u_bar, constraints, *args, **kwargs)
+        if returned is not None:
+            returned.append(result)
+        return result
 
     monkeypatch.setattr(safety, "solve_agent_qp", spy)
     return seen
@@ -371,10 +375,9 @@ def _nudge_to_the_tolerance(rng, u_bars, states, models, delta, d_s):
 
 
 def test_screen_matches_the_reference_at_the_tolerance_boundary():
-    # the screen's batched a u differs from the QP's own product in the
-    # last bits, by more the larger the inputs (exponential attacks reach
-    # about 1e6); rows a few ulps either side of the QP's tolerance show
-    # whether its margin keeps the outputs those of the exact sweep
+    # inputs range up to about 1e6, as exponential attacks reach; rows a
+    # few ulps either side of the QP's tolerance show whether the screen's
+    # row test keeps the outputs those of the exact sweep
     rng = np.random.default_rng(47)
     d_s = 0.3
     offsets = []
@@ -412,6 +415,35 @@ def test_screen_matches_the_reference_at_the_tolerance_boundary():
     # rows on both sides of the bound, and infeasible sweeps as well
     assert np.sum(offsets <= 0) > 50 and np.sum(offsets > 0) > 50
     assert infeasible > 0
+
+
+def test_the_filter_calls_the_qp_only_where_it_moves_the_input(monkeypatch):
+    # the screen runs the QP's first test on the QP's own products, so no
+    # QP call returns u_bar unchanged, even on rows at the tolerance
+    returned = []
+    _spy_on_qp(monkeypatch, returned)
+    rng = np.random.default_rng(47)
+    d_s = 0.3
+    for n in (2, 4, 16):
+        for trial in range(24):
+            models = _random_plants(rng, n)
+            states = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.2, 2.0)
+            u_bars = rng.standard_normal((n, 3)) * 10.0 ** (2 * (trial % 4))
+            delta = (
+                rng.uniform(0.5, 8.0)
+                if trial % 2
+                else rng.uniform(0.5, 8.0, (n, n))
+            )
+            u_bars, _ = _nudge_to_the_tolerance(
+                rng, u_bars, states, models, delta, d_s
+            )
+            try:
+                sequential_filter(u_bars, states, *_stack(models), delta, d_s)
+            except QPInfeasibleError:
+                pass
+    unchanged = sum(not res.active_set for res in returned)
+    assert len(returned) > 300
+    assert unchanged == 0, f"{unchanged} of {len(returned)} calls kept u_bar"
 
 
 def test_stacked_filter_reports_the_reference_infeasibility():

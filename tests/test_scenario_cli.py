@@ -346,6 +346,21 @@ def test_cli_rejects_each_validation_gap_without_traceback(
         assert out["valid"] is False
         assert any(field in v for v in out["violations"]), field
 
+    # a directory and a file that is not UTF-8: one line on stderr
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(_tiny_doc()).replace("tiny", "t\xe9")
+                       .encode("latin-1"))
+    for path, reason in ((tmp_path, "Is a directory"), (latin1, "UTF-8")):
+        args = [command, "--scenario", str(path)]
+        if command == "run":
+            args += ["--output-dir", str(tmp_path / "o")]
+        assert cli.run_command(args) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize(
     "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None]
@@ -516,6 +531,42 @@ def test_cli_sweep(tmp_path):
     rows = json.loads((out / "tiny_sweep_d_s.json").read_text())
     assert [row["d_s"] for row in rows] == [0.1, 0.3]
     assert all("min_pair_distance" in row for row in rows)
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--param", "d_s", "--values", "0.3,abc"], "'abc'"),
+    # dt = 0.5 is far past RK4's stability limit for these gains
+    (["--mode", "resilient_unsafe", "--param", "dt", "--values", "0.5"],
+     "dt=0.5: simulation aborted: non-finite state"),
+], ids=["not_a_number", "run_aborts"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cli_sweep_names_the_value_it_cannot_run(tmp_path, capsys, extra, named):
+    doc = _tiny_doc()
+    doc["horizon"] = 1.0
+    scn_path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    args = ["sweep", "--scenario", scn_path, "--output-dir", str(out), *extra]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_one_follower_summary_is_strict_json(tmp_path):
+    doc = _tiny_doc()
+    doc["followers"] = doc["followers"][:1]
+    doc["topology"] = {"adjacency": [[0]], "pinning": [[1]]}
+    out = tmp_path / "o"
+    args = ["run", "--scenario", _write(tmp_path, doc), "--output-dir", str(out)]
+    assert cli.run_command(args) == cli.EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    text = (out / "tiny_saar_summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["min_pair_distance"] is None
 
 
 def test_cli_sweep_rejects_unknown_parameter(tmp_path):

@@ -377,16 +377,19 @@ def run(scenario: ScenarioConfig) -> RunResult:
     ec_norms = []
     min_pair = np.inf
     first_divergence = None
-    for k in range(engine.n_steps + 1):
-        y, ec_norm, pair_min, _ = engine.step(k, y, table)
-        ec_norms.append(ec_norm)
-        min_pair = min(min_pair, pair_min)
-        if (
-            first_divergence is None
-            and k > 0
-            and ec_norm > scenario.divergence_threshold
-        ):
-            first_divergence = k * scenario.dt
+    # A run that blows up ends at the finiteness check in ``step``; numpy's
+    # overflow and NaN warnings on the way there add nothing to it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(engine.n_steps + 1):
+            y, ec_norm, pair_min, _ = engine.step(k, y, table)
+            ec_norms.append(ec_norm)
+            min_pair = min(min_pair, pair_min)
+            if (
+                first_divergence is None
+                and k > 0
+                and ec_norm > scenario.divergence_threshold
+            ):
+                first_divergence = k * scenario.dt
     wall = time.perf_counter() - t_start
 
     # theta and rho_hat never decrease, so the final values are the peaks

@@ -471,6 +471,132 @@ def test_cli_float_round_trip(tmp_path):
                               row[:n_csv])
 
 
+def _random_result(rows):
+    """A RunResult of two followers (n = m = 3) whose table holds ``rows``
+    rows of random floats of every magnitude, with NaN, infinities, -0.0
+    and the smallest subnormal among them."""
+    layout = sim.TraceLayout(2, 3, 3)
+    rng = np.random.default_rng(10)
+    shape = (rows, layout.width)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0]
+    table.flat[::7] = np.resize(specials, table.flat[::7].size)
+    return sim.RunResult(table=table, layout=layout, summary={})
+
+
+def _reference_csv(result):
+    """The trace CSV as one process formats it, one value at a time."""
+    n_csv = result.layout.n_csv
+    lines = [",".join(result.layout.header())]
+    lines += [",".join("%.17g" % v for v in row[:n_csv].tolist())
+              for row in result.table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, None, 3], ids=["one", "machine", "three"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 1001])
+def test_trace_csv_bytes_do_not_depend_on_the_writer_count(
+    tmp_path, monkeypatch, cpus, rows
+):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli, "MIN_CHUNK_CELLS", 1)  # split even tiny tables
+    result = _random_result(rows)
+    cli.write_trace_csv(tmp_path / "t.csv", result, 3)
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(result)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    _assert_no_child_left()
+
+
+def test_a_table_under_two_chunks_is_written_without_a_fork(
+    tmp_path, monkeypatch
+):
+    def no_fork():
+        raise AssertionError("forked for a small table")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    n_csv = sim.TraceLayout(2, 3, 3).n_csv
+    result = _random_result((2 * cli.MIN_CHUNK_CELLS - 1) // n_csv)
+    cli.write_trace_csv(tmp_path / "t.csv", result, 3)
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(result)
+
+
+@pytest.mark.parametrize("fault", ["child_fails", "interrupted"])
+def test_a_failed_trace_write_reaps_its_children_and_parts(
+    tmp_path, monkeypatch, fault
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(cli, "MIN_CHUNK_CELLS", 1)
+    if fault == "child_fails":
+        parent, write_rows = os.getpid(), cli._write_rows
+
+        def write_rows_in_parent_only(fh, rows, row_fmt):
+            if os.getpid() != parent:
+                raise ValueError("chunk after the first")
+            write_rows(fh, rows, row_fmt)
+
+        monkeypatch.setattr(cli, "_write_rows", write_rows_in_parent_only)
+        expected, match = OSError, "exited with status 1"
+    else:
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.shutil, "copyfileobj", interrupt)
+        expected, match = KeyboardInterrupt, None
+    with pytest.raises(expected, match=match):
+        cli.write_trace_csv(tmp_path / "t.csv", _random_result(30), 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_an_output_dir_that_cannot_be_made_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    def no_run(scenario):
+        raise AssertionError("simulated before checking --output-dir")
+
+    monkeypatch.setattr(cli.sim, "run", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    outdir = blocker / "sub" if below else blocker
+    args = [command, "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(outdir)]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output-dir: {blocker} is not a directory\n"
+
+
+@pytest.mark.parametrize("command, output", [
+    ("run", "tiny_saar.csv"), ("sweep", "tiny_sweep_d_s.json"),
+])
+def test_an_output_that_cannot_be_written_is_one_error_line(
+    tmp_path, capsys, command, output
+):
+    out = tmp_path / "o"
+    (out / output).mkdir(parents=True)  # a directory where the file goes
+    args = [command, "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(out)]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and output in err
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [output]
+
+
 def test_cli_divergence_exit_code(tmp_path):
     doc = _tiny_doc()
     doc["divergence_threshold"] = 0.01
@@ -539,8 +665,6 @@ def test_cli_sweep(tmp_path):
     (["--mode", "resilient_unsafe", "--param", "dt", "--values", "0.5"],
      "dt=0.5: simulation aborted: non-finite state"),
 ], ids=["not_a_number", "run_aborts"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_cli_sweep_names_the_value_it_cannot_run(tmp_path, capsys, extra, named):
     doc = _tiny_doc()
     doc["horizon"] = 1.0
@@ -610,3 +734,17 @@ def test_cli_module_entry_point_runs():
     proc = _run_module_cli("validate", "--scenario", "paper_sec4")
     assert proc.returncode == cli.EXIT_OK
     assert json.loads(proc.stdout) == {"valid": True, "violations": []}
+
+
+def test_a_sweep_that_blows_up_prints_only_its_error_line(tmp_path):
+    doc = _tiny_doc()
+    doc["horizon"] = 1.0
+    proc = _run_module_cli(
+        "sweep", "--scenario", _write(tmp_path, doc), "--mode",
+        "resilient_unsafe", "--param", "dt", "--values", "0.5",
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stderr == (
+        "error: dt=0.5: simulation aborted: non-finite state at t=1.000000\n"
+    )

@@ -165,6 +165,11 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     step direction with no blocking constraint certifies infeasibility.
     A row holds when (a u - b) / max(1, |b|) <= QP_TOL; at u_bar, a u is
     the ``_rowdot`` product that ``sequential_filter`` screens with.
+    A violated row with ||a|| <= QP_TOL * max(1, |b|) is degenerate: on
+    the scale its violation is measured in, its gradient is zero, so it
+    reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
+    zero row does.  (Stepping along such a row would move u by about
+    |b| / ||a||, far beyond any input the model can apply.)
     Problems here have at most a handful of rows, so dense solves are cheap.
     Scalars are Python floats, which round as numpy's float64 does.
     """
@@ -188,6 +193,13 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
             )
         cp = rows[p]
         cc = float(cp @ cp)
+        if math.sqrt(cc) <= QP_TOL * scale[p]:
+            blocking = [pairs[k] for k in active] + [pairs[p]]
+            raise QPInfeasibleError(
+                f"degenerate constraint for pair {pairs[p]}: violated, "
+                f"with a row of norm {math.sqrt(cc):.3g}",
+                pairs=blocking,
+            )
         lam_p = 0.0
         for _ in range(QP_MAX_ITER):
             if active:

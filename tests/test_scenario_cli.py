@@ -620,6 +620,28 @@ def test_cli_infeasible_exit_code(tmp_path):
     assert code == cli.EXIT_QP_INFEASIBLE
 
 
+@pytest.mark.parametrize("offset, code", [
+    (0.0, cli.EXIT_QP_INFEASIBLE),
+    (1e-13, cli.EXIT_QP_INFEASIBLE),
+    # ||a|| = 2e-9 clears QP_TOL * max(1, |b|): the QP steps u by about
+    # |b| / ||a||, and with no input bound in the model the state blows up
+    (1e-9, cli.EXIT_ERROR),
+])
+def test_cli_nearly_coincident_followers(tmp_path, capsys, offset, code):
+    # identical followers a rounding error apart: the violated pair row has
+    # ||a|| at rounding level, which the QP reports as infeasible
+    doc = _tiny_doc()
+    doc["horizon"] = 0.02
+    doc["followers"][1] = copy.deepcopy(doc["followers"][0])
+    doc["followers"][1]["x0"][0] += offset
+    scn_path = _write(tmp_path, doc)
+    assert cli.run_command(
+        ["run", "--scenario", scn_path, "--output-dir", str(tmp_path / "o")]
+    ) == code
+    if code == cli.EXIT_ERROR:
+        assert "non-finite state" in capsys.readouterr().err
+
+
 def test_cli_validate_good_and_bad(tmp_path, capsys):
     good = _write(tmp_path, _tiny_doc(), "good.json")
     assert cli.run_command(["validate", "--scenario", good]) == cli.EXIT_OK

@@ -82,6 +82,25 @@ def _write_part(fd: int, rows: np.ndarray, row_fmt: str) -> None:
         os._exit(status)
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A new text file beside ``path``, open for writing, that is moved
+    onto ``path`` when the block succeeds and removed when it fails, so
+    ``path`` never holds a partial file."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with open(fd, "w", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # as open() would create it
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
 def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     """Write the run's table as the trace CSV, one format call per row.
 
@@ -89,9 +108,10 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     under ``MIN_CHUNK_CELLS`` cells.  A forked child formats each chunk
     after the first into a part file beside ``path``; this process writes
     the header and the first chunk, then appends the parts in order, so the
-    bytes do not depend on the chunk count.  A child that fails raises
-    ``OSError``; every child is reaped and every part file removed however
-    the write ends.  ``state_dim`` is not needed: the result's layout gives
+    bytes do not depend on the chunk count.  The file is written under a
+    temporary name and takes its place at ``path`` only once complete.  A
+    child that fails raises ``OSError``; every child is reaped and every
+    part and temporary file removed however the write ends.  ``state_dim`` is not needed: the result's layout gives
     the columns."""
     layout = result.layout
     table = result.table[:, :layout.n_csv]
@@ -114,7 +134,7 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
             finally:
                 os.close(fd)
             children.append((pid, part))
-        with open(path, "w", newline="\n") as fh:
+        with _replacing(path) as fh:
             fh.write(",".join(layout.header()) + "\n")
             _write_rows(fh, chunks[0], row_fmt)
             fh.flush()
@@ -139,7 +159,7 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

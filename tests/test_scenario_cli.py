@@ -552,7 +552,7 @@ def test_a_failed_trace_write_reaps_its_children_and_parts(
         expected, match = KeyboardInterrupt, None
     with pytest.raises(expected, match=match):
         cli.write_trace_csv(tmp_path / "t.csv", _random_result(30), 3)
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == []
     _assert_no_child_left()
 
 
@@ -595,6 +595,46 @@ def test_an_output_that_cannot_be_written_is_one_error_line(
     assert err.startswith("error: ") and output in err
     assert err.count("\n") == 1
     assert [p.name for p in out.iterdir()] == [output]
+
+
+@pytest.mark.parametrize("command, failing, kept", [
+    ("run", "tiny_saar.csv", []),
+    ("run", "tiny_saar_summary.json", ["tiny_saar.csv"]),
+    ("sweep", "tiny_sweep_d_s.json", []),
+])
+def test_an_output_that_fails_midway_leaves_no_file(
+    tmp_path, capsys, monkeypatch, command, failing, kept
+):
+    # each output fails after part of it is written: the CSV after its
+    # header and first row, a JSON file after its first character
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    if failing.endswith(".csv"):
+        write_rows = cli._write_rows
+
+        def fail_after_a_row(fh, rows, row_fmt):
+            write_rows(fh, rows[:1], row_fmt)
+            fh.flush()
+            full_disk()
+
+        monkeypatch.setattr(cli, "_write_rows", fail_after_a_row)
+    else:
+        def fail_after_a_character(obj, fh, **kwargs):
+            fh.write("[" if isinstance(obj, list) else "{")
+            fh.flush()
+            full_disk()
+
+        monkeypatch.setattr(cli.json, "dump", fail_after_a_character)
+    out = tmp_path / "o"
+    args = [command, "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(out)]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == kept
+    _assert_no_child_left()
 
 
 def test_cli_divergence_exit_code(tmp_path):

@@ -6,7 +6,7 @@ that grows at rate alpha * ||eps' P B||, eventually out-pacing any
 exponentially growing injection on the input channel.  The regularizer
 exp(-c t^2) keeps the denominator positive so the signal is smooth.
 
-Both functions work on all N followers at once, one row per follower.
+Every function works on all N followers at once, one row per follower.
 """
 
 from __future__ import annotations
@@ -23,6 +23,35 @@ def nominal_input(
     return u_c[:, :, 0]
 
 
+def projected_error(PB: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """s_i = eps_i' P_i B_i, as an (N, m) array from the stacked products
+    P_i B_i of shape (N, n, m)."""
+    return np.matmul(eps[:, None, :], PB)[:, 0, :]
+
+
+def compensation_law(
+    s: np.ndarray,
+    rho_hat: np.ndarray,
+    alpha: np.ndarray,
+    c: np.ndarray,
+    t: float,
+    gain_cap: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive compensation gamma_hat and its gain rate rho_hat' from
+    the projected errors s (see ``projected_error``):
+
+        gamma_hat_i = s_i' exp(rho_hat_i) / (||s_i|| + exp(-c_i t^2))
+        rho_hat_i'  = alpha_i ||s_i||       (always nonnegative)
+
+    rho_hat is clamped at gain_cap before exponentiation so exp() cannot
+    overflow.
+    """
+    ns = np.sqrt(np.einsum("ni,ni->n", s, s))
+    denom = ns + np.exp(-c * t * t)
+    gamma_hat = s * (np.exp(np.minimum(rho_hat, gain_cap)) / denom)[:, None]
+    return gamma_hat, alpha * ns
+
+
 def compensation(
     PB: np.ndarray,
     eps: np.ndarray,
@@ -32,18 +61,7 @@ def compensation(
     t: float,
     gain_cap: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive compensation gamma_hat and its gain rate rho_hat'.
-
-    With s_i = eps_i' P_i B_i (PB holds the stacked products P_i B_i):
-
-        gamma_hat_i = s_i' exp(rho_hat_i) / (||s_i|| + exp(-c_i t^2))
-        rho_hat_i'  = alpha_i ||s_i||       (always nonnegative)
-
-    rho_hat is clamped at gain_cap before exponentiation so exp() cannot
-    overflow.
-    """
-    s = np.matmul(eps[:, None, :], PB)[:, 0, :]
-    ns = np.sqrt(np.einsum("ni,ni->n", s, s))
-    denom = ns + np.exp(-c * t * t)
-    gamma_hat = s * (np.exp(np.minimum(rho_hat, gain_cap)) / denom)[:, None]
-    return gamma_hat, alpha * ns
+    """``compensation_law`` at s = ``projected_error(PB, eps)``."""
+    return compensation_law(
+        projected_error(PB, eps), rho_hat, alpha, c, t, gain_cap
+    )

@@ -15,7 +15,7 @@ at theta = 0) and no adaptation, so theta stays 0:
 
     zeta' = S zeta + xi + gamma_ol
 
-Both functions work on all N followers at once, one row per follower.
+Every function works on all N followers at once, one row per follower.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ def neighborhood_signal(
     )
 
 
-def observer_rates(
-    S: np.ndarray,
-    zeta: np.ndarray,
+def observer_input(
     xi: np.ndarray,
     gamma_ol: np.ndarray,
     theta: np.ndarray,
@@ -48,7 +46,8 @@ def observer_rates(
     gain_cap: float,
     resilient: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rates (zeta', theta') of every follower's observer.
+    """The observer rates less their linear drift S zeta: the driving
+    term exp(theta) xi + gamma_ol of zeta' and the rate theta'.
 
     theta is clamped at gain_cap before exponentiation so exp() cannot
     overflow.  With ``resilient=False`` this is the standard observer:
@@ -60,4 +59,20 @@ def observer_rates(
     else:
         gain = 1.0
         dtheta = np.zeros_like(theta)
-    return zeta @ S.T + gain * xi + gamma_ol, dtheta
+    return gain * xi + gamma_ol, dtheta
+
+
+def observer_rates(
+    S: np.ndarray,
+    zeta: np.ndarray,
+    xi: np.ndarray,
+    gamma_ol: np.ndarray,
+    theta: np.ndarray,
+    q: np.ndarray,
+    gain_cap: float,
+    resilient: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates (zeta', theta') of every follower's observer: S zeta plus
+    ``observer_input``."""
+    driving, dtheta = observer_input(xi, gamma_ol, theta, q, gain_cap, resilient)
+    return zeta @ S.T + driving, dtheta

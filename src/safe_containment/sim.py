@@ -28,9 +28,9 @@ import numpy as np
 
 from . import safety
 from .attacks import eval_stacked
-from .compensation import compensation, nominal_input
+from .compensation import compensation_law, nominal_input, projected_error
 from .gains import AgentModel, LeaderModel, synthesize_gains
-from .observer import neighborhood_signal, observer_rates
+from .observer import neighborhood_signal, observer_input, observer_rates
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
 
@@ -121,6 +121,12 @@ class TraceLayout:
         )
 
 
+def _consecutive(lengths: list[int], start: int = 0) -> list[slice]:
+    """Slices of consecutive blocks of the given lengths from ``start``."""
+    ends = np.cumsum([start, *lengths]).tolist()
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
     """The (N, n) convex-hull reference each follower is measured against:
     (sum_nu Phi_nu)^-1 sum_r (Phi_r 1) x_r, row per follower."""
@@ -165,12 +171,15 @@ class Engine:
         self.alpha = np.array([f.alpha for f in sc.followers])
         self.c = np.array([f.c for f in sc.followers])
 
-        self.cil_coeff, self.cil_rate = map(
-            np.stack, zip(*(f.attack_cil for f in sc.followers))
+        # one (N, n + m) table of both attacks: the output channel's
+        # columns, then the input channel's
+        self.attack_coeff, self.attack_rate = (
+            np.stack([np.concatenate([f.attack_ol[k], f.attack_cil[k]])
+                      for f in sc.followers])
+            for k in (0, 1)
         )
-        self.ol_coeff, self.ol_rate = map(
-            np.stack, zip(*(f.attack_ol for f in sc.followers))
-        )
+        self.cil_coeff = self.attack_coeff[:, self.n:]
+        self.cil_rate = self.attack_rate[:, self.n:]
 
         self.layout = TraceLayout(self.N, self.n, self.models[0].m)
 
@@ -178,12 +187,14 @@ class Engine:
         self.filter_intervention_count = 0
         self.first_infeasible_time: float | None = None
 
-        ends = np.cumsum(
-            [self.N * self.n, self.M * self.n, self.N * self.n, self.N]
-        ).tolist()
-        self._slices = [
-            slice(start, end) for start, end in zip([0] + ends, ends + [None])
-        ]
+        N, n, m = self.N, self.n, self.models[0].m
+        # the packed state: x, leader_x, zeta, theta, rho_hat
+        self._slices = _consecutive([N * n, self.M * n, N * n, N, N])
+        self.D = self._slices[-1].stop
+        # L @ y stacks the derivative's linear part (D rows), then xi, eps,
+        # s and u_c
+        self._outputs = _consecutive([N * n, N * n, N * m, N * m], self.D)
+        self.L = self._linear_operator()
 
     # -- state packing ---------------------------------------------------
 
@@ -201,6 +212,63 @@ class Engine:
             np.zeros(2 * self.N),
         ]).astype(float)
 
+    def _follower_layers(self, x: np.ndarray, zeta: np.ndarray) -> dict:
+        """The pipeline's layers that are linear in each follower's own
+        (x, zeta) rows, keyed by the operator rows they fill."""
+        eps = x - zeta
+        zero = np.zeros_like(zeta)
+        return {
+            "x": np.matmul(self.A, x[:, :, None])[:, :, 0],  # x' = A x + B u
+            "zeta": observer_rates(
+                self.S, zeta, zero, zero, zero[:, 0], self.q,
+                self.scenario.gain_cap,
+            )[0],  # S zeta, at zero xi and gamma_ol
+            "eps": eps,
+            "s": projected_error(self.PB, eps),
+            "u_c": nominal_input(self.K, self.H, x, zeta),
+        }
+
+    def _linear_operator(self) -> np.ndarray:
+        """The matrix L of the pipeline's linear layers, probed from the
+        layer functions on unit vectors.
+
+        Each follower's layers read only its own rows of x and zeta, so one
+        evaluation at a unit vector in the same component of every
+        follower's x (or zeta) gives that column of every follower's block:
+        2 n evaluations in all.  The leaders' dynamics take n more, in the
+        same way.  The neighbourhood signal couples followers and leaders;
+        it is probed once, on a batch of unit vectors of (zeta, leader_x).
+        The entries are the model's own coefficients, exactly.
+        """
+        N, M, n = self.N, self.M, self.n
+        x_cols, lead_cols, zeta_cols, _, _ = (
+            np.arange(sl.start, sl.stop) for sl in self._slices
+        )
+        rows = dict(zip(("x", "leader", "zeta"), self._slices))
+        rows.update(zip(("xi", "eps", "s", "u_c"), self._outputs))
+        L = np.zeros((self._outputs[-1].stop, self.D))
+
+        def probe(layers, cols: np.ndarray) -> None:
+            blocks, width = cols.shape
+            for a in range(width):
+                unit = np.zeros((blocks, width))
+                unit[:, a] = 1.0
+                for name, out in layers(unit).items():
+                    L[np.arange(rows[name].start, rows[name].stop)
+                      .reshape(blocks, -1), cols[:, a, None]] = out
+
+        probe(lambda v: self._follower_layers(v[:, :n], v[:, n:]),
+              np.hstack([x_cols.reshape(N, n), zeta_cols.reshape(N, n)]))
+        probe(lambda v: {"leader": v @ self.S.T}, lead_cols.reshape(M, n))
+        coupled = np.concatenate([zeta_cols, lead_cols])
+        unit = np.eye(len(coupled))
+        xi = neighborhood_signal(
+            unit[:, :N * n].reshape(-1, N, n), unit[:, N * n:].reshape(-1, M, n),
+            self.topology,
+        )
+        L[rows["xi"], coupled] = xi.reshape(len(coupled), -1).T
+        return L
+
     def _unpack(self, y: np.ndarray):
         """Views (x, leader_x, zeta, theta, rho_hat) into a packed state."""
         x, lead, zeta, theta, rho = self._slices
@@ -214,38 +282,45 @@ class Engine:
 
     # -- control pipeline -------------------------------------------------
 
-    def _pipeline(self, t, x, leader_x, zeta, theta, rho, collect=False):
+    def _pipeline(self, t: float, y: np.ndarray, collect: bool = False):
+        """The derivative of the packed state y at time t; with
+        ``collect``, also the layer outputs a trace row records.
+
+        One product L @ y gives the derivative's linear part, xi, eps, s
+        and u_c.  What is not linear in y is added to it: the observer's
+        exp(theta) xi and the output attack, the compensation's gain law,
+        B u after the safety filter, and the gain rates."""
         sc = self.scenario
+        N, n = self.N, self.n
         resilient = sc.controller_mode != "conventional"
+        x_sl, _, zeta_sl, theta_sl, rho_sl = self._slices
 
-        xi = neighborhood_signal(zeta, leader_x, self.topology)
-        gamma_ol = eval_stacked(
-            self.ol_coeff, self.ol_rate, sc.attack_start, t, sc.absolute_clock
+        z = self.L @ y
+        deriv = z[:self.D]
+        xi, eps, s, u_c = (z[sl].reshape(N, -1) for sl in self._outputs)
+        gamma = eval_stacked(
+            self.attack_coeff, self.attack_rate, sc.attack_start, t,
+            sc.absolute_clock,
         )
-        gamma_a = eval_stacked(
-            self.cil_coeff, self.cil_rate, sc.attack_start, t, sc.absolute_clock
+        driving, dtheta = observer_input(
+            xi, gamma[:, :n], y[theta_sl], self.q, sc.gain_cap, resilient
         )
-        dzeta, dtheta = observer_rates(
-            self.S, zeta, xi, gamma_ol, theta, self.q, sc.gain_cap, resilient
-        )
-
-        eps = x - zeta
-        u_c = nominal_input(self.K, self.H, x, zeta)
         if resilient:
-            gamma_hat, drho = compensation(
-                self.PB, eps, rho, self.alpha, self.c, t, sc.gain_cap
+            gamma_hat, drho = compensation_law(
+                s, y[rho_sl], self.alpha, self.c, t, sc.gain_cap
             )
         else:
-            gamma_hat, drho = np.zeros_like(u_c), np.zeros(self.N)
+            gamma_hat, drho = np.zeros_like(u_c), np.zeros(N)
         u_r = u_c - gamma_hat
-        u_bar = u_r + gamma_a
+        u_bar = u_r + gamma[:, n:]
 
         results = None
         u = u_bar
         if sc.controller_mode == "saar":
             try:
                 results = safety.sequential_filter(
-                    u_bar, x, self.A, self.B, sc.delta, sc.d_s
+                    u_bar, y[x_sl].reshape(N, n), self.A, self.B, sc.delta,
+                    sc.d_s,
                 )
                 u = np.array([r.u for r in results])
                 self.filter_intervention_count += bool((u != u_bar).any())
@@ -254,14 +329,10 @@ class Engine:
                 if self.first_infeasible_time is None:
                     self.first_infeasible_time = t
 
-        dx = (
-            np.matmul(self.A, x[:, :, None]) + np.matmul(self.B, u[:, :, None])
-        )[:, :, 0]
-        dleader = leader_x @ self.S.T
-
-        deriv = np.concatenate(
-            [dx.ravel(), dleader.ravel(), dzeta.ravel(), dtheta, drho]
-        )
+        deriv[x_sl] += np.matmul(self.B, u[:, :, None]).ravel()
+        deriv[zeta_sl] += driving.ravel()
+        deriv[theta_sl] = dtheta
+        deriv[rho_sl] = drho
         if not collect:
             return deriv
         return deriv, dict(
@@ -275,9 +346,9 @@ class Engine:
         self, t: float, y: np.ndarray, dt: float, k1: np.ndarray
     ) -> np.ndarray:
         """One RK4 step from (t, y), given the first stage k1 = f(t, y)."""
-        k2 = self._pipeline(t + dt / 2, *self._unpack(y + (dt / 2) * k1))
-        k3 = self._pipeline(t + dt / 2, *self._unpack(y + (dt / 2) * k2))
-        k4 = self._pipeline(t + dt, *self._unpack(y + dt * k3))
+        k2 = self._pipeline(t + dt / 2, y + (dt / 2) * k1)
+        k3 = self._pipeline(t + dt / 2, y + (dt / 2) * k2)
+        k4 = self._pipeline(t + dt, y + dt * k3)
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def observe(self, row, t, state, parts, e_c, delta_o, dist) -> None:
@@ -330,10 +401,10 @@ class Engine:
         stride = sc.output_stride
         if table is not None and (k % stride == 0 or k == self.n_steps):
             row = table[-(-k // stride)]
-            deriv, parts = self._pipeline(t, *state, collect=True)
+            deriv, parts = self._pipeline(t, y, collect=True)
             self.observe(row, t, state, parts, e_c, zeta - ref, dist)
         else:
-            deriv = self._pipeline(t, *state)
+            deriv = self._pipeline(t, y)
         if k >= self.n_steps:
             return None, ec_norm, min_pair, row
 

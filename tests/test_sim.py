@@ -277,7 +277,8 @@ def test_conventional_mode_runs_standard_observer(paper_scenario):
 
     x, leader, zeta, _, rho_hat = engine._unpack(y)
     t = scn.attack_start + 1.0
-    deriv = engine._pipeline(t, x, leader, zeta, np.full(4, 2.0), rho_hat)
+    deriv = engine._pipeline(t, np.concatenate(
+        [x.ravel(), leader.ravel(), zeta.ravel(), np.full(4, 2.0), rho_hat]))
     _, _, dzeta, dtheta, _ = engine._unpack(deriv)
     xi = oracles.kron_stacked_xi(zeta, leader, engine.phi).reshape(4, 3)
     gamma_ol = eval_stacked(

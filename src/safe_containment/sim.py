@@ -6,7 +6,11 @@ control pipeline (neighborhood signal, observer rates, nominal input,
 compensation, attack injection, safety filter) is re-evaluated inside
 every integrator stage, so the filtered input is piecewise constant per
 stage.  Each step evaluates the pipeline once at its own state; that one
-evaluation is both the logged sample and the first RK4 stage.
+evaluation is both the logged sample and the first RK4 stage.  Every
+layer but the filter is linear in the packed state apart from the
+adaptive gains' exponentials, the compensation's gain law and the
+attacks, so one matrix, probed from the layer functions once per scenario,
+gives all the linear parts of an evaluation in one product.
 
 Three controller modes share the pipeline:
 

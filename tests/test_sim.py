@@ -8,6 +8,9 @@ from scipy.linalg import expm
 import oracles
 from safe_containment import sim
 from safe_containment.attacks import eval_stacked
+from safe_containment.compensation import compensation, nominal_input
+from safe_containment.observer import neighborhood_signal, observer_rates
+from safe_containment.safety import sequential_filter
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
 from safe_containment.sim import Engine, SimulationError, containment_error
 from safe_containment.topology import Topology, build_phi_family
@@ -321,3 +324,45 @@ def test_records_are_views_built_on_read(paper_scenario):
     copied.theta = np.zeros(4)
     assert np.array_equal(result.table, table)
     assert np.array_equal(result.records[2].x, rec.x)
+
+
+@pytest.mark.parametrize("mode", ["saar", "resilient_unsafe", "conventional"])
+def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
+    # L @ y sums the linear layers' terms in another order than the layer
+    # functions do, so the two agree to a bound set from the dtype
+    scn = paper_scenario.with_mode(mode)
+    engine = Engine(scn)
+    rng = np.random.default_rng(8)
+    resilient = mode != "conventional"
+    for t in (0.5, 3.5, 9.0):
+        y = rng.standard_normal(engine.D)
+        y[:engine._slices[2].stop] *= 5.0  # followers well apart
+        y[engine._slices[3].start:] = rng.uniform(0.0, 3.0, 2 * engine.N)
+        x, leader, zeta, theta, rho = engine._unpack(y)
+        xi = neighborhood_signal(zeta, leader, engine.topology)
+        gamma = eval_stacked(engine.attack_coeff, engine.attack_rate,
+                             scn.attack_start, t)
+        dzeta, dtheta = observer_rates(
+            engine.S, zeta, xi, gamma[:, :3], theta, engine.q, scn.gain_cap,
+            resilient)
+        u_c = nominal_input(engine.K, engine.H, x, zeta)
+        gamma_hat, drho = compensation(
+            engine.PB, x - zeta, rho, engine.alpha, engine.c, t, scn.gain_cap)
+        if not resilient:
+            gamma_hat, drho = 0 * gamma_hat, 0 * drho
+        u = u_c - gamma_hat + gamma[:, 3:]
+        if mode == "saar":
+            u = np.array([r.u for r in sequential_filter(
+                u, x, engine.A, engine.B, scn.delta, scn.d_s)])
+        dx = np.einsum("nij,nj->ni", engine.A, x) + np.einsum(
+            "nij,nj->ni", engine.B, u)
+        want = np.concatenate([dx.ravel(), (leader @ engine.S.T).ravel(),
+                               dzeta.ravel(), dtheta, drho])
+        got, parts = engine._pipeline(t, y, collect=True)
+        tol = 64 * np.finfo(float).eps
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=tol * np.abs(want).max())
+        np.testing.assert_allclose(
+            parts["u"], u, rtol=0, atol=tol * np.abs(u).max())
+        np.testing.assert_allclose(
+            parts["xi"], xi, rtol=0, atol=tol * np.abs(xi).max())

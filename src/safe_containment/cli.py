@@ -111,8 +111,8 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     bytes do not depend on the chunk count.  The file is written under a
     temporary name and takes its place at ``path`` only once complete.  A
     child that fails raises ``OSError``; every child is reaped and every
-    part and temporary file removed however the write ends.  ``state_dim`` is not needed: the result's layout gives
-    the columns."""
+    part and temporary file removed however the write ends.  ``state_dim``
+    is not needed: the result's layout gives the columns."""
     layout = result.layout
     table = result.table[:, :layout.n_csv]
     row_fmt = ",".join(["%.17g"] * layout.n_csv) + "\n"

@@ -168,8 +168,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     A violated row with ||a|| <= QP_TOL * max(1, |b|) is degenerate: on
     the scale its violation is measured in, its gradient is zero, so it
     reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
-    zero row does.  (Stepping along such a row would move u by about
-    |b| / ||a||, far beyond any input the model can apply.)
+    zero row does; stepping along it would move u by about |b| / ||a||.
     Problems here have at most a handful of rows, so dense solves are cheap.
     Scalars are Python floats, which round as numpy's float64 does.
     """

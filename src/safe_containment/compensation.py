@@ -18,15 +18,17 @@ def nominal_input(
     K: np.ndarray, H: np.ndarray, x: np.ndarray, zeta: np.ndarray
 ) -> np.ndarray:
     """Nominal tracking inputs u_c = K_i x_i + H_i zeta_i, as an (N, m)
-    array from the stacked gains K, H of shape (N, m, n)."""
-    u_c = np.matmul(K, x[:, :, None]) + np.matmul(H, zeta[:, :, None])
-    return u_c[:, :, 0]
+    array from the stacked gains K, H of shape (N, m, n).  Leading axes
+    of x and zeta before the (N, n) rows are a batch."""
+    u_c = np.matmul(K, x[..., None]) + np.matmul(H, zeta[..., None])
+    return u_c[..., 0]
 
 
 def projected_error(PB: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """s_i = eps_i' P_i B_i, as an (N, m) array from the stacked products
-    P_i B_i of shape (N, n, m)."""
-    return np.matmul(eps[:, None, :], PB)[:, 0, :]
+    P_i B_i of shape (N, n, m).  Leading axes of eps before the (N, n)
+    rows are a batch."""
+    return np.matmul(eps[..., None, :], PB)[..., 0, :]
 
 
 def compensation_law(

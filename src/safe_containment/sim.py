@@ -218,14 +218,15 @@ class Engine:
 
     def _follower_layers(self, x: np.ndarray, zeta: np.ndarray) -> dict:
         """The pipeline's layers that are linear in each follower's own
-        (x, zeta) rows, keyed by the operator rows they fill."""
+        (x, zeta) rows, keyed by the operator rows they fill, for a batch
+        of (N, n) states."""
         eps = x - zeta
         zero = np.zeros_like(zeta)
         return {
-            "x": np.matmul(self.A, x[:, :, None])[:, :, 0],  # x' = A x + B u
+            "x": np.matmul(self.A, x[..., None])[..., 0],  # x' = A x + B u
             "zeta": observer_rates(
-                self.S, zeta, zero, zero, zero[:, 0], self.q,
-                self.scenario.gain_cap,
+                self.S, zeta, zero, zero, zero[..., 0], self.q,
+                self.scenario.gain_cap, resilient=False,
             )[0],  # S zeta, at zero xi and gamma_ol
             "eps": eps,
             "s": projected_error(self.PB, eps),
@@ -236,13 +237,14 @@ class Engine:
         """The matrix L of the pipeline's linear layers, probed from the
         layer functions on unit vectors.
 
-        Each follower's layers read only its own rows of x and zeta, so one
-        evaluation at a unit vector in the same component of every
-        follower's x (or zeta) gives that column of every follower's block:
-        2 n evaluations in all.  The leaders' dynamics take n more, in the
-        same way.  The neighbourhood signal couples followers and leaders;
-        it is probed once, on a batch of unit vectors of (zeta, leader_x).
-        The entries are the model's own coefficients, exactly.
+        Each follower's layers read only its own rows of x and zeta, so a
+        unit vector in the same component of every follower's x (or zeta)
+        gives that column of every follower's block: one call on a batch
+        of 2 n such vectors.  The leaders' dynamics take one call on n,
+        in the same way.  The neighbourhood signal couples followers and
+        leaders; it is probed once, on a batch of unit vectors of
+        (zeta, leader_x).  The entries are the model's own coefficients,
+        exactly.
         """
         N, M, n = self.N, self.M, self.n
         x_cols, lead_cols, zeta_cols, _, _ = (
@@ -254,14 +256,13 @@ class Engine:
 
         def probe(layers, cols: np.ndarray) -> None:
             blocks, width = cols.shape
-            for a in range(width):
-                unit = np.zeros((blocks, width))
-                unit[:, a] = 1.0
-                for name, out in layers(unit).items():
-                    L[np.arange(rows[name].start, rows[name].stop)
-                      .reshape(blocks, -1), cols[:, a, None]] = out
+            # unit[a] is the unit vector in input column a of every block
+            unit = np.repeat(np.eye(width)[:, None, :], blocks, axis=1)
+            for name, out in layers(unit).items():
+                L[np.arange(rows[name].start, rows[name].stop)
+                  .reshape(blocks, -1), cols.T[:, :, None]] = out
 
-        probe(lambda v: self._follower_layers(v[:, :n], v[:, n:]),
+        probe(lambda v: self._follower_layers(v[..., :n], v[..., n:]),
               np.hstack([x_cols.reshape(N, n), zeta_cols.reshape(N, n)]))
         probe(lambda v: {"leader": v @ self.S.T}, lead_cols.reshape(M, n))
         coupled = np.concatenate([zeta_cols, lead_cols])

@@ -4,7 +4,7 @@ observers, adaptive input compensation, a barrier-based safety filter,
 and a deterministic fixed-step simulator."""
 
 from .attacks import eval_stacked
-from .compensation import compensation, nominal_input
+from .compensation import nominal_input
 from .gains import (
     AgentModel,
     GainSet,
@@ -16,14 +16,13 @@ from .gains import (
     solve_regulator,
     synthesize_gains,
 )
-from .observer import neighborhood_signal, observer_rates
+from .observer import neighborhood_signal
 from .safety import (
     AgentRows,
     FilterResult,
     PairConstraint,
     QPInfeasibleError,
     build_constraint,
-    cbf_value,
     sequential_filter,
     solve_agent_qp,
 )
@@ -64,17 +63,14 @@ __all__ = [
     "TraceRecord",
     "build_constraint",
     "build_phi_family",
-    "cbf_value",
     "check_leader_assumption",
     "check_reachability",
-    "compensation",
     "containment_error",
     "eval_stacked",
     "load_scenario",
     "model_problems",
     "neighborhood_signal",
     "nominal_input",
-    "observer_rates",
     "run",
     "sequential_filter",
     "solve_agent_qp",

@@ -52,18 +52,3 @@ def compensation_law(
     denom = ns + np.exp(-c * t * t)
     gamma_hat = s * (np.exp(np.minimum(rho_hat, gain_cap)) / denom)[:, None]
     return gamma_hat, alpha * ns
-
-
-def compensation(
-    PB: np.ndarray,
-    eps: np.ndarray,
-    rho_hat: np.ndarray,
-    alpha: np.ndarray,
-    c: np.ndarray,
-    t: float,
-    gain_cap: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``compensation_law`` at s = ``projected_error(PB, eps)``."""
-    return compensation_law(
-        projected_error(PB, eps), rho_hat, alpha, c, t, gain_cap
-    )

@@ -60,19 +60,3 @@ def observer_input(
         gain = 1.0
         dtheta = np.zeros_like(theta)
     return gain * xi + gamma_ol, dtheta
-
-
-def observer_rates(
-    S: np.ndarray,
-    zeta: np.ndarray,
-    xi: np.ndarray,
-    gamma_ol: np.ndarray,
-    theta: np.ndarray,
-    q: np.ndarray,
-    gain_cap: float,
-    resilient: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates (zeta', theta') of every follower's observer: S zeta plus
-    ``observer_input``."""
-    driving, dtheta = observer_input(xi, gamma_ol, theta, q, gain_cap, resilient)
-    return zeta @ S.T + driving, dtheta

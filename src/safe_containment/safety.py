@@ -77,14 +77,6 @@ class AgentRows:
         return len(self.b)
 
 
-def cbf_value(x_i: np.ndarray, x_j: np.ndarray, d_s: float) -> float:
-    """Barrier value d_s^2 - ||x_i - x_j||^2; nonpositive means safe."""
-    if d_s <= 0:
-        raise ValueError("d_s must be positive")
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    return float(d_s * d_s - diff @ diff)
-
-
 @lru_cache(maxsize=None)
 def _pair_index(n_agents: int):
     """Every follower pair (i, j), i < j, in ``itertools.combinations``

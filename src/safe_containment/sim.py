@@ -9,8 +9,8 @@ stage.  Each step evaluates the pipeline once at its own state; that one
 evaluation is both the logged sample and the first RK4 stage.  Every
 layer but the filter is linear in the packed state apart from the
 adaptive gains' exponentials, the compensation's gain law and the
-attacks, so one matrix, probed from the layer functions once per scenario,
-gives all the linear parts of an evaluation in one product.
+attacks, so one matrix, those layers evaluated on the identity once per
+scenario, gives all the linear parts of an evaluation in one product.
 
 Three controller modes share the pipeline:
 
@@ -34,7 +34,7 @@ from . import safety
 from .attacks import eval_stacked
 from .compensation import compensation_law, nominal_input, projected_error
 from .gains import AgentModel, LeaderModel, synthesize_gains
-from .observer import neighborhood_signal, observer_input, observer_rates
+from .observer import neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
 
@@ -182,8 +182,6 @@ class Engine:
                       for f in sc.followers])
             for k in (0, 1)
         )
-        self.cil_coeff = self.attack_coeff[:, self.n:]
-        self.cil_rate = self.attack_rate[:, self.n:]
 
         self.layout = TraceLayout(self.N, self.n, self.models[0].m)
 
@@ -198,7 +196,7 @@ class Engine:
         # L @ y stacks the derivative's linear part (D rows), then xi, eps,
         # s and u_c
         self._outputs = _consecutive([N * n, N * n, N * m, N * m], self.D)
-        self.L = self._linear_operator()
+        self.L = np.ascontiguousarray(self._linear_layers(np.eye(self.D)).T)
 
     # -- state packing ---------------------------------------------------
 
@@ -216,74 +214,43 @@ class Engine:
             np.zeros(2 * self.N),
         ]).astype(float)
 
-    def _follower_layers(self, x: np.ndarray, zeta: np.ndarray) -> dict:
-        """The pipeline's layers that are linear in each follower's own
-        (x, zeta) rows, keyed by the operator rows they fill, for a batch
-        of (N, n) states."""
-        eps = x - zeta
-        zero = np.zeros_like(zeta)
-        return {
-            "x": np.matmul(self.A, x[..., None])[..., 0],  # x' = A x + B u
-            "zeta": observer_rates(
-                self.S, zeta, zero, zero, zero[..., 0], self.q,
-                self.scenario.gain_cap, resilient=False,
-            )[0],  # S zeta, at zero xi and gamma_ol
-            "eps": eps,
-            "s": projected_error(self.PB, eps),
-            "u_c": nominal_input(self.K, self.H, x, zeta),
-        }
-
-    def _linear_operator(self) -> np.ndarray:
-        """The matrix L of the pipeline's linear layers, probed from the
-        layer functions on unit vectors.
-
-        Each follower's layers read only its own rows of x and zeta, so a
-        unit vector in the same component of every follower's x (or zeta)
-        gives that column of every follower's block: one call on a batch
-        of 2 n such vectors.  The leaders' dynamics take one call on n,
-        in the same way.  The neighbourhood signal couples followers and
-        leaders; it is probed once, on a batch of unit vectors of
-        (zeta, leader_x).  The entries are the model's own coefficients,
-        exactly.
-        """
-        N, M, n = self.N, self.M, self.n
-        x_cols, lead_cols, zeta_cols, _, _ = (
-            np.arange(sl.start, sl.stop) for sl in self._slices
-        )
-        rows = dict(zip(("x", "leader", "zeta"), self._slices))
-        rows.update(zip(("xi", "eps", "s", "u_c"), self._outputs))
-        L = np.zeros((self._outputs[-1].stop, self.D))
-
-        def probe(layers, cols: np.ndarray) -> None:
-            blocks, width = cols.shape
-            # unit[a] is the unit vector in input column a of every block
-            unit = np.repeat(np.eye(width)[:, None, :], blocks, axis=1)
-            for name, out in layers(unit).items():
-                L[np.arange(rows[name].start, rows[name].stop)
-                  .reshape(blocks, -1), cols.T[:, :, None]] = out
-
-        probe(lambda v: self._follower_layers(v[..., :n], v[..., n:]),
-              np.hstack([x_cols.reshape(N, n), zeta_cols.reshape(N, n)]))
-        probe(lambda v: {"leader": v @ self.S.T}, lead_cols.reshape(M, n))
-        coupled = np.concatenate([zeta_cols, lead_cols])
-        unit = np.eye(len(coupled))
-        xi = neighborhood_signal(
-            unit[:, :N * n].reshape(-1, N, n), unit[:, N * n:].reshape(-1, M, n),
-            self.topology,
-        )
-        L[rows["xi"], coupled] = xi.reshape(len(coupled), -1).T
-        return L
-
     def _unpack(self, y: np.ndarray):
-        """Views (x, leader_x, zeta, theta, rho_hat) into a packed state."""
+        """Views (x, leader_x, zeta, theta, rho_hat) into a packed state;
+        leading axes of y before its D entries are a batch."""
         x, lead, zeta, theta, rho = self._slices
+        batch = y.shape[:-1]
         return (
-            y[x].reshape(self.N, self.n),
-            y[lead].reshape(self.M, self.n),
-            y[zeta].reshape(self.N, self.n),
-            y[theta],
-            y[rho],
+            y[..., x].reshape(*batch, self.N, self.n),
+            y[..., lead].reshape(*batch, self.M, self.n),
+            y[..., zeta].reshape(*batch, self.N, self.n),
+            y[..., theta],
+            y[..., rho],
         )
+
+    def _linear_layers(self, y: np.ndarray) -> np.ndarray:
+        """The pipeline's layers that are linear in the packed state, for
+        a batch (..., D) of packed states, concatenated in ``_outputs``
+        order: the derivative's linear part (A x, S leader_x, S zeta and
+        zero gain rates), then xi, eps, s and u_c.
+
+        ``L`` is this function on the identity, so its entries are the
+        model's own coefficients, exactly.
+        """
+        x, lead, zeta, theta, rho = self._unpack(y)
+        eps = x - zeta
+        layers = (
+            np.matmul(self.A, x[..., None])[..., 0],  # x' = A x + B u
+            lead @ self.S.T,
+            zeta @ self.S.T,  # zeta' = S zeta + exp(theta) xi + gamma_ol
+            np.zeros_like(theta),
+            np.zeros_like(rho),
+            neighborhood_signal(zeta, lead, self.topology),
+            eps,
+            projected_error(self.PB, eps),
+            nominal_input(self.K, self.H, x, zeta),
+        )
+        return np.concatenate(
+            [v.reshape(*y.shape[:-1], -1) for v in layers], axis=-1)
 
     # -- control pipeline -------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used only to cross-check results.
 
 Everything here deliberately avoids the code paths under test: eigenvalues
-come from characteristic-polynomial roots, stacked signals from dense
-Kronecker assembly, and QP solutions from exhaustive active-set
-enumeration.
+come from characteristic-polynomial roots, barrier values from their
+definition, stacked signals from dense Kronecker assembly, and QP solutions
+from exhaustive active-set enumeration.
 """
 
 import itertools
@@ -24,6 +24,14 @@ def charpoly_eigenvalues(mat: np.ndarray) -> np.ndarray:
         coeffs.append(ck)
         mk = mk + ck * np.eye(n)
     return np.roots(coeffs)
+
+
+def cbf_value(x_i, x_j, d_s: float) -> float:
+    """Barrier value d_s^2 - ||x_i - x_j||^2; nonpositive means safe."""
+    if d_s <= 0:
+        raise ValueError("d_s must be positive")
+    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
+    return float(d_s * d_s - diff @ diff)
 
 
 def kron_stacked_xi(zetas, leader_states, phi) -> np.ndarray:

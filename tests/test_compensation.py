@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from safe_containment.attacks import eval_stacked
-from safe_containment.compensation import compensation, nominal_input
+from safe_containment.compensation import (
+    compensation_law,
+    nominal_input,
+    projected_error,
+)
 
 
 def _nominal(K, H, x, zeta):
@@ -13,9 +17,9 @@ def _nominal(K, H, x, zeta):
 def _compensation(P, b, eps, t, rho_hat=0.0, alpha=1.0, c=1.0):
     """(gamma_hat, rho_hat') of a single follower with gains P and input
     matrix b, unstacked."""
-    gamma_hat, drho = compensation(
-        (P @ np.atleast_2d(b))[None], eps[None], np.array([rho_hat]),
-        np.array([alpha]), np.array([c]), t, 700.0,
+    s = projected_error((P @ np.atleast_2d(b))[None], eps[None])
+    gamma_hat, drho = compensation_law(
+        s, np.array([rho_hat]), np.array([alpha]), np.array([c]), t, 700.0,
     )
     return gamma_hat[0], drho[0]
 
@@ -123,7 +127,8 @@ def test_cancellation_inequality_on_trace(paper_scenario, saar_result):
         if rec.t < paper_scenario.attack_start:
             continue
         tau = rec.t - paper_scenario.attack_start
-        gamma_a = engine.cil_coeff * np.exp(engine.cil_rate * tau)
+        gamma_a = engine.attack_coeff[:, engine.n:] * np.exp(
+            engine.attack_rate[:, engine.n:] * tau)
         for i in range(engine.N):
             s = rec.eps[i] @ engine.PB[i]
             ns = np.linalg.norm(s)

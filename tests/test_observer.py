@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from safe_containment import sim
-from safe_containment.compensation import compensation
-from safe_containment.observer import neighborhood_signal, observer_rates
+from safe_containment.compensation import compensation_law, projected_error
+from safe_containment.observer import neighborhood_signal, observer_input
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
 from safe_containment.topology import Topology, build_phi_family
 
@@ -57,12 +57,13 @@ def test_stacked_matches_dense_oracle(paper_scenario):
 
 
 def _rates(S, zeta, xi, gamma_ol, theta, q, gain_cap=700.0):
-    """observer_rates for a single follower, unstacked."""
-    dzeta, dtheta = observer_rates(
-        S, zeta[None, :], xi[None, :], gamma_ol[None, :],
-        np.array([theta]), np.array([q]), gain_cap,
+    """(zeta', theta') of a single follower, unstacked: S zeta plus
+    observer_input."""
+    driving, dtheta = observer_input(
+        xi[None, :], gamma_ol[None, :], np.array([theta]), np.array([q]),
+        gain_cap,
     )
-    return dzeta[0], dtheta[0]
+    return S @ zeta + driving[0], dtheta[0]
 
 
 def test_unforced_observer(paper_scenario):
@@ -99,9 +100,9 @@ def test_gain_clamp_logs_and_stays_finite(paper_scenario, caplog):
         800.0, 1.0, gain_cap=700.0,
     )
     assert dzeta == pytest.approx([np.exp(700.0), 0.0, 0.0])
-    gamma_hat, _ = compensation(
-        np.eye(1)[None], np.ones((1, 1)), np.array([900.0]), np.ones(1),
-        np.ones(1), 0.0, 700.0,
+    gamma_hat, _ = compensation_law(
+        projected_error(np.eye(1)[None], np.ones((1, 1))), np.array([900.0]),
+        np.ones(1), np.ones(1), 0.0, 700.0,
     )
     assert np.all(np.isfinite(gamma_hat))
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import cbf_value
 from safe_containment import safety
 from safe_containment.safety import (
     AgentRows,
     PairConstraint,
     QPInfeasibleError,
     build_constraint,
-    cbf_value,
     sequential_filter,
     solve_agent_qp,
 )

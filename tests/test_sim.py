@@ -3,15 +3,24 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 import oracles
+from test_scenario_cli import _tiny_doc_m2
 from safe_containment import sim
 from safe_containment.attacks import eval_stacked
-from safe_containment.compensation import compensation, nominal_input
-from safe_containment.observer import neighborhood_signal, observer_rates
+from safe_containment.compensation import (
+    compensation_law,
+    nominal_input,
+    projected_error,
+)
+from safe_containment.observer import neighborhood_signal, observer_input
 from safe_containment.safety import sequential_filter
-from safe_containment.scenario import FollowerSpec, ScenarioConfig
+from safe_containment.scenario import (
+    FollowerSpec,
+    ScenarioConfig,
+    scenario_from_dict,
+)
 from safe_containment.sim import Engine, SimulationError, containment_error
 from safe_containment.topology import Topology, build_phi_family
 
@@ -342,12 +351,13 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
         xi = neighborhood_signal(zeta, leader, engine.topology)
         gamma = eval_stacked(engine.attack_coeff, engine.attack_rate,
                              scn.attack_start, t)
-        dzeta, dtheta = observer_rates(
-            engine.S, zeta, xi, gamma[:, :3], theta, engine.q, scn.gain_cap,
-            resilient)
+        driving, dtheta = observer_input(
+            xi, gamma[:, :3], theta, engine.q, scn.gain_cap, resilient)
+        dzeta = zeta @ engine.S.T + driving
         u_c = nominal_input(engine.K, engine.H, x, zeta)
-        gamma_hat, drho = compensation(
-            engine.PB, x - zeta, rho, engine.alpha, engine.c, t, scn.gain_cap)
+        gamma_hat, drho = compensation_law(
+            projected_error(engine.PB, x - zeta), rho, engine.alpha, engine.c,
+            t, scn.gain_cap)
         if not resilient:
             gamma_hat, drho = 0 * gamma_hat, 0 * drho
         u = u_c - gamma_hat + gamma[:, 3:]
@@ -366,3 +376,41 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
             parts["u"], u, rtol=0, atol=tol * np.abs(u).max())
         np.testing.assert_allclose(
             parts["xi"], xi, rtol=0, atol=tol * np.abs(xi).max())
+
+
+@pytest.mark.parametrize("doc", [None, _tiny_doc_m2], ids=["paper", "m2"])
+def test_the_operator_holds_the_model_coefficients(paper_scenario, doc):
+    scn = paper_scenario if doc is None else scenario_from_dict(doc())
+    engine = Engine(scn)
+    N, M, n = engine.N, engine.M, engine.n
+    top = engine.topology
+    x, lead, zeta, theta, rho = engine._slices
+    xi, eps, s, u_c = engine._outputs
+    PB_t = [(g.P @ f.B).T for g, f in zip(engine.gains, scn.followers)]
+    want = np.zeros_like(engine.L)
+    want[x, x] = block_diag(*(f.A for f in scn.followers))
+    want[lead, lead] = block_diag(*[scn.S] * M)
+    want[zeta, zeta] = block_diag(*[scn.S] * N)
+    want[xi, zeta] = np.kron(top.adjacency - np.diag(top.self_weight),
+                             np.eye(n))
+    want[xi, lead] = np.kron(top.pinning.T, np.eye(n))
+    want[eps, x], want[eps, zeta] = np.eye(N * n), -np.eye(N * n)
+    want[s, x], want[s, zeta] = block_diag(*PB_t), -block_diag(*PB_t)
+    want[u_c, x] = block_diag(*(g.K for g in engine.gains))
+    want[u_c, zeta] = block_diag(*(g.H for g in engine.gains))
+    names = ("x", "leader_x", "zeta", "theta", "rho_hat", "xi", "eps", "s",
+             "u_c")
+    for name, rows in zip(names, engine._slices + engine._outputs):
+        assert np.array_equal(engine.L[rows], want[rows]), name
+
+    # the xi rows are the Kronecker form -sum_r (Phi_r kron I)
+    # (zeta - 1 kron x_r), whose Phi_r carry the Laplacian over M
+    cols = np.r_[zeta, lead]
+    kron = np.stack([
+        oracles.kron_stacked_xi(v[:N * n].reshape(N, n),
+                                v[N * n:].reshape(M, n), engine.phi)
+        for v in np.eye(len(cols))
+    ], axis=1)
+    np.testing.assert_allclose(
+        engine.L[xi][:, cols], kron, rtol=0,
+        atol=4 * np.finfo(float).eps * np.abs(kron).max())

@@ -14,41 +14,41 @@ from __future__ import annotations
 import numpy as np
 
 
+def per_follower(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M_i v_i for every follower i, from stacked (N, j, k) matrices and
+    (..., N, k) rows whose leading axes are a batch, in N products."""
+    rows = v.swapaxes(0, -2)
+    out = rows.reshape(len(M), -1, v.shape[-1]) @ M.transpose(0, 2, 1)
+    return out.reshape(*rows.shape[:-1], -1).swapaxes(0, -2)
+
+
 def nominal_input(
     K: np.ndarray, H: np.ndarray, x: np.ndarray, zeta: np.ndarray
 ) -> np.ndarray:
     """Nominal tracking inputs u_c = K_i x_i + H_i zeta_i, as an (N, m)
     array from the stacked gains K, H of shape (N, m, n).  Leading axes
     of x and zeta before the (N, n) rows are a batch."""
-    u_c = np.matmul(K, x[..., None]) + np.matmul(H, zeta[..., None])
-    return u_c[..., 0]
+    return per_follower(K, x) + per_follower(H, zeta)
 
 
 def projected_error(PB: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """s_i = eps_i' P_i B_i, as an (N, m) array from the stacked products
     P_i B_i of shape (N, n, m).  Leading axes of eps before the (N, n)
     rows are a batch."""
-    return np.matmul(eps[..., None, :], PB)[..., 0, :]
+    return per_follower(PB.transpose(0, 2, 1), eps)
 
 
 def compensation_law(
-    s: np.ndarray,
-    rho_hat: np.ndarray,
-    alpha: np.ndarray,
-    c: np.ndarray,
-    t: float,
-    gain_cap: float,
+    s: np.ndarray, gain: np.ndarray, alpha: np.ndarray, reg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive compensation gamma_hat and its gain rate rho_hat' from
-    the projected errors s (see ``projected_error``):
+    the projected errors s (see ``projected_error``), the gains
+    exp(rho_hat) (see ``observer.adaptive_gain``) and the regularizers
+    exp(-c t^2):
 
         gamma_hat_i = s_i' exp(rho_hat_i) / (||s_i|| + exp(-c_i t^2))
         rho_hat_i'  = alpha_i ||s_i||       (always nonnegative)
-
-    rho_hat is clamped at gain_cap before exponentiation so exp() cannot
-    overflow.
     """
-    ns = np.sqrt(np.einsum("ni,ni->n", s, s))
-    denom = ns + np.exp(-c * t * t)
-    gamma_hat = s * (np.exp(np.minimum(rho_hat, gain_cap)) / denom)[:, None]
+    ns = np.sqrt(np.add.reduce(s * s, axis=1))
+    gamma_hat = s * (gain / (ns + reg))[:, None]
     return gamma_hat, alpha * ns

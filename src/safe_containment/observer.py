@@ -38,25 +38,25 @@ def neighborhood_signal(
     )
 
 
+def adaptive_gain(log_gain: np.ndarray, gain_cap: float) -> np.ndarray:
+    """exp(theta) or exp(rho_hat), its exponent clamped at gain_cap."""
+    return np.exp(np.minimum(log_gain, gain_cap))
+
+
 def observer_input(
     xi: np.ndarray,
     gamma_ol: np.ndarray,
-    theta: np.ndarray,
+    gain: np.ndarray,
     q: np.ndarray,
-    gain_cap: float,
     resilient: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The observer rates less their linear drift S zeta: the driving
-    term exp(theta) xi + gamma_ol of zeta' and the rate theta'.
+    term exp(theta) xi + gamma_ol of zeta' and the rate theta', given the
+    gains exp(theta) (see ``adaptive_gain``).
 
-    theta is clamped at gain_cap before exponentiation so exp() cannot
-    overflow.  With ``resilient=False`` this is the standard observer:
-    unit gain whatever theta is, and theta' = 0.
+    With ``resilient=False`` this is the standard observer: unit gain
+    whatever ``gain`` is, and theta' = 0.
     """
-    if resilient:
-        gain = np.exp(np.minimum(theta, gain_cap))[:, None]
-        dtheta = q * np.einsum("ni,ni->n", xi, xi)
-    else:
-        gain = 1.0
-        dtheta = np.zeros_like(theta)
-    return gain * xi + gamma_ol, dtheta
+    if not resilient:
+        return xi + gamma_ol, np.zeros(len(xi))
+    return gain[:, None] * xi + gamma_ol, q * np.add.reduce(xi * xi, axis=1)

@@ -9,8 +9,9 @@ stage.  Each step evaluates the pipeline once at its own state; that one
 evaluation is both the logged sample and the first RK4 stage.  Every
 layer but the filter is linear in the packed state apart from the
 adaptive gains' exponentials, the compensation's gain law and the
-attacks, so one matrix, those layers evaluated on the identity once per
-scenario, gives all the linear parts of an evaluation in one product.
+attacks, so one matrix L gives all the linear parts of an evaluation in
+one product, and one matrix O all that a step measures; both are those
+parts evaluated on the identity once per scenario.
 
 Three controller modes share the pipeline:
 
@@ -25,6 +26,7 @@ Three controller modes share the pipeline:
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, make_dataclass
 
@@ -32,9 +34,10 @@ import numpy as np
 
 from . import safety
 from .attacks import eval_stacked
-from .compensation import compensation_law, nominal_input, projected_error
+from .compensation import (
+    compensation_law, nominal_input, per_follower, projected_error)
 from .gains import AgentModel, LeaderModel, synthesize_gains
-from .observer import neighborhood_signal, observer_input
+from .observer import adaptive_gain, neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
 
@@ -131,6 +134,16 @@ def _consecutive(lengths: list[int], start: int = 0) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
+def _operator(parts) -> np.ndarray:
+    """The matrix of a linear map from its parts evaluated on the identity,
+    each (D, ...): column j stacks the flattened parts at unit state j."""
+    sizes = [v[0].size for v in parts]
+    op = np.empty((sum(sizes), len(parts[0])))
+    for v, rows in zip(parts, _consecutive(sizes)):
+        op[rows] = v.reshape(len(v), -1).T
+    return op
+
+
 def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
     """The (N, n) convex-hull reference each follower is measured against:
     (sum_nu Phi_nu)^-1 sum_r (Phi_r 1) x_r, row per follower."""
@@ -194,9 +207,14 @@ class Engine:
         self._slices = _consecutive([N * n, self.M * n, N * n, N, N])
         self.D = self._slices[-1].stop
         # L @ y stacks the derivative's linear part (D rows), then xi, eps,
-        # s and u_c
+        # s and u_c; O @ y stacks e_c, delta_o and the pair differences
         self._outputs = _consecutive([N * n, N * n, N * m, N * m], self.D)
-        self.L = np.ascontiguousarray(self._linear_layers(np.eye(self.D)).T)
+        self._observed = _consecutive([N * n, N * n, len(self.layout.pairs) * n])
+        ops = _operator(self._linear_parts(np.eye(self.D)))
+        self.L, self.O = np.split(ops, [self._outputs[-1].stop])
+        self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
+        self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
+        self._at_time = {}  # see _time_terms
 
     # -- state packing ---------------------------------------------------
 
@@ -227,19 +245,21 @@ class Engine:
             y[..., rho],
         )
 
-    def _linear_layers(self, y: np.ndarray) -> np.ndarray:
-        """The pipeline's layers that are linear in the packed state, for
-        a batch (..., D) of packed states, concatenated in ``_outputs``
-        order: the derivative's linear part (A x, S leader_x, S zeta and
-        zero gain rates), then xi, eps, s and u_c.
+    def _linear_parts(self, y: np.ndarray) -> tuple:
+        """What an evaluation and a step compute linearly from a batch
+        (..., D) of packed states: the derivative's linear part (A x,
+        S leader_x, S zeta and zero gain rates), xi, eps, s and u_c, then
+        e_c, delta_o and the follower-pair differences x_i - x_j.
 
-        ``L`` is this function on the identity, so its entries are the
-        model's own coefficients, exactly.
-        """
+        ``L`` and ``O`` are this function on the identity, so their entries
+        are the model's own coefficients, exactly, and a pair row of ``O``
+        holds one +1 and one -1: it gives x_i - x_j with its bits."""
         x, lead, zeta, theta, rho = self._unpack(y)
         eps = x - zeta
-        layers = (
-            np.matmul(self.A, x[..., None])[..., 0],  # x' = A x + B u
+        ref = _hull_reference(lead, self.phi)
+        _, i, j = safety._pair_index(self.N)
+        return (
+            per_follower(self.A, x),  # x' = A x + B u
             lead @ self.S.T,
             zeta @ self.S.T,  # zeta' = S zeta + exp(theta) xi + gamma_ol
             np.zeros_like(theta),
@@ -248,9 +268,23 @@ class Engine:
             eps,
             projected_error(self.PB, eps),
             nominal_input(self.K, self.H, x, zeta),
+            x - ref, zeta - ref, np.take(x, i, -2) - np.take(x, j, -2),
         )
-        return np.concatenate(
-            [v.reshape(*y.shape[:-1], -1) for v in layers], axis=-1)
+
+    def _time_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Both attacks (N, n + m) and the regularizers exp(-c t^2) at t,
+        read-only, kept for the last three times (RK4's stages share them)."""
+        if t not in self._at_time:
+            if len(self._at_time) == 3:
+                del self._at_time[next(iter(self._at_time))]
+            sc = self.scenario
+            self._at_time[t] = (
+                eval_stacked(self.attack_coeff, self.attack_rate,
+                             sc.attack_start, t, sc.absolute_clock),
+                np.exp(-self.c * t * t))
+            for v in self._at_time[t]:
+                v.flags.writeable = False
+        return self._at_time[t]
 
     # -- control pipeline -------------------------------------------------
 
@@ -266,21 +300,19 @@ class Engine:
         N, n = self.N, self.n
         resilient = sc.controller_mode != "conventional"
         x_sl, _, zeta_sl, theta_sl, rho_sl = self._slices
+        xi_sl, eps_sl, s_sl, uc_sl = self._outputs
 
         z = self.L @ y
         deriv = z[:self.D]
-        xi, eps, s, u_c = (z[sl].reshape(N, -1) for sl in self._outputs)
-        gamma = eval_stacked(
-            self.attack_coeff, self.attack_rate, sc.attack_start, t,
-            sc.absolute_clock,
-        )
+        xi, u_c = z[xi_sl].reshape(N, n), z[uc_sl].reshape(N, -1)
+        gamma, reg = self._time_terms(t)
+        # theta and rho_hat are adjacent in y: both gains in one call
+        gain = adaptive_gain(y[theta_sl.start:rho_sl.stop], sc.gain_cap)
         driving, dtheta = observer_input(
-            xi, gamma[:, :n], y[theta_sl], self.q, sc.gain_cap, resilient
-        )
+            xi, gamma[:, :n], gain[:N], self.q, resilient)
         if resilient:
             gamma_hat, drho = compensation_law(
-                s, y[rho_sl], self.alpha, self.c, t, sc.gain_cap
-            )
+                z[s_sl].reshape(N, -1), gain[N:], self.alpha, reg)
         else:
             gamma_hat, drho = np.zeros_like(u_c), np.zeros(N)
         u_r = u_c - gamma_hat
@@ -301,14 +333,14 @@ class Engine:
                 if self.first_infeasible_time is None:
                     self.first_infeasible_time = t
 
-        deriv[x_sl] += np.matmul(self.B, u[:, :, None]).ravel()
+        deriv[x_sl] += self.B_diag @ u.ravel()
         deriv[zeta_sl] += driving.ravel()
         deriv[theta_sl] = dtheta
         deriv[rho_sl] = drho
         if not collect:
             return deriv
         return deriv, dict(
-            xi=xi, eps=eps, u_c=u_c, gamma_hat=gamma_hat, u_r=u_r,
+            xi=xi, eps=z[eps_sl], u_c=u_c, gamma_hat=gamma_hat, u_r=u_r,
             u_bar=u_bar, u=u, delta_u=u - u_bar, results=results,
         )
 
@@ -359,13 +391,10 @@ class Engine:
         """
         sc = self.scenario
         t = k * sc.dt
-        state = self._unpack(y)
-        x, lead, zeta, _, _ = state
-        ref = _hull_reference(lead, self.phi)
-        e_c = x - ref
-        ec_norm = float(np.linalg.norm(e_c))
-        _, pair_i, pair_j = safety._pair_index(self.N)
-        diffs = x[pair_i] - x[pair_j]
+        obs = self.O @ y
+        e_c, delta_o, diffs = [obs[sl] for sl in self._observed]
+        ec_norm = math.sqrt(e_c @ e_c)
+        diffs = diffs.reshape(-1, self.n)
         dist = np.sqrt(safety._rowdot(diffs, diffs))  # bits of a per-pair norm
         min_pair = float(dist.min()) if len(dist) else np.inf
 
@@ -374,7 +403,7 @@ class Engine:
         if table is not None and (k % stride == 0 or k == self.n_steps):
             row = table[-(-k // stride)]
             deriv, parts = self._pipeline(t, y, collect=True)
-            self.observe(row, t, state, parts, e_c, zeta - ref, dist)
+            self.observe(row, t, self._unpack(y), parts, e_c, delta_o, dist)
         else:
             deriv = self._pipeline(t, y)
         if k >= self.n_steps:

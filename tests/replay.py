@@ -43,7 +43,12 @@ INPUT_FIELDS = ("u_c", "gamma_hat", "u_r", "u_bar", "u", "delta_u")
 # product L @ y sums at most N + M = 8 nonzero terms per entry, and its
 # results pass through fewer than 8 further operations before they reach
 # the inputs, so 64 ulp covers every such reordering with room to spare,
-# while a wrong coefficient moves the outputs by far more.
+# while a wrong coefficient moves the outputs by far more.  The same holds
+# for the other reorderings the engine makes: the rows of O @ y sum e_c
+# and delta_o as x - W leader_x over at most M + 1 terms in another order
+# (its pair rows give x_i - x_j exactly), the block-diagonal product adds
+# B u per follower over its m terms in another order, and np.add.reduce
+# sums the squares of xi and s in another order than einsum did.
 TOL = 64 * np.finfo(float).eps
 
 

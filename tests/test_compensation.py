@@ -7,6 +7,7 @@ from safe_containment.compensation import (
     nominal_input,
     projected_error,
 )
+from safe_containment.observer import adaptive_gain
 
 
 def _nominal(K, H, x, zeta):
@@ -19,7 +20,8 @@ def _compensation(P, b, eps, t, rho_hat=0.0, alpha=1.0, c=1.0):
     matrix b, unstacked."""
     s = projected_error((P @ np.atleast_2d(b))[None], eps[None])
     gamma_hat, drho = compensation_law(
-        s, np.array([rho_hat]), np.array([alpha]), np.array([c]), t, 700.0,
+        s, adaptive_gain(np.array([rho_hat]), 700.0), np.array([alpha]),
+        np.exp(-np.array([c]) * t * t),
     )
     return gamma_hat[0], drho[0]
 

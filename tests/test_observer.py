@@ -7,7 +7,11 @@ import pytest
 import oracles
 from safe_containment import sim
 from safe_containment.compensation import compensation_law, projected_error
-from safe_containment.observer import neighborhood_signal, observer_input
+from safe_containment.observer import (
+    adaptive_gain,
+    neighborhood_signal,
+    observer_input,
+)
 from safe_containment.scenario import FollowerSpec, ScenarioConfig
 from safe_containment.topology import Topology, build_phi_family
 
@@ -60,8 +64,8 @@ def _rates(S, zeta, xi, gamma_ol, theta, q, gain_cap=700.0):
     """(zeta', theta') of a single follower, unstacked: S zeta plus
     observer_input."""
     driving, dtheta = observer_input(
-        xi[None, :], gamma_ol[None, :], np.array([theta]), np.array([q]),
-        gain_cap,
+        xi[None, :], gamma_ol[None, :],
+        adaptive_gain(np.array([theta]), gain_cap), np.array([q]),
     )
     return S @ zeta + driving[0], dtheta[0]
 
@@ -101,8 +105,8 @@ def test_gain_clamp_logs_and_stays_finite(paper_scenario, caplog):
     )
     assert dzeta == pytest.approx([np.exp(700.0), 0.0, 0.0])
     gamma_hat, _ = compensation_law(
-        projected_error(np.eye(1)[None], np.ones((1, 1))), np.array([900.0]),
-        np.ones(1), np.ones(1), 0.0, 700.0,
+        projected_error(np.eye(1)[None], np.ones((1, 1))),
+        adaptive_gain(np.array([900.0]), 700.0), np.ones(1), np.ones(1),
     )
     assert np.all(np.isfinite(gamma_hat))
 

@@ -7,14 +7,18 @@ from scipy.linalg import block_diag, expm
 
 import oracles
 from test_scenario_cli import _tiny_doc_m2
-from safe_containment import sim
+from safe_containment import safety, sim
 from safe_containment.attacks import eval_stacked
 from safe_containment.compensation import (
     compensation_law,
     nominal_input,
     projected_error,
 )
-from safe_containment.observer import neighborhood_signal, observer_input
+from safe_containment.observer import (
+    adaptive_gain,
+    neighborhood_signal,
+    observer_input,
+)
 from safe_containment.safety import sequential_filter
 from safe_containment.scenario import (
     FollowerSpec,
@@ -352,12 +356,14 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
         gamma = eval_stacked(engine.attack_coeff, engine.attack_rate,
                              scn.attack_start, t)
         driving, dtheta = observer_input(
-            xi, gamma[:, :3], theta, engine.q, scn.gain_cap, resilient)
+            xi, gamma[:, :3], adaptive_gain(theta, scn.gain_cap), engine.q,
+            resilient)
         dzeta = zeta @ engine.S.T + driving
         u_c = nominal_input(engine.K, engine.H, x, zeta)
         gamma_hat, drho = compensation_law(
-            projected_error(engine.PB, x - zeta), rho, engine.alpha, engine.c,
-            t, scn.gain_cap)
+            projected_error(engine.PB, x - zeta),
+            adaptive_gain(rho, scn.gain_cap), engine.alpha,
+            np.exp(-engine.c * t * t))
         if not resilient:
             gamma_hat, drho = 0 * gamma_hat, 0 * drho
         u = u_c - gamma_hat + gamma[:, 3:]
@@ -414,3 +420,52 @@ def test_the_operator_holds_the_model_coefficients(paper_scenario, doc):
     np.testing.assert_allclose(
         engine.L[xi][:, cols], kron, rtol=0,
         atol=4 * np.finfo(float).eps * np.abs(kron).max())
+
+
+@pytest.mark.parametrize("doc", [None, _tiny_doc_m2], ids=["paper", "m2"])
+def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
+    paper_scenario, doc
+):
+    scn = paper_scenario if doc is None else scenario_from_dict(doc())
+    engine = Engine(scn)
+    N, n, O = engine.N, engine.n, engine.O
+    x, lead, zeta, _, _ = engine._slices
+    ec, do, pairs = engine._observed
+    hull = -np.kron(engine.phi.hull_weights, np.eye(n))
+    want = np.zeros((do.stop, engine.D))
+    want[ec, x], want[ec, lead] = np.eye(N * n), hull
+    want[do, zeta], want[do, lead] = np.eye(N * n), hull
+    assert np.array_equal(O[:do.stop], want)
+
+    # one +1 and one -1 per pair row, so O @ y gives x_i - x_j exactly
+    assert np.all((O[pairs] == 1).sum(axis=1) == 1)
+    assert np.all((O[pairs] == -1).sum(axis=1) == 1)
+    assert np.all((O[pairs] != 0).sum(axis=1) == 2)
+    _, pair_i, pair_j = safety._pair_index(N)
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        y = rng.standard_normal(engine.D) * 10.0 ** rng.uniform(-3, 3, engine.D)
+        xs = y[x].reshape(N, n)
+        got = (O @ y)[pairs].reshape(-1, n)
+        assert np.array_equal(got, xs[pair_i] - xs[pair_j])
+
+
+def test_the_time_memo_keeps_the_derivative_and_its_arrays_read_only(
+    paper_scenario,
+):
+    # before, across and after the attack onset at 3 s; the last pair
+    # evicts t1 from the memo of three times before it is asked again
+    engine = Engine(paper_scenario)
+    rng = np.random.default_rng(4)
+    y = engine.initial_state() + 0.01 * rng.standard_normal(engine.D)
+    for times in ((1.0, 2.5), (2.5, 3.5), (3.5, 9.0), (1.0, 2.0, 3.25, 3.5)):
+        t1 = times[0]
+        for t in (*times, t1):
+            got = engine._pipeline(t, y)
+        assert len(engine._at_time) <= 3
+        assert np.array_equal(got, Engine(paper_scenario)._pipeline(t1, y))
+    for terms in engine._at_time.values():
+        for v in terms:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[...] = 0.0

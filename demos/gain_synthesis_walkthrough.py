@@ -8,32 +8,24 @@ and the closed-loop spectrum that make the tracking loop work.
 
 import numpy as np
 
-from safe_containment import (
-    AgentModel,
-    LeaderModel,
-    check_leader_assumption,
-    load_scenario,
-    synthesize_gains,
-)
+from safe_containment import leader_problems, load_scenario, synthesize_gains
 from safe_containment.gains import care_residual
 
 scn = load_scenario("paper_sec4")
-leader = LeaderModel(scn.S)
+S = scn.S
 
-check = check_leader_assumption(leader)
 print("leader dynamics S =")
-print(np.array2string(leader.S, precision=3))
-print(f"marginally stable: {check.passed}")
-print("eigenvalues:", np.round(check.eigenvalues, 6))
+print(np.array2string(S, precision=3))
+print(f"marginally stable: {not leader_problems(S)}")
+print("eigenvalues:", np.round(np.linalg.eigvals(S), 6))
 print()
 
 for idx, f in enumerate(scn.followers, start=1):
-    model = AgentModel(f.A, f.B, f.Q, f.U)
-    g = synthesize_gains(model, leader)
-    closed = model.A + model.B @ g.K
-    reg_res = np.linalg.norm(leader.S - model.A - model.B @ g.Pi)
+    g = synthesize_gains(f.A, f.B, f.Q, f.U, S)
+    closed = f.A + f.B @ g.K
+    reg_res = np.linalg.norm(S - f.A - f.B @ g.Pi)
     print(f"follower {idx}")
-    print(f"  riccati residual   {care_residual(model, g.P):.3e}")
+    print(f"  riccati residual   {care_residual(f.A, f.B, f.Q, f.U, g.P):.3e}")
     print(f"  regulator residual {reg_res:.3e}")
     print(f"  P eigenvalues      {np.round(np.linalg.eigvalsh(g.P), 4)}")
     print(
@@ -41,9 +33,6 @@ for idx, f in enumerate(scn.followers, start=1):
         f"{np.round(np.sort(np.linalg.eigvals(closed).real), 4)}"
     )
     # the two gain paths recombine into the matching condition
-    recombined = model.A + model.B @ (g.K + g.H)
-    print(
-        "  ||A + B(K+H) - S|| "
-        f"{np.linalg.norm(recombined - leader.S):.3e}"
-    )
+    recombined = f.A + f.B @ (g.K + g.H)
+    print(f"  ||A + B(K+H) - S|| {np.linalg.norm(recombined - S):.3e}")
     print()

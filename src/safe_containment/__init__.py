@@ -6,11 +6,9 @@ and a deterministic fixed-step simulator."""
 from .attacks import eval_stacked
 from .compensation import nominal_input
 from .gains import (
-    AgentModel,
     GainSet,
     GainSynthesisError,
-    LeaderModel,
-    check_leader_assumption,
+    leader_problems,
     model_problems,
     solve_care,
     solve_regulator,
@@ -44,13 +42,11 @@ from .topology import (
 )
 
 __all__ = [
-    "AgentModel",
     "AgentRows",
     "Engine",
     "FilterResult",
     "GainSet",
     "GainSynthesisError",
-    "LeaderModel",
     "PairConstraint",
     "PhiFamily",
     "QPInfeasibleError",
@@ -63,10 +59,10 @@ __all__ = [
     "TraceRecord",
     "build_constraint",
     "build_phi_family",
-    "check_leader_assumption",
     "check_reachability",
     "containment_error",
     "eval_stacked",
+    "leader_problems",
     "load_scenario",
     "model_problems",
     "neighborhood_signal",

@@ -259,15 +259,15 @@ def cmd_gains(args) -> int:
     if scenario is None:
         return EXIT_ERROR
     engine = sim.Engine(scenario)
-    s = engine.S
-    for idx, (model, gainset) in enumerate(zip(engine.models, engine.gains)):
-        reg_res = np.linalg.norm(s - model.A - model.B @ gainset.Pi)
+    for idx, (f, gainset) in enumerate(zip(scenario.followers, engine.gains)):
+        care_res = care_residual(f.A, f.B, f.Q, f.U, gainset.P)
+        reg_res = np.linalg.norm(engine.S - f.A - f.B @ gainset.Pi)
         print(f"follower {idx + 1}:")
         for name in ("P", "K", "H", "Pi"):
             print(f"  {name} =")
             for row in np.atleast_2d(getattr(gainset, name)):
                 print("    [" + ", ".join(f"{v:.17g}" for v in row) + "]")
-        print(f"  riccati_residual = {care_residual(model, gainset.P):.3e}")
+        print(f"  riccati_residual = {care_res:.3e}")
         print(f"  regulator_residual = {reg_res:.3e}")
     return EXIT_OK
 

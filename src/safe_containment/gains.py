@@ -59,53 +59,27 @@ def model_problems(A, B, Q, U, n: int | None = None) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class AgentModel:
-    """Follower dynamics x' = A x + B u with Riccati weights Q, U."""
-
-    A: np.ndarray
-    B: np.ndarray
-    Q: np.ndarray
-    U: np.ndarray
-
-    def __post_init__(self):
-        mats = {
-            field: np.atleast_2d(np.asarray(getattr(self, field), dtype=float))
-            for field in "ABQU"
-        }
-        problems = model_problems(*mats.values())
-        if problems:
-            raise GainSynthesisError(problems[0])
-        for field, val in mats.items():
-            object.__setattr__(self, field, val)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-
-@dataclass(frozen=True)
-class LeaderModel:
-    """Leader dynamics x' = S x; the exosystem all followers track."""
-
-    S: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.S, dtype=float))
-        if s.shape[0] != s.shape[1]:
-            raise GainSynthesisError("S must be square")
-        object.__setattr__(self, "S", s)
-
-
-@dataclass(frozen=True)
-class LeaderCheck:
-    passed: bool
-    eigenvalues: np.ndarray
-    reasons: tuple[str, ...]
+def leader_problems(S) -> list[str]:
+    """Every problem of the leader matrix S, one line each: S square and
+    finite, Re(lambda) <= LEADER_TOL everywhere, and every eigenvalue on
+    the imaginary axis simple."""
+    s = np.asarray(S, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        return ["S must be square"]
+    if not np.all(np.isfinite(s)):
+        return ["S must be finite"]
+    eigs = np.linalg.eigvals(s)
+    problems = []
+    if np.any(eigs.real > LEADER_TOL):
+        problems.append("S has an eigenvalue with positive real part: "
+                        f"max Re = {eigs.real.max():.3e}")
+    on_axis = eigs[np.abs(eigs.real) <= LEADER_TOL]
+    for lam in on_axis:
+        if np.sum(np.abs(on_axis - lam) <= 1e-7) > 1:
+            problems.append(
+                f"S has a repeated imaginary-axis eigenvalue near {lam:.6g}")
+            break
+    return problems
 
 
 @dataclass(frozen=True)
@@ -118,31 +92,10 @@ class GainSet:
     Pi: np.ndarray
 
 
-def check_leader_assumption(leader: LeaderModel) -> LeaderCheck:
-    """Marginal-stability check on S: Re(lambda) <= LEADER_TOL everywhere,
-    and any eigenvalue on the imaginary axis must be simple."""
-    eigs = np.linalg.eigvals(leader.S)
-    reasons = []
-    if np.any(eigs.real > LEADER_TOL):
-        reasons.append(
-            f"eigenvalue with positive real part: max Re = {eigs.real.max():.3e}"
-        )
-    on_axis = eigs[np.abs(eigs.real) <= LEADER_TOL]
-    for k, lam in enumerate(on_axis):
-        close = np.sum(np.abs(on_axis - lam) <= 1e-7)
-        if close > 1:
-            reasons.append(f"repeated imaginary-axis eigenvalue near {lam:.6g}")
-            break
-    return LeaderCheck(
-        passed=not reasons, eigenvalues=eigs, reasons=tuple(reasons)
-    )
-
-
-def solve_regulator(model: AgentModel, leader: LeaderModel) -> np.ndarray:
+def solve_regulator(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Least-squares solution Pi of S = A + B Pi, exact to REGULATOR_TOL."""
-    rhs = leader.S - model.A
-    pi, *_ = np.linalg.lstsq(model.B, rhs, rcond=None)
-    residual = np.linalg.norm(leader.S - model.A - model.B @ pi)
+    pi, *_ = np.linalg.lstsq(B, S - A, rcond=None)
+    residual = np.linalg.norm(S - A - B @ pi)
     if residual > REGULATOR_TOL:
         raise GainSynthesisError(
             "regulator equation unsolvable for this (A, B, S): "
@@ -165,15 +118,13 @@ def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k0
 
 
-def care_residual(model: AgentModel, p: np.ndarray) -> float:
-    a, b, q, u = model.A, model.B, model.Q, model.U
-    uinv_bt = np.linalg.solve(u, b.T)
-    return float(
-        np.linalg.norm(a.T @ p + p @ a + q - p @ b @ uinv_bt @ p)
-    )
+def care_residual(A, B, Q, U, P) -> float:
+    """Norm of the Riccati residual A'P + PA + Q - P B U^-1 B' P."""
+    uinv_bt = np.linalg.solve(U, B.T)
+    return float(np.linalg.norm(A.T @ P + P @ A + Q - P @ B @ uinv_bt @ P))
 
 
-def solve_care(model: AgentModel) -> np.ndarray:
+def solve_care(A, B, Q, U) -> np.ndarray:
     """Newton-Kleinman iteration for the stabilizing Riccati solution.
 
     Each Newton step solves the Lyapunov equation
@@ -181,33 +132,39 @@ def solve_care(model: AgentModel) -> np.ndarray:
     K = -U^-1 B' P; the iteration is quadratically convergent from any
     stabilizing K.
     """
-    a, b, q, u = model.A, model.B, model.Q, model.U
-    k = _initial_stabilizing_gain(a, b)
+    k = _initial_stabilizing_gain(A, B)
     residual = np.inf
     for _ in range(CARE_MAX_ITER):
-        acl = a + b @ k
-        p = solve_continuous_lyapunov(acl.T, -(q + k.T @ u @ k))
+        acl = A + B @ k
+        p = solve_continuous_lyapunov(acl.T, -(Q + k.T @ U @ k))
         p = 0.5 * (p + p.T)
-        k = -np.linalg.solve(u, b.T @ p)
-        residual = care_residual(model, p)
+        k = -np.linalg.solve(U, B.T @ p)
+        residual = care_residual(A, B, Q, U, p)
         if residual <= CARE_TOL * 1e-2 or residual <= 1e-12:
             break
     if residual > CARE_TOL:
         raise GainSynthesisError(
             f"Riccati iteration did not converge: final residual {residual:.3e}"
         )
-    if np.any(np.linalg.eigvals(a + b @ k).real >= 0):
+    if np.any(np.linalg.eigvals(A + B @ k).real >= 0):
         raise GainSynthesisError("Riccati solution is not stabilizing")
     if np.any(np.linalg.eigvalsh(p) <= 0):
         raise GainSynthesisError("Riccati solution is not positive definite")
     return p
 
 
-def synthesize_gains(model: AgentModel, leader: LeaderModel) -> GainSet:
-    """Solve both matrix equations and assemble the gain set
-    K = -U^-1 B' P, H = Pi - K."""
-    pi = solve_regulator(model, leader)
-    p = solve_care(model)
-    k = -np.linalg.solve(model.U, model.B.T @ p)
-    h = pi - k
-    return GainSet(P=p, K=k, H=h, Pi=pi)
+def synthesize_gains(A, B, Q, U, S) -> GainSet:
+    """Solve both matrix equations for the follower x' = A x + B u with
+    Riccati weights Q, U and the leader x' = S x, and assemble the gain
+    set K = -U^-1 B' P, H = Pi - K.  Raises GainSynthesisError with the
+    first problem of a non-square S or of the model (``model_problems``)."""
+    a, b, q, u, s = (np.asarray(mat, dtype=float) for mat in (A, B, Q, U, S))
+    problems = model_problems(a, b, q, u)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        problems.insert(0, "S must be square")
+    if problems:
+        raise GainSynthesisError(problems[0])
+    pi = solve_regulator(a, b, s)
+    p = solve_care(a, b, q, u)
+    k = -np.linalg.solve(u, b.T @ p)
+    return GainSet(P=p, K=k, H=pi - k, Pi=pi)

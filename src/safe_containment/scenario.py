@@ -94,23 +94,16 @@ class ScenarioConfig:
         errs: list[str] = []
         s = np.asarray(self.S)
         n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
-        leader = None
-        if n is None:
-            errs.append("S must be square")
-        elif not np.all(np.isfinite(s)):
-            errs.append("S must be finite")
-        else:
-            leader = gains.LeaderModel(s)
-            check = gains.check_leader_assumption(leader)
-            errs.extend(f"leader S: {r}" for r in check.reasons)
+        errs.extend(gains.leader_problems(s))
+        regulator = n is not None and bool(np.all(np.isfinite(s)))
 
         for idx, f in enumerate(self.followers):
             tag = f"follower {idx}"
             problems = gains.model_problems(f.A, f.B, f.Q, f.U, n)
             errs.extend(f"{tag}: {p}" for p in problems)
-            if leader is not None and not problems:
-                try:  # synthesize_gains' check; it reads only A and B
-                    gains.solve_regulator(f, leader)
+            if regulator and not problems:
+                try:  # synthesize_gains' check
+                    gains.solve_regulator(f.A, f.B, s)
                 except gains.GainSynthesisError as exc:
                     errs.append(f"{tag}: {exc}")
             m = f.B.shape[1] if f.B.ndim == 2 else None

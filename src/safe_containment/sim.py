@@ -10,8 +10,8 @@ evaluation is both the logged sample and the first RK4 stage.  Every
 layer but the filter is linear in the packed state apart from the
 adaptive gains' exponentials, the compensation's gain law and the
 attacks, so one matrix L gives all the linear parts of an evaluation in
-one product, and one matrix O all that a step measures; both are those
-parts evaluated on the identity once per scenario.
+one product, and one matrix O the errors a step measures; both are
+those parts evaluated on the identity once per scenario.
 
 Three controller modes share the pipeline:
 
@@ -36,7 +36,7 @@ from . import safety
 from .attacks import eval_stacked
 from .compensation import (
     compensation_law, nominal_input, per_follower, projected_error)
-from .gains import AgentModel, LeaderModel, synthesize_gains
+from .gains import synthesize_gains
 from .observer import adaptive_gain, neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
@@ -171,15 +171,15 @@ class Engine:
         self.M = sc.n_leaders
         self.n_steps = int(round(sc.horizon / sc.dt))
         self.S = np.asarray(sc.S, dtype=float)
-        self.leader = LeaderModel(self.S)
-        self.models = [AgentModel(f.A, f.B, f.Q, f.U) for f in sc.followers]
-        self.gains = [synthesize_gains(m, self.leader) for m in self.models]
+        self.models = sc.followers  # each with its A, B, Q and U
+        self.gains = [synthesize_gains(f.A, f.B, f.Q, f.U, self.S)
+                      for f in sc.followers]
 
-        self.A = np.stack([m.A for m in self.models])
-        self.B = np.stack([m.B for m in self.models])
+        self.A = np.stack([f.A for f in sc.followers], dtype=float)
+        self.B = np.stack([f.B for f in sc.followers], dtype=float)
         self.K = np.stack([g.K for g in self.gains])
         self.H = np.stack([g.H for g in self.gains])
-        self.PB = np.stack([g.P @ m.B for g, m in zip(self.gains, self.models)])
+        self.PB = np.stack([g.P @ B for g, B in zip(self.gains, self.B)])
 
         self.topology: Topology = sc.topology
         self.phi: PhiFamily = build_phi_family(self.topology)
@@ -196,25 +196,28 @@ class Engine:
             for k in (0, 1)
         )
 
-        self.layout = TraceLayout(self.N, self.n, self.models[0].m)
+        N, n, m = self.N, self.n, self.B.shape[2]
+        self.layout = TraceLayout(N, n, m)
 
         self.qp_infeasible_count = 0
         self.filter_intervention_count = 0
         self.first_infeasible_time: float | None = None
 
-        N, n, m = self.N, self.n, self.models[0].m
         # the packed state: x, leader_x, zeta, theta, rho_hat
         self._slices = _consecutive([N * n, self.M * n, N * n, N, N])
         self.D = self._slices[-1].stop
         # L @ y stacks the derivative's linear part (D rows), then xi, eps,
-        # s and u_c; O @ y stacks e_c, delta_o and the pair differences
+        # s and u_c; O @ y stacks e_c and delta_o
         self._outputs = _consecutive([N * n, N * n, N * m, N * m], self.D)
-        self._observed = _consecutive([N * n, N * n, len(self.layout.pairs) * n])
+        self._observed = _consecutive([N * n, N * n])
         ops = _operator(self._linear_parts(np.eye(self.D)))
         self.L, self.O = np.split(ops, [self._outputs[-1].stop])
         self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
         self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
-        self._at_time = {}  # see _time_terms
+        self._at_time = (None, None)  # see _time_terms
+        # where x_i and x_j of every follower pair sit in y (x comes first)
+        self._pair_x = [k[:, None] * n + np.arange(n)
+                        for k in safety._pair_index(N)[1:]]
 
     # -- state packing ---------------------------------------------------
 
@@ -249,15 +252,13 @@ class Engine:
         """What an evaluation and a step compute linearly from a batch
         (..., D) of packed states: the derivative's linear part (A x,
         S leader_x, S zeta and zero gain rates), xi, eps, s and u_c, then
-        e_c, delta_o and the follower-pair differences x_i - x_j.
+        e_c and delta_o.
 
         ``L`` and ``O`` are this function on the identity, so their entries
-        are the model's own coefficients, exactly, and a pair row of ``O``
-        holds one +1 and one -1: it gives x_i - x_j with its bits."""
+        are the model's own coefficients, exactly."""
         x, lead, zeta, theta, rho = self._unpack(y)
         eps = x - zeta
         ref = _hull_reference(lead, self.phi)
-        _, i, j = safety._pair_index(self.N)
         return (
             per_follower(self.A, x),  # x' = A x + B u
             lead @ self.S.T,
@@ -268,23 +269,23 @@ class Engine:
             eps,
             projected_error(self.PB, eps),
             nominal_input(self.K, self.H, x, zeta),
-            x - ref, zeta - ref, np.take(x, i, -2) - np.take(x, j, -2),
+            x - ref, zeta - ref,
         )
 
     def _time_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Both attacks (N, n + m) and the regularizers exp(-c t^2) at t,
-        read-only, kept for the last three times (RK4's stages share them)."""
-        if t not in self._at_time:
-            if len(self._at_time) == 3:
-                del self._at_time[next(iter(self._at_time))]
+        read-only, kept for the last time asked: a stage time repeats
+        only the one just before it (RK4's two midpoint stages, and a
+        step's first stage where it equals the previous step's last)."""
+        if self._at_time[0] != t:
             sc = self.scenario
-            self._at_time[t] = (
-                eval_stacked(self.attack_coeff, self.attack_rate,
-                             sc.attack_start, t, sc.absolute_clock),
-                np.exp(-self.c * t * t))
-            for v in self._at_time[t]:
+            terms = (eval_stacked(self.attack_coeff, self.attack_rate,
+                                  sc.attack_start, t, sc.absolute_clock),
+                     np.exp(-self.c * t * t))
+            for v in terms:
                 v.flags.writeable = False
-        return self._at_time[t]
+            self._at_time = (t, terms)
+        return self._at_time[1]
 
     # -- control pipeline -------------------------------------------------
 
@@ -392,9 +393,10 @@ class Engine:
         sc = self.scenario
         t = k * sc.dt
         obs = self.O @ y
-        e_c, delta_o, diffs = [obs[sl] for sl in self._observed]
+        e_c, delta_o = [obs[sl] for sl in self._observed]
         ec_norm = math.sqrt(e_c @ e_c)
-        diffs = diffs.reshape(-1, self.n)
+        at_i, at_j = self._pair_x
+        diffs = y.take(at_i) - y.take(at_j)  # x_i - x_j, (P, n)
         dist = np.sqrt(safety._rowdot(diffs, diffs))  # bits of a per-pair norm
         min_pair = float(dist.min()) if len(dist) else np.inf
 

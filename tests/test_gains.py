@@ -5,74 +5,68 @@ from oracles import charpoly_eigenvalues
 from safe_containment.gains import (
     CARE_TOL,
     REGULATOR_TOL,
-    AgentModel,
     GainSynthesisError,
-    LeaderModel,
     care_residual,
-    check_leader_assumption,
+    leader_problems,
     solve_care,
     solve_regulator,
     synthesize_gains,
 )
 
 
-def _models(paper_scenario):
-    leader = LeaderModel(paper_scenario.S)
-    models = [
-        AgentModel(f.A, f.B, f.Q, f.U) for f in paper_scenario.followers
-    ]
-    return leader, models
+def _model(f):
+    """A follower's (A, B, Q, U), as the solvers take them."""
+    return f.A, f.B, f.Q, f.U
 
 
 def test_regulator_identity_input_matrix(paper_scenario):
-    leader, models = _models(paper_scenario)
-    pi = solve_regulator(models[0], leader)
-    assert pi == pytest.approx(leader.S - models[0].A, abs=1e-12)
+    f, S = paper_scenario.followers[0], paper_scenario.S
+    pi = solve_regulator(f.A, f.B, S)
+    assert pi == pytest.approx(S - f.A, abs=1e-12)
 
 
 def test_regulator_invertible_input_matrix(paper_scenario):
-    leader, models = _models(paper_scenario)
-    pi = solve_regulator(models[1], leader)
-    oracle = np.linalg.inv(models[1].B) @ (leader.S - models[1].A)
+    f, S = paper_scenario.followers[1], paper_scenario.S
+    pi = solve_regulator(f.A, f.B, S)
+    oracle = np.linalg.inv(f.B) @ (S - f.A)
     assert pi == pytest.approx(oracle, abs=1e-10)
-    res = np.linalg.norm(leader.S - models[1].A - models[1].B @ pi)
+    res = np.linalg.norm(S - f.A - f.B @ pi)
     assert res <= REGULATOR_TOL
 
 
 def test_regulator_unsolvable_zero_input_matrix(paper_scenario):
     # B = 0 cannot satisfy the matching condition; it is already rejected
-    # as uncontrollable when the model is built
+    # as uncontrollable before either equation is solved
     with pytest.raises(GainSynthesisError):
-        AgentModel(
+        synthesize_gains(
             A=paper_scenario.followers[0].A,
             B=np.zeros((3, 3)),
             Q=np.eye(3),
             U=np.eye(3),
+            S=paper_scenario.S,
         )
 
 
 def test_care_scalar_quadratic_formula():
     # -2p + 3 - p^2 = 0 with p > 0 gives p = 1
-    model = AgentModel(A=[[-1.0]], B=[[1.0]], Q=[[3.0]], U=[[1.0]])
-    p = solve_care(model)
+    A, B, Q, U = (np.array([[v]]) for v in (-1.0, 1.0, 3.0, 1.0))
+    p = solve_care(A, B, Q, U)
     assert p == pytest.approx(np.array([[1.0]]), abs=1e-10)
 
 
 def test_care_paper_follower_one(paper_scenario):
-    _, models = _models(paper_scenario)
-    p = solve_care(models[0])
+    f = paper_scenario.followers[0]
+    p = solve_care(*_model(f))
     assert p == pytest.approx(p.T, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(p)) > 0
-    assert care_residual(models[0], p) <= CARE_TOL
-    k = -np.linalg.solve(models[0].U, models[0].B.T @ p)
-    eigs = charpoly_eigenvalues(models[0].A + models[0].B @ k)
+    assert care_residual(*_model(f), p) <= CARE_TOL
+    k = -np.linalg.solve(f.U, f.B.T @ p)
+    eigs = charpoly_eigenvalues(f.A + f.B @ k)
     assert np.all(eigs.real < 0)
 
 
 def test_synthesize_scalar_identity_toy():
-    model = AgentModel(A=[[0.0]], B=[[1.0]], Q=[[1.0]], U=[[1.0]])
-    leader = LeaderModel([[0.0]])
-    g = synthesize_gains(model, leader)
+    g = synthesize_gains(A=[[0.0]], B=[[1.0]], Q=[[1.0]], U=[[1.0]], S=[[0.0]])
     assert g.P == pytest.approx(np.array([[1.0]]), abs=1e-10)
     assert g.K == pytest.approx(np.array([[-1.0]]), abs=1e-10)
     assert g.Pi == pytest.approx(np.array([[0.0]]), abs=1e-12)
@@ -80,21 +74,20 @@ def test_synthesize_scalar_identity_toy():
 
 
 def test_feedforward_split_identity(paper_scenario):
-    leader, models = _models(paper_scenario)
-    g = synthesize_gains(models[2], leader)
+    f = paper_scenario.followers[2]
+    g = synthesize_gains(*_model(f), paper_scenario.S)
     assert np.array_equal(g.H + g.K, g.Pi)
 
 
 def test_follower_four_closed_loop_hurwitz(paper_scenario):
-    leader, models = _models(paper_scenario)
-    g = synthesize_gains(models[3], leader)
-    eigs = charpoly_eigenvalues(models[3].A + models[3].B @ g.K)
+    f = paper_scenario.followers[3]
+    g = synthesize_gains(*_model(f), paper_scenario.S)
+    eigs = charpoly_eigenvalues(f.A + f.B @ g.K)
     assert np.all(eigs.real < 0)
 
 
 def test_leader_check_paper_matrix(paper_scenario):
-    check = check_leader_assumption(LeaderModel(paper_scenario.S))
-    assert check.passed
+    assert leader_problems(paper_scenario.S) == []
     def by_imag(vals):
         vals = np.asarray(vals)
         return vals[np.argsort(vals.imag)]
@@ -102,50 +95,60 @@ def test_leader_check_paper_matrix(paper_scenario):
     expected = by_imag([0.0, 1j * np.sqrt(6.0), -1j * np.sqrt(6.0)])
     eigs = by_imag(charpoly_eigenvalues(paper_scenario.S))
     assert eigs == pytest.approx(expected, abs=1e-10)
-    got = by_imag(check.eigenvalues)
+    # the eigenvalues leader_problems examines
+    got = by_imag(np.linalg.eigvals(paper_scenario.S))
     assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_leader_check_unstable_fails():
-    check = check_leader_assumption(LeaderModel(np.eye(2)))
-    assert not check.passed
-    assert any("positive real part" in r for r in check.reasons)
+    problems = leader_problems(np.eye(2))
+    assert problems
+    assert any("positive real part" in r for r in problems)
 
 
 def test_leader_check_repeated_axis_eigenvalue_fails():
-    check = check_leader_assumption(LeaderModel(np.zeros((2, 2))))
-    assert not check.passed
-    assert any("repeated" in r for r in check.reasons)
+    problems = leader_problems(np.zeros((2, 2)))
+    assert problems
+    assert any("repeated" in r for r in problems)
 
 
 def test_model_validation():
+    S = np.zeros((2, 2))
     with pytest.raises(GainSynthesisError, match="symmetric"):
-        AgentModel(A=np.eye(2), B=np.eye(2),
-                   Q=np.array([[1.0, 1], [0, 1]]), U=np.eye(2))
+        synthesize_gains(A=np.eye(2), B=np.eye(2),
+                         Q=np.array([[1.0, 1], [0, 1]]), U=np.eye(2), S=S)
     with pytest.raises(GainSynthesisError, match="positive definite"):
-        AgentModel(A=np.eye(2), B=np.eye(2), Q=-np.eye(2), U=np.eye(2))
+        synthesize_gains(A=np.eye(2), B=np.eye(2), Q=-np.eye(2), U=np.eye(2),
+                         S=S)
     with pytest.raises(GainSynthesisError, match="controllable"):
-        AgentModel(
+        synthesize_gains(
             A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]),
-            Q=np.eye(2), U=np.eye(1),
+            Q=np.eye(2), U=np.eye(1), S=S,
         )
+
+
+def test_non_square_leader_matrix_is_rejected():
+    with pytest.raises(GainSynthesisError, match="S must be square"):
+        synthesize_gains(A=np.eye(2), B=np.eye(2), Q=np.eye(2), U=np.eye(2),
+                         S=np.zeros((2, 3)))
+    assert leader_problems(np.zeros((2, 3))) == ["S must be square"]
 
 
 def test_gain_invariants_all_followers(paper_scenario):
-    leader, models = _models(paper_scenario)
+    S = paper_scenario.S
     rng = np.random.default_rng(7)
-    for model in models:
-        g = synthesize_gains(model, leader)
-        assert care_residual(model, g.P) <= CARE_TOL
-        reg = np.linalg.norm(leader.S - model.A - model.B @ g.Pi)
+    for f in paper_scenario.followers:
+        g = synthesize_gains(*_model(f), S)
+        assert care_residual(*_model(f), g.P) <= CARE_TOL
+        reg = np.linalg.norm(S - f.A - f.B @ g.Pi)
         assert reg <= REGULATOR_TOL
         assert g.P == pytest.approx(g.P.T, abs=1e-12)
         for _ in range(100):
-            x = rng.standard_normal(model.n)
+            x = rng.standard_normal(len(f.A))
             assert x @ g.P @ x > 0
         assert g.K == pytest.approx(
-            -np.linalg.solve(model.U, model.B.T @ g.P), abs=1e-12
+            -np.linalg.solve(f.U, f.B.T @ g.P), abs=1e-12
         )
         # matching condition rearranged through the gain split
-        closed = model.A + model.B @ (g.K + g.H)
-        assert closed == pytest.approx(leader.S, abs=1e-9)
+        closed = f.A + f.B @ (g.K + g.H)
+        assert closed == pytest.approx(S, abs=1e-9)

@@ -14,6 +14,8 @@ from safe_containment.safety import (
     sequential_filter,
     solve_agent_qp,
 )
+from safe_containment.scenario import load_scenario
+from safe_containment.sim import Engine
 
 
 def _plant(a, b):
@@ -41,6 +43,27 @@ def test_build_constraint_hand_oracle():
     assert c.b == pytest.approx(0.91)
     assert c.h == pytest.approx(-0.91)
     assert c.pair == (0, 1)
+
+
+def test_engine_models_give_build_constraint_the_filter_rows(monkeypatch):
+    # the benchmark builds agent 1's rows as
+    # build_constraint(1, j, x, Engine(scenario).models, u_j, 5.0, 0.3)
+    engine = Engine(load_scenario("paper_sec4"))
+    x = np.array([[5.0, 5, 5], [0, 0, 0], [0.2, 0, 0], [0, 0.2, 0]])
+    u_bars = np.array([[0.0, 0, 0], [10, 10, 0], [-1, 0, 0], [0, -1, 0]])
+    rows = {}
+
+    def recorded(u_bar, constraints):
+        rows[constraints.pairs[0][0]] = constraints
+        return solve_agent_qp(u_bar, constraints)
+
+    monkeypatch.setattr(safety, "solve_agent_qp", recorded)
+    results = sequential_filter(u_bars, x, engine.A, engine.B, 5.0, 0.3)
+    assert [j for _, j in rows[1].pairs] == [2, 3]
+    for a, b, (_, j) in zip(rows[1].a, rows[1].b, rows[1].pairs):
+        con = build_constraint(1, j, x, engine.models, results[j].u, 5.0, 0.3)
+        assert np.array_equal(con.a, a)
+        assert con.b == b
 
 
 def _analytic_hdot(states, models, u_i, u_j):

@@ -430,42 +430,71 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
     engine = Engine(scn)
     N, n, O = engine.N, engine.n, engine.O
     x, lead, zeta, _, _ = engine._slices
-    ec, do, pairs = engine._observed
+    ec, do = engine._observed
     hull = -np.kron(engine.phi.hull_weights, np.eye(n))
     want = np.zeros((do.stop, engine.D))
     want[ec, x], want[ec, lead] = np.eye(N * n), hull
     want[do, zeta], want[do, lead] = np.eye(N * n), hull
-    assert np.array_equal(O[:do.stop], want)
+    assert np.array_equal(O, want)
 
-    # one +1 and one -1 per pair row, so O @ y gives x_i - x_j exactly
-    assert np.all((O[pairs] == 1).sum(axis=1) == 1)
-    assert np.all((O[pairs] == -1).sum(axis=1) == 1)
-    assert np.all((O[pairs] != 0).sum(axis=1) == 2)
+    # a sampled row's d column holds the bits of the per-pair norm of
+    # x_i - x_j, in the layout's pair order
     _, pair_i, pair_j = safety._pair_index(N)
+    table = engine.new_table()
     rng = np.random.default_rng(21)
     for _ in range(50):
         y = rng.standard_normal(engine.D) * 10.0 ** rng.uniform(-3, 3, engine.D)
+        with np.errstate(all="ignore"):
+            _, _, min_pair, row = engine.step(engine.n_steps, y, table)
         xs = y[x].reshape(N, n)
-        got = (O @ y)[pairs].reshape(-1, n)
-        assert np.array_equal(got, xs[pair_i] - xs[pair_j])
+        diffs = xs[pair_i] - xs[pair_j]
+        dist = engine.layout.record(row).pair_distance
+        assert np.array_equal(dist, np.sqrt(safety._rowdot(diffs, diffs)))
+        assert min_pair == dist.min()
 
 
 def test_the_time_memo_keeps_the_derivative_and_its_arrays_read_only(
     paper_scenario,
 ):
-    # before, across and after the attack onset at 3 s; the last pair
-    # evicts t1 from the memo of three times before it is asked again
+    # before, across and after the attack onset at 3 s; the memo keeps
+    # one time, so t1 asked again after another time is computed anew,
+    # and asked once more is the kept one
     engine = Engine(paper_scenario)
     rng = np.random.default_rng(4)
     y = engine.initial_state() + 0.01 * rng.standard_normal(engine.D)
     for times in ((1.0, 2.5), (2.5, 3.5), (3.5, 9.0), (1.0, 2.0, 3.25, 3.5)):
         t1 = times[0]
-        for t in (*times, t1):
+        for t in (*times, t1, t1):
             got = engine._pipeline(t, y)
-        assert len(engine._at_time) <= 3
+        assert engine._at_time[0] == t1
         assert np.array_equal(got, Engine(paper_scenario)._pipeline(t1, y))
-    for terms in engine._at_time.values():
-        for v in terms:
-            assert not v.flags.writeable
-            with pytest.raises(ValueError):
-                v[...] = 0.0
+    for v in engine._at_time[1]:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[...] = 0.0
+
+
+def test_the_time_terms_are_computed_once_per_run_of_equal_stage_times(
+    paper_scenario, monkeypatch
+):
+    # a step's stage times are k dt, t + dt/2 twice and t + dt; the next
+    # step's k dt may equal t + dt or differ from it in the last bit
+    scn = dataclasses.replace(paper_scenario, horizon=0.2)
+    calls = []
+
+    def counted(coeff, rate, start, t, absolute_clock):
+        calls.append(t)
+        return eval_stacked(coeff, rate, start, t, absolute_clock)
+
+    monkeypatch.setattr(sim, "eval_stacked", counted)
+    engine = Engine(scn)
+    y = engine.initial_state()
+    stages = []
+    for k in range(engine.n_steps + 1):
+        t = k * scn.dt
+        stages += [t] if k == engine.n_steps else [t, t + scn.dt / 2,
+                                                    t + scn.dt / 2, t + scn.dt]
+        y = engine.step(k, y)[0]
+    distinct = [t for i, t in enumerate(stages) if i == 0 or t != stages[i - 1]]
+    assert calls == distinct
+    assert len(distinct) < len(stages)

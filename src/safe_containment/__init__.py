@@ -25,14 +25,7 @@ from .safety import (
     solve_agent_qp,
 )
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
-from .sim import (
-    Engine,
-    RunResult,
-    SimulationError,
-    TraceRecord,
-    containment_error,
-    run,
-)
+from .sim import Engine, RunResult, SimulationError, TraceRecord, run
 from .topology import (
     PhiFamily,
     Topology,
@@ -60,7 +53,6 @@ __all__ = [
     "build_constraint",
     "build_phi_family",
     "check_reachability",
-    "containment_error",
     "eval_stacked",
     "leader_problems",
     "load_scenario",

@@ -144,22 +144,6 @@ def _operator(parts) -> np.ndarray:
     return op
 
 
-def _hull_reference(leader_x: np.ndarray, phi: PhiFamily) -> np.ndarray:
-    """The (N, n) convex-hull reference each follower is measured against:
-    (sum_nu Phi_nu)^-1 sum_r (Phi_r 1) x_r, row per follower."""
-    return phi.hull_weights @ leader_x
-
-
-def containment_error(
-    states: np.ndarray, leader_x: np.ndarray, phi: PhiFamily
-) -> np.ndarray:
-    """Stacked error of follower states (or observer estimates) relative
-    to the leaders' convex hull (zero iff every row sits at its hull
-    reference)."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    return (states - _hull_reference(np.atleast_2d(leader_x), phi)).ravel()
-
-
 class Engine:
     """Precompiled scenario: gains synthesized, arrays stacked, ready to step."""
 
@@ -258,7 +242,7 @@ class Engine:
         are the model's own coefficients, exactly."""
         x, lead, zeta, theta, rho = self._unpack(y)
         eps = x - zeta
-        ref = _hull_reference(lead, self.phi)
+        ref = self.phi.hull_weights @ lead  # each follower's hull reference
         return (
             per_follower(self.A, x),  # x' = A x + B u
             lead @ self.S.T,

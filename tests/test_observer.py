@@ -40,9 +40,10 @@ def test_single_edge_arithmetic():
     )
 
 
-def test_stacked_matches_dense_oracle(paper_scenario):
+def test_stacked_matches_dense_oracle(paper_scenario, paper_engine):
     top = paper_scenario.topology
     fam = build_phi_family(top)
+    _, lead_sl, zeta_sl, _, _ = paper_engine._slices
     rng = np.random.default_rng(3)
     for _ in range(20):
         zetas = rng.standard_normal((4, 3))
@@ -53,7 +54,9 @@ def test_stacked_matches_dense_oracle(paper_scenario):
         assert xs.ravel() == pytest.approx(dense, abs=1e-12)
         # and equals -sum_nu (Phi_nu kron I) applied to the observer
         # containment error
-        delta_o = sim.containment_error(zetas, leaders, fam)
+        y = np.zeros(paper_engine.D)
+        y[lead_sl], y[zeta_sl] = leaders.ravel(), zetas.ravel()
+        delta_o = (paper_engine.O @ y)[paper_engine._observed[1]]
         big = sum(
             np.kron(fam.phi[r], np.eye(3)) for r in range(fam.phi.shape[0])
         )

@@ -25,24 +25,37 @@ from safe_containment.scenario import (
     ScenarioConfig,
     scenario_from_dict,
 )
-from safe_containment.sim import Engine, SimulationError, containment_error
+from safe_containment.sim import Engine, SimulationError
 from safe_containment.topology import Topology, build_phi_family
+
+
+def _observed(engine, x, leaders, zeta=None):
+    """e_c and delta_o that ``Engine.O`` gives at the packed state holding
+    the followers' x, the leaders' states and the estimates zeta (x where
+    none is given)."""
+    y = np.zeros(engine.D)
+    for sl, v in zip(engine._slices, (x, leaders, x if zeta is None else zeta)):
+        y[sl] = np.ravel(v)
+    obs = engine.O @ y
+    return [obs[sl] for sl in engine._observed]
 
 
 def test_containment_error_degenerate_hull(paper_engine):
     point = np.array([0.4, -0.2, 1.0])
     followers = np.tile(point, (4, 1))
     leaders = np.tile(point, (4, 1))
-    e_c = containment_error(followers, leaders, paper_engine.phi)
+    e_c, _ = _observed(paper_engine, followers, leaders)
     assert e_c == pytest.approx(np.zeros(12), abs=1e-14)
 
 
 def test_containment_error_single_pair():
+    # one follower pinned by one leader: its hull reference is the leader
     top = Topology(adjacency=np.zeros((1, 1)), pinning=np.array([[1.0]]))
     fam = build_phi_family(top)
     x = np.array([[3.0, 1.0]])
     y = np.array([[1.0, -1.0]])
-    assert containment_error(x, y, fam) == pytest.approx([2.0, 2.0])
+    assert np.array_equal(fam.hull_weights, [[1.0]])
+    assert (x - fam.hull_weights @ y).ravel() == pytest.approx([2.0, 2.0])
 
 
 def test_containment_error_matches_dense_oracle(paper_engine):
@@ -50,13 +63,12 @@ def test_containment_error_matches_dense_oracle(paper_engine):
     for _ in range(20):
         followers = rng.standard_normal((4, 3))
         leaders = rng.standard_normal((4, 3))
-        got = containment_error(followers, leaders, paper_engine.phi)
+        zetas = rng.standard_normal((4, 3))
+        got, got_o = _observed(paper_engine, followers, leaders, zetas)
         want = oracles.kron_containment_error(
             followers, leaders, paper_engine.phi
         )
         assert got == pytest.approx(want, abs=1e-12)
-        zetas = rng.standard_normal((4, 3))
-        got_o = containment_error(zetas, leaders, paper_engine.phi)
         want_o = oracles.kron_containment_error(
             zetas, leaders, paper_engine.phi
         )
@@ -71,9 +83,9 @@ def test_containment_error_matches_dense_oracle(paper_engine):
 def test_observer_error_zero_at_hull_reference(paper_engine):
     rng = np.random.default_rng(19)
     leaders = rng.standard_normal((4, 3))
-    reference = sim._hull_reference(leaders, paper_engine.phi)
-    out = containment_error(reference, leaders, paper_engine.phi)
-    assert out == pytest.approx(np.zeros(12), abs=1e-12)
+    reference = paper_engine.phi.hull_weights @ leaders
+    for out in _observed(paper_engine, reference, leaders):
+        assert out == pytest.approx(np.zeros(12), abs=1e-12)
 
 
 def _equilibrium_scenario(paper_scenario):

@@ -340,10 +340,10 @@ class Engine:
         k4 = self._pipeline(t + dt, y + dt * k3)
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def observe(self, row, t, state, parts, e_c, delta_o, dist) -> None:
+    def observe(self, row, t, state, parts, e_c, delta_o, dist, h) -> None:
         """Write into a table row the sample of the pipeline evaluation
         ``parts`` made at the unpacked ``state`` at time t, whose follower
-        pairs are ``dist`` apart."""
+        pairs are ``dist`` apart with barrier values ``h``."""
         x, _, zeta, theta, rho = state
         values = dict(parts, x=x, zeta=zeta, theta=theta, rho_hat=rho,
                       e_c=e_c, delta_o=delta_o)
@@ -352,9 +352,7 @@ class Engine:
         np.concatenate([values[attr].reshape(self.N, -1)
                         for attr, _, _ in TRACE_FIELDS], axis=1, out=body)
         xi[...] = parts["xi"]
-        pair[:, 0] = dist
-        # Python float ** is libm pow; numpy's array square differs in last bits
-        pair[:, 1] = [self.scenario.d_s**2 - d**2 for d in dist.tolist()]
+        pair[:, 0], pair[:, 1] = dist, h
         active = {p for res in parts["results"] or () for p in res.active_set}
         pair[:, 2] = [p in active for p in self.layout.pairs]
 
@@ -381,7 +379,8 @@ class Engine:
         ec_norm = math.sqrt(e_c @ e_c)
         at_i, at_j = self._pair_x
         diffs = y.take(at_i) - y.take(at_j)  # x_i - x_j, (P, n)
-        dist = np.sqrt(safety._rowdot(diffs, diffs))  # bits of a per-pair norm
+        rr = safety._rowdot(diffs, diffs)
+        dist = np.sqrt(rr)  # bits of a per-pair norm
         min_pair = float(dist.min()) if len(dist) else np.inf
 
         row = None
@@ -389,7 +388,8 @@ class Engine:
         if table is not None and (k % stride == 0 or k == self.n_steps):
             row = table[-(-k // stride)]
             deriv, parts = self._pipeline(t, y, collect=True)
-            self.observe(row, t, self._unpack(y), parts, e_c, delta_o, dist)
+            h = sc.d_s * sc.d_s - rr  # the filter's barrier value
+            self.observe(row, t, self._unpack(y), parts, e_c, delta_o, dist, h)
         else:
             deriv = self._pipeline(t, y)
         if k >= self.n_steps:

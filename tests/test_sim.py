@@ -450,7 +450,8 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
     assert np.array_equal(O, want)
 
     # a sampled row's d column holds the bits of the per-pair norm of
-    # x_i - x_j, in the layout's pair order
+    # x_i - x_j, and its h column those of the barrier value the filter
+    # evaluates, in the layout's pair order
     _, pair_i, pair_j = safety._pair_index(N)
     table = engine.new_table()
     rng = np.random.default_rng(21)
@@ -460,9 +461,15 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
             _, _, min_pair, row = engine.step(engine.n_steps, y, table)
         xs = y[x].reshape(N, n)
         diffs = xs[pair_i] - xs[pair_j]
-        dist = engine.layout.record(row).pair_distance
+        rec = engine.layout.record(row)
+        dist = rec.pair_distance
         assert np.array_equal(dist, np.sqrt(safety._rowdot(diffs, diffs)))
         assert min_pair == dist.min()
+        ax = np.matmul(engine.A, xs[:, :, None])[:, :, 0]
+        _, h, _, _, _ = safety._barrier_terms(
+            xs[pair_i], xs[pair_j], ax[pair_i], ax[pair_j],
+            engine.B[pair_i], scn.delta, scn.d_s)
+        assert np.array_equal(rec.pair_h, h)
 
 
 def test_the_time_memo_keeps_the_derivative_and_its_arrays_read_only(

@@ -5,8 +5,6 @@ leaves the higher-indexed agent alone and deflects the lower-indexed one
 just enough to keep the pairwise distance at or above d_s.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from safe_containment import sequential_filter
@@ -15,12 +13,8 @@ D_S = 0.3
 DT = 1e-3
 STEPS = 2000
 
-models = [
-    SimpleNamespace(A=-0.2 * np.eye(3), B=np.eye(3)),
-    SimpleNamespace(A=-0.2 * np.eye(3), B=np.eye(3)),
-]
-A = np.stack([m.A for m in models])
-B = np.stack([m.B for m in models])
+A = np.stack([-0.2 * np.eye(3)] * 2)  # both agents' A and B, stacked
+B = np.stack([np.eye(3)] * 2)
 
 
 def simulate(filtered: bool) -> np.ndarray:
@@ -34,9 +28,7 @@ def simulate(filtered: bool) -> np.ndarray:
                 u = np.stack([r.u for r in res])
             else:
                 u = u_bar
-            return np.stack(
-                [models[i].A @ xs[i] + models[i].B @ u[i] for i in range(2)]
-            )
+            return np.stack([A[i] @ xs[i] + B[i] @ u[i] for i in range(2)])
 
         k1 = rate(x)
         k2 = rate(x + DT / 2 * k1)

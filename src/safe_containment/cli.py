@@ -217,8 +217,7 @@ def cmd_run(args) -> int:
     try:
         result = sim.run(scenario)
     except SimulationError as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _report(f"simulation aborted: {exc}")
 
     base = f"{scenario.name}_{scenario.controller_mode}"
     try:
@@ -293,10 +292,8 @@ def cmd_sweep(args) -> int:
         return _report(problem)
     rows = []
     for value in values:
-        if args.param in ("d_s", "dt", "attack_start"):
+        if args.param in ("d_s", "delta", "dt", "attack_start"):
             variant = dataclasses.replace(scenario, **{args.param: value})
-        elif args.param == "delta":
-            variant = dataclasses.replace(scenario, delta=np.asarray(value))
         else:
             followers = [
                 dataclasses.replace(f, **{args.param: value})

@@ -3,8 +3,8 @@
 A scenario is a JSON document naming every quantity a run needs: follower
 and leader models, the communication topology, attack signal tables,
 adaptation constants, initial states, and integrator settings.  Loading
-validates everything up front and reports *all* violations, not just the
-first.
+validates everything up front and reports every violation at once; only
+a field that is missing or not numeric is reported alone.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ScenarioConfig:
     followers: list[FollowerSpec]
     S: np.ndarray
     leader_x0: np.ndarray
-    topology: topo.Topology
+    topology: topo.Topology | None  # None: the graph was rejected
     d_s: float = 0.3
     delta: np.ndarray = field(default_factory=lambda: np.array(5.0))
     attack_start: float = 3.0
@@ -131,11 +131,12 @@ class ScenarioConfig:
             errs.append(f"leader_x0 must be (M, {n or 'n'})")
         elif not np.all(np.isfinite(lead)):
             errs.append("leader_x0 must be finite")
-        if self.topology.n_followers != self.n_followers:
+        graph = self.topology
+        if graph is not None and graph.n_followers != self.n_followers:
             errs.append("topology follower count does not match followers")
-        if lead.ndim and self.topology.n_leaders != len(lead):
+        if graph is not None and lead.ndim and graph.n_leaders != len(lead):
             errs.append("topology leader count does not match leader_x0")
-        unreachable = topo.check_reachability(self.topology)
+        unreachable = graph is not None and topo.check_reachability(graph)
         if unreachable:
             errs.append(
                 f"followers unreachable from every leader: {sorted(unreachable)}"
@@ -253,13 +254,12 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
             attack_cil=_attack(f, "attack_cil", where),
             attack_ol=_attack(f, "attack_ol", where),
         ))
+    weights = [_matrix(doc.get("topology"), key, "topology.")
+               for key in ("adjacency", "pinning")]
     try:
-        graph = topo.Topology(*(
-            _matrix(doc.get("topology"), key, "topology.")
-            for key in ("adjacency", "pinning")
-        ))
+        graph, violations = topo.Topology(*weights), []
     except topo.TopologyError as exc:
-        raise ScenarioError([f"topology: {exc}"]) from exc
+        graph, violations = None, [f"topology: {exc}"]
     numbers = {
         key: _number(doc, key, default)
         for key, default in (
@@ -281,7 +281,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
         controller_mode=str(doc.get("controller_mode", "saar")),
         **numbers,
     )
-    violations = config.validate()
+    violations += config.validate()
     if violations:
         raise ScenarioError(violations)
     return config

@@ -280,6 +280,18 @@ def test_loader_errors_are_listed_once_and_name_the_field():
     assert _violations([doc]) == ["a scenario must be a JSON object"]
 
 
+def test_a_rejected_topology_is_listed_with_the_other_violations():
+    doc = _bundled_doc()
+    doc["topology"]["adjacency"][0][1] = -1
+    doc["followers"][2]["Q"] = [[3, 0, 0], [0, -3, 0], [0, 0, 3]]
+    doc["dt"] = -1
+    assert _violations(doc) == [
+        "topology: edge and pinning weights must be finite and nonnegative",
+        "follower 2: Q must be positive definite",
+        "dt must be positive",
+    ]
+
+
 @pytest.mark.parametrize("field, edit, violation", [
     ("Q", lambda f: f.update(Q=[[3, 1, 0], [0, 3, 0], [0, 0, 3]]),
      "Q must be symmetric"),
@@ -737,6 +749,17 @@ def test_cli_sweep_names_the_value_it_cannot_run(tmp_path, capsys, extra, named)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_cli_run_reports_an_aborted_simulation_as_an_error(tmp_path, capsys):
+    # the sweep test's document: dt = 0.5 is far past RK4's stability limit
+    doc = _tiny_doc()
+    doc["horizon"], doc["dt"] = 1.0, 0.5
+    args = ["run", "--scenario", _write(tmp_path, doc), "--mode",
+            "resilient_unsafe", "--output-dir", str(tmp_path / "o")]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: simulation aborted: non-finite state at t=1.000000\n"
 
 
 def test_one_follower_summary_is_strict_json(tmp_path):

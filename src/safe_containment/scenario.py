@@ -131,16 +131,16 @@ class ScenarioConfig:
             errs.append(f"leader_x0 must be (M, {n or 'n'})")
         elif not np.all(np.isfinite(lead)):
             errs.append("leader_x0 must be finite")
-        graph = self.topology
-        if graph is not None and graph.n_followers != self.n_followers:
-            errs.append("topology follower count does not match followers")
-        if graph is not None and lead.ndim and graph.n_leaders != len(lead):
-            errs.append("topology leader count does not match leader_x0")
-        unreachable = graph is not None and topo.check_reachability(graph)
-        if unreachable:
-            errs.append(
-                f"followers unreachable from every leader: {sorted(unreachable)}"
-            )
+        graph = self.topology  # None: scenario_from_dict listed why
+        if graph is not None:
+            if graph.n_followers != self.n_followers:
+                errs.append("topology follower count does not match followers")
+            if lead.ndim and graph.n_leaders != len(lead):
+                errs.append("topology leader count does not match leader_x0")
+            unreachable = topo.check_reachability(graph)
+            if unreachable:
+                errs.append("followers unreachable from every leader: "
+                            f"{sorted(unreachable)}")
 
         for key, val in (
             ("d_s", self.d_s),

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-from .gains import care_residual
+from .gains import GainSynthesisError, care_residual
 from .scenario import CONTROLLER_MODES, ScenarioError, load_scenario
 from .sim import RunResult, SimulationError
 
@@ -214,11 +214,7 @@ def cmd_run(args) -> int:
     problem = _output_dir_error(outdir)
     if problem:
         return _report(problem)
-    try:
-        result = sim.run(scenario)
-    except SimulationError as exc:
-        return _report(f"simulation aborted: {exc}")
-
+    result = sim.run(scenario)
     base = f"{scenario.name}_{scenario.controller_mode}"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -355,7 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimulationError as exc:
+        return _report(f"simulation aborted: {exc}")
+    except GainSynthesisError as exc:  # from run, gains and sweep
+        return _report(f"gain synthesis failed: {exc}")
 
 
 def main() -> None:

@@ -130,19 +130,24 @@ def solve_care(A, B, Q, U) -> np.ndarray:
     Each Newton step solves the Lyapunov equation
     (A + B K)' P + P (A + B K) = -(Q + K' U K) and refreshes
     K = -U^-1 B' P; the iteration is quadratically convergent from any
-    stabilizing K.
+    stabilizing K.  An iterate that leaves the finite range, or a
+    ValueError from the solvers it meets, raises GainSynthesisError.
     """
-    k = _initial_stabilizing_gain(A, B)
     residual = np.inf
-    for _ in range(CARE_MAX_ITER):
-        acl = A + B @ k
-        p = solve_continuous_lyapunov(acl.T, -(Q + k.T @ U @ k))
-        p = 0.5 * (p + p.T)
-        k = -np.linalg.solve(U, B.T @ p)
-        residual = care_residual(A, B, Q, U, p)
-        if residual <= CARE_TOL * 1e-2 or residual <= 1e-12:
-            break
-    if residual > CARE_TOL:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = _initial_stabilizing_gain(A, B)
+            for _ in range(CARE_MAX_ITER):
+                acl = A + B @ k
+                p = solve_continuous_lyapunov(acl.T, -(Q + k.T @ U @ k))
+                p = 0.5 * (p + p.T)
+                k = -np.linalg.solve(U, B.T @ p)
+                residual = care_residual(A, B, Q, U, p)
+                if not CARE_TOL * 1e-2 < residual < np.inf:
+                    break  # converged, or not finite
+    except ValueError as exc:  # ours, or a solver's on an overflowed iterate
+        raise GainSynthesisError(str(exc)) from exc
+    if not residual <= CARE_TOL:  # also a nan residual
         raise GainSynthesisError(
             f"Riccati iteration did not converge: final residual {residual:.3e}"
         )

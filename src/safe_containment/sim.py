@@ -11,7 +11,9 @@ layer but the filter is linear in the packed state apart from the
 adaptive gains' exponentials, the compensation's gain law and the
 attacks, so one matrix L gives all the linear parts of an evaluation in
 one product, and one matrix O the errors a step measures; both are
-those parts evaluated on the identity once per scenario.
+those parts evaluated on the identity once per scenario.  A run
+integrates BLOCK steps, keeping their states and sampled pipeline
+outputs, then measures them together in a few stacked products.
 
 Three controller modes share the pipeline:
 
@@ -26,7 +28,6 @@ Three controller modes share the pipeline:
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, make_dataclass
 
@@ -66,6 +67,12 @@ TRACE_FIELDS = (
     ("e_c", "ec", "n"),
     ("delta_o", "do", "n"),
 )
+
+
+BLOCK = 128  # steps a run integrates before it measures them together
+# The pipeline outputs a sampled step records, in its sample row's order.
+SAMPLED = ("xi", "eps", "u_c", "gamma_hat", "u_r", "u_bar", "u", "delta_u",
+           "pair_active")
 
 
 # One sample of a run as views into its row of the run's table: t, then
@@ -109,20 +116,23 @@ class TraceLayout:
             cols.extend(f"{c}_{i + 1}_{j + 1}" for c in ("d", "h", "active"))
         return cols
 
-    def split(self, row: np.ndarray):
-        """Views of a row's follower blocks (N, ·), pair columns (P, 3)
-        and xi (N, n)."""
-        return (
-            row[1:self.pair_start].reshape(self.N, -1),
-            row[self.pair_start:self.n_csv].reshape(-1, 3),
-            row[self.n_csv:].reshape(self.N, self.n),
-        )
+    def column_map(self, at: dict) -> np.ndarray:
+        """The source column each column of a row copies, given in ``at``
+        those of t and of every other TraceRecord array, flattened."""
+        cols = np.empty(self.width, dtype=np.intp)
+        cols[:1] = at.pop("t")
+        rec = self.record(cols)
+        for name, src in at.items():
+            getattr(rec, name)[...] = src.reshape(getattr(rec, name).shape)
+        return cols
 
     def record(self, row: np.ndarray) -> TraceRecord:
         """The TraceRecord viewing one row of a table."""
-        body, pair, xi = self.split(row)
+        body = row[1:self.pair_start].reshape(self.N, -1)
+        pair = row[self.pair_start:self.n_csv].reshape(-1, 3)
         return TraceRecord(
-            t=float(row[0]), xi=xi, pairs=list(self.pairs),
+            t=float(row[0]), xi=row[self.n_csv:].reshape(self.N, self.n),
+            pairs=list(self.pairs),
             pair_distance=pair[:, 0], pair_h=pair[:, 1], pair_active=pair[:, 2],
             **{attr: body[:, col] for attr, col in self.columns.items()},
         )
@@ -199,9 +209,17 @@ class Engine:
         self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
         self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
         self._at_time = (None, None)  # see _time_terms
-        # where x_i and x_j of every follower pair sit in y (x comes first)
-        self._pair_x = [k[:, None] * n + np.arange(n)
-                        for k in safety._pair_index(N)[1:]]
+        # a sampled step's source row, whose columns its table row gathers:
+        # t, y, O y, its SAMPLED outputs, then pair distances and barriers
+        P = len(self.layout.pairs)
+        sizes = [1, *(sl.stop - sl.start for sl in self._slices),
+                 *[N * n] * 4, *[N * m] * 6, P, P, P]
+        self._sample_width = sum(sizes[8:-2])
+        at = dict(zip(("t", "x", "leader_x", "zeta", "theta", "rho_hat", "e_c",
+                       "delta_o", *SAMPLED, "pair_distance", "pair_h"),
+                      np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
+        del at["leader_x"]
+        self._columns = self.layout.column_map(at)
 
     # -- state packing ---------------------------------------------------
 
@@ -324,9 +342,12 @@ class Engine:
         deriv[rho_sl] = drho
         if not collect:
             return deriv
+        active = np.zeros(len(self.layout.pairs))
+        active[[self.layout.pairs.index(p)
+                for r in results or () for p in r.active_set]] = 1.0
         return deriv, dict(
             xi=xi, eps=z[eps_sl], u_c=u_c, gamma_hat=gamma_hat, u_r=u_r,
-            u_bar=u_bar, u=u, delta_u=u - u_bar, results=results,
+            u_bar=u_bar, u=u, delta_u=u - u_bar, pair_active=active,
         )
 
     # -- integration -------------------------------------------------------
@@ -340,21 +361,52 @@ class Engine:
         k4 = self._pipeline(t + dt, y + dt * k3)
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def observe(self, row, t, state, parts, e_c, delta_o, dist, h) -> None:
-        """Write into a table row the sample of the pipeline evaluation
-        ``parts`` made at the unpacked ``state`` at time t, whose follower
-        pairs are ``dist`` apart with barrier values ``h``."""
-        x, _, zeta, theta, rho = state
-        values = dict(parts, x=x, zeta=zeta, theta=theta, rho_hat=rho,
-                      e_c=e_c, delta_o=delta_o)
-        body, pair, xi = self.layout.split(row)
-        row[0] = t
-        np.concatenate([values[attr].reshape(self.N, -1)
-                        for attr, _, _ in TRACE_FIELDS], axis=1, out=body)
-        xi[...] = parts["xi"]
-        pair[:, 0], pair[:, 1] = dist, h
-        active = {p for res in parts["results"] or () for p in res.active_set}
-        pair[:, 2] = [p in active for p in self.layout.pairs]
+    def _sampled(self, k):
+        """Whether step k (an int or an int array) is sampled."""
+        return (k % self.scenario.output_stride == 0) | (k == self.n_steps)
+
+    def advance(self, k0: int, y: np.ndarray, steps: int, table=None):
+        """Integrate ``steps`` steps from step k0's state y, keeping each
+        state and, with a ``table``, the SAMPLED outputs of each sampled
+        step's first RK4 stage; then ``observe`` them.  Returns the state
+        after them (None past the horizon) and what ``observe`` returns."""
+        sc = self.scenario
+        Y = np.empty((steps, self.D))
+        samples = np.empty((steps, self._sample_width))
+        for i, k in enumerate(range(k0, k0 + steps)):
+            Y[i], t = y, k * sc.dt
+            if table is not None and self._sampled(k):
+                deriv, parts = self._pipeline(t, y, collect=True)
+                np.concatenate([parts[name].ravel() for name in SAMPLED],
+                               out=samples[i])
+            else:
+                deriv = self._pipeline(t, y)
+            y = self._rk4(t, y, sc.dt, deriv) if k < self.n_steps else None
+            if y is not None and not np.all(np.isfinite(y)):
+                raise SimulationError(f"non-finite state at t={t + sc.dt:.6f}")
+        return y, *self.observe(k0, Y, samples, table)
+
+    def observe(self, k0: int, Y: np.ndarray, samples: np.ndarray, table):
+        """The containment-error norms and least follower pair distances of
+        the steps from k0 whose packed states are the rows of Y; with a
+        ``table``, also write the sampled ones' rows (see ``advance``)."""
+        sc = self.scenario
+        # stacked, these products keep the bits of O @ y and _rowdot per step
+        obs = np.matmul(self.O, Y[:, :, None])[:, :, 0]
+        e_c = obs[:, self._observed[0]]
+        x = Y[:, self._slices[0]].reshape(len(Y), self.N, self.n)
+        _, i, j = safety._pair_index(self.N)
+        diffs = (x[:, i] - x[:, j]).reshape(-1, self.n)
+        rr = safety._rowdot(diffs, diffs).reshape(len(Y), -1)
+        dist = np.sqrt(rr)  # bits of a per-pair norm
+        if table is not None:
+            at = np.flatnonzero(self._sampled(k0 + np.arange(len(Y))))
+            table[-(-(k0 + at) // sc.output_stride)] = np.concatenate([
+                ((k0 + at) * sc.dt)[:, None], Y[at], obs[at], samples[at],
+                dist[at], sc.d_s * sc.d_s - rr[at],  # the filter's barrier
+            ], axis=1)[:, self._columns]
+        return (np.sqrt(safety._rowdot(e_c, e_c)),
+                dist.min(axis=1, initial=np.inf))
 
     def new_table(self) -> np.ndarray:
         """An unfilled table with one row per sampled step: every
@@ -363,42 +415,14 @@ class Engine:
         return np.empty((rows, self.layout.width))
 
     def step(self, k: int, y: np.ndarray, table: np.ndarray | None = None):
-        """Evaluate the pipeline once at step k's packed state y (time
-        k * dt), write the sample into its row of ``table`` (from
-        ``new_table``) if step k is sampled, and advance.
-
-        Returns (y_next, ec_norm, min_pair, row): the state of step k + 1
-        (None once k reaches the horizon), the containment-error norm and
-        the least follower pair distance at step k, and the table row
-        written (None on steps between samples or without a table).
-        """
-        sc = self.scenario
-        t = k * sc.dt
-        obs = self.O @ y
-        e_c, delta_o = [obs[sl] for sl in self._observed]
-        ec_norm = math.sqrt(e_c @ e_c)
-        at_i, at_j = self._pair_x
-        diffs = y.take(at_i) - y.take(at_j)  # x_i - x_j, (P, n)
-        rr = safety._rowdot(diffs, diffs)
-        dist = np.sqrt(rr)  # bits of a per-pair norm
-        min_pair = float(dist.min()) if len(dist) else np.inf
-
-        row = None
-        stride = sc.output_stride
-        if table is not None and (k % stride == 0 or k == self.n_steps):
-            row = table[-(-k // stride)]
-            deriv, parts = self._pipeline(t, y, collect=True)
-            h = sc.d_s * sc.d_s - rr  # the filter's barrier value
-            self.observe(row, t, self._unpack(y), parts, e_c, delta_o, dist, h)
-        else:
-            deriv = self._pipeline(t, y)
-        if k >= self.n_steps:
-            return None, ec_norm, min_pair, row
-
-        y_next = self._rk4(t, y, sc.dt, deriv)
-        if not np.all(np.isfinite(y_next)):
-            raise SimulationError(f"non-finite state at t={t + sc.dt:.6f}")
-        return y_next, ec_norm, min_pair, row
+        """Step k (time k * dt) from its packed state y as a block of one,
+        sampled into ``table`` (from ``new_table``) if it is.  Returns
+        (y_next, ec_norm, min_pair, row) as ``advance`` gives them, and
+        the table row written, or None."""
+        y_next, ec_norm, min_pair = self.advance(k, y, 1, table)
+        sampled = table is not None and self._sampled(k)
+        row = table[-(-k // self.scenario.output_stride)] if sampled else None
+        return y_next, float(ec_norm[0]), float(min_pair[0]), row
 
 
 @dataclass
@@ -429,26 +453,19 @@ def run(scenario: ScenarioConfig) -> RunResult:
     """
     engine = Engine(scenario)
     y = engine.initial_state()
-
     table = engine.new_table()
     t_start = time.perf_counter()
-    ec_norms = []
-    min_pair = np.inf
-    first_divergence = None
-    # A run that blows up ends at the finiteness check in ``step``; numpy's
-    # overflow and NaN warnings on the way there add nothing to it.
+    steps = engine.n_steps + 1
+    ec_norms, pair_mins = np.empty((2, steps))
+    # A run that blows up ends at the finiteness check in ``advance``;
+    # numpy's overflow and NaN warnings on the way there add nothing to it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(engine.n_steps + 1):
-            y, ec_norm, pair_min, _ = engine.step(k, y, table)
-            ec_norms.append(ec_norm)
-            min_pair = min(min_pair, pair_min)
-            if (
-                first_divergence is None
-                and k > 0
-                and ec_norm > scenario.divergence_threshold
-            ):
-                first_divergence = k * scenario.dt
+        for k0 in range(0, steps, BLOCK):
+            y, ec_norms[k0:k0 + BLOCK], pair_mins[k0:k0 + BLOCK] = (
+                engine.advance(k0, y, min(BLOCK, steps - k0), table))
     wall = time.perf_counter() - t_start
+    over = np.flatnonzero(ec_norms[1:] > scenario.divergence_threshold)
+    first_divergence = (int(over[0]) + 1) * scenario.dt if len(over) else None
 
     # theta and rho_hat never decrease, so the final values are the peaks
     final = engine.layout.record(table[-1])
@@ -456,12 +473,9 @@ def run(scenario: ScenarioConfig) -> RunResult:
         log.warning(
             "adaptive gains clamped at gain_cap %.3g: final max theta %.3g, "
             "max rho_hat %.3g",
-            scenario.gain_cap,
-            final.theta.max(),
-            final.rho_hat.max(),
+            scenario.gain_cap, final.theta.max(), final.rho_hat.max(),
         )
 
-    ec_norms = np.asarray(ec_norms)
     tail_start = int(len(ec_norms) * 0.7)
     summary = {
         "scenario": scenario.name,
@@ -471,7 +485,7 @@ def run(scenario: ScenarioConfig) -> RunResult:
         "max_ec": float(ec_norms.max()),
         "max_ec_tail": float(ec_norms[tail_start:].max()),
         "final_ec": float(ec_norms[-1]),
-        "min_pair_distance": float(min_pair) if engine.N > 1 else None,
+        "min_pair_distance": float(pair_mins.min()) if engine.N > 1 else None,
         "first_divergence_time": first_divergence,
         "final_theta": [float(v) for v in final.theta],
         "final_rho_hat": [float(v) for v in final.rho_hat],

@@ -54,6 +54,18 @@ def test_care_scalar_quadratic_formula():
     assert p == pytest.approx(np.array([[1.0]]), abs=1e-10)
 
 
+@pytest.mark.parametrize("A, B, Q, match", [
+    # the initial gain's Lyapunov equation overflows: scipy's ValueError
+    (np.eye(2), 1e300 * np.eye(2), np.eye(2), "must not contain infs"),
+    # the first iterate's residual overflows to inf, or to nan
+    (-np.eye(2), np.eye(2), 1e300 * np.eye(2), "final residual inf"),
+    (-np.eye(2), 1e300 * np.eye(2), np.eye(2), "final residual nan"),
+], ids=["lyapunov", "inf", "nan"])
+def test_care_reports_an_overflow_as_a_synthesis_error(A, B, Q, match):
+    with pytest.raises(GainSynthesisError, match=match):
+        solve_care(A, B, Q, np.eye(2))
+
+
 def test_care_paper_follower_one(paper_scenario):
     f = paper_scenario.followers[0]
     p = solve_care(*_model(f))

@@ -762,6 +762,31 @@ def test_cli_run_reports_an_aborted_simulation_as_an_error(tmp_path, capsys):
     assert err == "error: simulation aborted: non-finite state at t=1.000000\n"
 
 
+@pytest.mark.parametrize("follower, field", [(0, "Q"), (1, "B")])
+def test_cli_reports_a_failed_gain_synthesis_as_an_error(
+    tmp_path, capsys, follower, field
+):
+    # every value is finite, so the document is valid, but its Riccati
+    # iteration overflows
+    doc = _bundled_doc()
+    spec = doc["followers"][follower]
+    spec[field] = [[v * 1e300 for v in row] for row in spec[field]]
+    scn_path = _write(tmp_path, doc)
+    assert cli.run_command(["validate", "--scenario", scn_path]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "o"
+    for args in (["run", "--output-dir", str(out)], ["gains"],
+                 ["sweep", "--param", "q", "--values", "1", "--output-dir",
+                  str(out)]):
+        args = [args[0], "--scenario", scn_path, *args[1:]]
+        assert cli.run_command(args) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gain synthesis failed: ")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_one_follower_summary_is_strict_json(tmp_path):
     doc = _tiny_doc()
     doc["followers"] = doc["followers"][:1]

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 import oracles
-from test_scenario_cli import _tiny_doc_m2
+from test_scenario_cli import _tiny_doc, _tiny_doc_m2
 from safe_containment import safety, sim
 from safe_containment.attacks import eval_stacked
 from safe_containment.compensation import (
@@ -517,3 +517,100 @@ def test_the_time_terms_are_computed_once_per_run_of_equal_stage_times(
     distinct = [t for i, t in enumerate(stages) if i == 0 or t != stages[i - 1]]
     assert calls == distinct
     assert len(distinct) < len(stages)
+
+
+def _stepped(scn):
+    """The engine, table and per-step containment-error norms and least
+    pair distances of a run stepped by hand through ``Engine.step``."""
+    engine = Engine(scn)
+    table = engine.new_table()
+    y = engine.initial_state()
+    norms, mins = [], []
+    for k in range(engine.n_steps + 1):
+        y, ec_norm, min_pair, _ = engine.step(k, y, table)
+        norms.append(ec_norm)
+        mins.append(min_pair)
+    return engine, table, np.array(norms), np.array(mins)
+
+
+def _first_divergence(norms, scn):
+    """The per-step rule: the time of the first step k > 0 whose error
+    norm exceeds the threshold."""
+    for k in range(1, len(norms)):
+        if norms[k] > scn.divergence_threshold:
+            return k * scn.dt
+    return None
+
+
+# more than two blocks of steps, and not a whole number of them
+N_STEPS = 2 * sim.BLOCK + 44
+
+
+@pytest.mark.parametrize("mode, stride", [
+    ("saar", 7), ("resilient_unsafe", 7), ("conventional", 7),
+    # a stride longer than a block leaves the middle block unsampled
+    ("conventional", 2 * sim.BLOCK + 4),
+])
+def test_run_matches_stepping_by_hand(paper_scenario, mode, stride):
+    assert (N_STEPS + 1) % sim.BLOCK and N_STEPS % stride  # last step apart
+    scn = dataclasses.replace(
+        paper_scenario.with_mode(mode), output_stride=stride,
+        horizon=N_STEPS * paper_scenario.dt)
+    engine, table, norms, mins = _stepped(scn)
+    if mode == "saar":
+        assert engine.filter_intervention_count > 0
+        assert table[:, engine.layout.pair_start + 2:engine.layout.n_csv:3].any()
+    # only step 0 lies above this threshold, and it does not count
+    threshold = (norms[0] + norms[1:].max()) / 2
+    assert norms[0] > threshold
+    for scn in (scn, dataclasses.replace(scn, divergence_threshold=threshold)):
+        result = sim.run(scn)
+        assert result.table.shape == table.shape
+        assert np.array_equal(result.table, table)
+        final = result.layout.record(result.table[-1])
+        assert final.t == N_STEPS * scn.dt
+        got = dict(result.summary)
+        del got["wall_clock_s"]
+        assert got == {
+            "scenario": scn.name, "mode": mode, "horizon": scn.horizon,
+            "dt": scn.dt, "max_ec": norms.max(),
+            "max_ec_tail": norms[int(len(norms) * 0.7):].max(),
+            "final_ec": norms[-1], "min_pair_distance": mins.min(),
+            "first_divergence_time": _first_divergence(norms, scn),
+            "final_theta": list(final.theta),
+            "final_rho_hat": list(final.rho_hat),
+            "qp_infeasible_count": engine.qp_infeasible_count,
+            "filter_intervention_count": engine.filter_intervention_count,
+            "first_infeasible_time": engine.first_infeasible_time,
+        }
+        assert got["first_divergence_time"] is None
+
+
+def test_a_blow_up_inside_a_block_and_a_divergence_read_from_the_norms():
+    # dt = 0.02 is past RK4's stability limit for the two-follower
+    # document's gains: the error swings ever wider and, by 8 s, overflows
+    doc = _tiny_doc()
+    doc["horizon"], doc["dt"] = 8.0, 0.02
+    scn = scenario_from_dict(doc).with_mode("resilient_unsafe")
+    engine = Engine(scn)
+    y = engine.initial_state()
+    with pytest.raises(SimulationError) as stepped, np.errstate(all="ignore"):
+        for k in range(engine.n_steps + 1):
+            y = engine.step(k, y)[0]
+    assert k > sim.BLOCK and 0 < k % sim.BLOCK < sim.BLOCK - 1
+    assert str(stepped.value) == f"non-finite state at t={(k + 1) * scn.dt:.6f}"
+    with pytest.raises(SimulationError) as ran:
+        sim.run(scn)
+    assert str(ran.value) == str(stepped.value)
+
+    # before the blow-up, the first crossing read from the run's norm array
+    # is the per-step rule's, wherever it falls
+    scn = dataclasses.replace(scn, horizon=k * scn.dt)
+    _, _, norms, _ = _stepped(scn)
+    crossings = set()
+    for at in (3, sim.BLOCK + 5, len(norms) - 2):
+        scn = dataclasses.replace(scn, divergence_threshold=norms[at] * 0.999)
+        want = _first_divergence(norms, scn)
+        assert sim.run(scn).summary["first_divergence_time"] == want
+        crossings.add(round(want / scn.dt) // sim.BLOCK)
+    assert len(crossings) > 1

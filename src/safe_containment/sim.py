@@ -69,7 +69,7 @@ TRACE_FIELDS = (
 )
 
 
-BLOCK = 128  # steps a run integrates before it measures them together
+BLOCK = 32  # steps a run integrates before it measures them together
 # The pipeline outputs a sampled step records, in its sample row's order.
 SAMPLED = ("xi", "eps", "u_c", "gamma_hat", "u_r", "u_bar", "u", "delta_u",
            "pair_active")

@@ -120,10 +120,10 @@ class TraceLayout:
         """The source column each column of a row copies, given in ``at``
         those of t and of every other TraceRecord array, flattened."""
         cols = np.empty(self.width, dtype=np.intp)
-        cols[:1] = at.pop("t")
         rec = self.record(cols)
         for name, src in at.items():
-            getattr(rec, name)[...] = src.reshape(getattr(rec, name).shape)
+            view = cols[:1] if name == "t" else getattr(rec, name)
+            view[...] = src.reshape(view.shape)
         return cols
 
     def record(self, row: np.ndarray) -> TraceRecord:
@@ -214,10 +214,10 @@ class Engine:
         P = len(self.layout.pairs)
         sizes = [1, *(sl.stop - sl.start for sl in self._slices),
                  *[N * n] * 4, *[N * m] * 6, P, P, P]
-        self._sample_width = sum(sizes[8:-2])
         at = dict(zip(("t", "x", "leader_x", "zeta", "theta", "rho_hat", "e_c",
                        "delta_o", *SAMPLED, "pair_distance", "pair_h"),
                       np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
+        self._sample_width = sum(len(at[name]) for name in SAMPLED)
         del at["leader_x"]
         self._columns = self.layout.column_map(at)
 
@@ -415,10 +415,10 @@ class Engine:
         return np.empty((rows, self.layout.width))
 
     def step(self, k: int, y: np.ndarray, table: np.ndarray | None = None):
-        """Step k (time k * dt) from its packed state y as a block of one,
-        sampled into ``table`` (from ``new_table``) if it is.  Returns
-        (y_next, ec_norm, min_pair, row) as ``advance`` gives them, and
-        the table row written, or None."""
+        """Step k (time k * dt) from its packed state y, as a block of one.
+        Returns (y_next, ec_norm, min_pair, row): the state of step k + 1
+        (None past the horizon), step k's error norm and least pair
+        distance, and its sampled row of ``table`` (``new_table``) or None."""
         y_next, ec_norm, min_pair = self.advance(k, y, 1, table)
         sampled = table is not None and self._sampled(k)
         row = table[-(-k // self.scenario.output_stride)] if sampled else None

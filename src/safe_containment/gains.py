@@ -24,14 +24,6 @@ class GainSynthesisError(ValueError):
     """Raised when a gain synthesis subproblem has no acceptable solution."""
 
 
-def _controllable(a: np.ndarray, b: np.ndarray) -> bool:
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks)) == n
-
-
 def model_problems(A, B, Q, U, n: int | None = None) -> list[str]:
     """Every problem of the follower model (A, B, Q, U), one line each:
     A n x n, B n x m, Q n x n and U m x m, all finite, Q and U symmetric
@@ -54,8 +46,16 @@ def model_problems(A, B, Q, U, n: int | None = None) -> list[str]:
             problems.append(f"{name} must be symmetric")
         elif name in "QU" and np.any(np.linalg.eigvalsh(mat) <= 0):
             problems.append(f"{name} must be positive definite")
-    if not problems and not _controllable(a, b):
-        problems.append("(A, B) is not controllable")
+    if not problems:
+        blocks = [b]  # the Krylov blocks A^k B; if one overflows, no rank
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n - 1):
+                blocks.append(a @ blocks[-1])
+        krylov = np.hstack(blocks)
+        if not np.all(np.isfinite(krylov)):
+            problems.append("(A, B) controllability matrix is not finite")
+        elif np.linalg.matrix_rank(krylov) != n:
+            problems.append("(A, B) is not controllable")
     return problems
 
 

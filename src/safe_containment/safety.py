@@ -88,11 +88,6 @@ def _pair_index(n_agents: int):
     return pairs, index[0], index[1]
 
 
-def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row k of u dotted with row k of v, one dot call per row."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _barrier_terms(x_i, x_j, ax_i, ax_j, b_i, delta, d_s):
     """The input-free barrier terms of a stack of pairs (i_k, j_k), one
     row per pair, from the pairs' states x, products A x and matrices B_i.
@@ -105,10 +100,10 @@ def _barrier_terms(x_i, x_j, ax_i, ax_j, b_i, delta, d_s):
     needs no input; ``_barrier_rhs`` completes b) and lf.
     """
     r = x_i - x_j
-    h = d_s * d_s - _rowdot(r, r)
-    lf = -2.0 * _rowdot(r, ax_i)
-    a = -2.0 * np.matmul(r[:, None, :], b_i)[:, 0]
-    b0 = -delta * h - 2.0 * _rowdot(r, ax_j)
+    h = d_s * d_s - np.vecdot(r, r)
+    lf = -2.0 * np.vecdot(r, ax_i)
+    a = -2.0 * np.vecmat(r, b_i)
+    b0 = -delta * h - 2.0 * np.vecdot(r, ax_j)
     return r, h, a, b0, lf
 
 
@@ -116,7 +111,7 @@ def _barrier_rhs(b0, r, bu_j, lf):
     """b of each row, given B_j u_j of the row's finalized agent j.  The
     terms are summed in the formula's order: regrouping them moves b in
     the last bits, which a long run amplifies."""
-    return b0 - 2.0 * _rowdot(r, bu_j) - lf
+    return b0 - 2.0 * np.vecdot(r, bu_j) - lf
 
 
 def build_constraint(
@@ -156,12 +151,12 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     rows.  A blocking multiplier hitting zero drops its constraint; a zero
     step direction with no blocking constraint certifies infeasibility.
     A row holds when (a u - b) / max(1, |b|) <= QP_TOL; at u_bar, a u is
-    the ``_rowdot`` product that ``sequential_filter`` screens with.
+    the ``np.vecdot`` product that ``sequential_filter`` screens with.
     A violated row with ||a|| <= QP_TOL * max(1, |b|) is degenerate: on
     the scale its violation is measured in, its gradient is zero, so it
     reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
     zero row does; stepping along it would move u by about |b| / ||a||.
-    Problems here have at most a handful of rows, so dense solves are cheap.
+    Dense solves serve the few rows; one row divides as a 1x1 dgesv does.
     Scalars are Python floats, which round as numpy's float64 does.
     """
     u_bar = np.asarray(u_bar, dtype=float)
@@ -170,7 +165,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
 
     rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
     scale = np.maximum(1.0, np.abs(rhs))
-    viol = _rowdot(rows, u_bar[None]) - rhs
+    viol = np.vecdot(rows, u_bar) - rhs
     rhs_f = rhs.tolist()
     u = u_bar.copy()
     active: list[int] = []
@@ -195,7 +190,8 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
         for _ in range(QP_MAX_ITER):
             if active:
                 n_mat = rows[active]
-                r = -np.linalg.solve(n_mat @ n_mat.T, n_mat @ cp)
+                nc, nn = n_mat @ cp, n_mat @ n_mat.T  # a 1x1 dgesv is b / a
+                r = -nc / nn[0] if len(active) == 1 else -np.linalg.solve(nn, nc)
                 z = cp + n_mat.T @ r
                 r = r.tolist()
             else:
@@ -266,14 +262,14 @@ def sequential_filter(
     pairs, pair_i, pair_j = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
     delta = delta[pair_i, pair_j] if delta.ndim else float(delta)
-    ax = np.matmul(a_mats, states[:, :, None])[:, :, 0]
+    ax = np.matvec(a_mats, states)
     r, _, a, b0, lf = _barrier_terms(
         states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],
         b_mats[pair_i], delta, d_s,
     )
-    bu = np.matmul(b_mats, u_bars[:, :, None])[:, :, 0]  # B_j u_j
+    bu = np.matvec(b_mats, u_bars)  # B_j u_j
     b = _barrier_rhs(b0, r, bu[pair_j], lf)
-    au = _rowdot(a, u_bars[pair_i])
+    au = np.vecdot(a, u_bars[pair_i])
 
     # every agent keeps its u_bar unless its QP runs
     results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))

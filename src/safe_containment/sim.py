@@ -37,7 +37,7 @@ from . import safety
 from .attacks import eval_stacked
 from .compensation import (
     compensation_law, nominal_input, per_follower, projected_error)
-from .gains import synthesize_gains
+from .gains import GainSynthesisError, synthesize_gains
 from .observer import adaptive_gain, neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
@@ -166,8 +166,12 @@ class Engine:
         self.n_steps = int(round(sc.horizon / sc.dt))
         self.S = np.asarray(sc.S, dtype=float)
         self.models = sc.followers  # each with its A, B, Q and U
-        self.gains = [synthesize_gains(f.A, f.B, f.Q, f.U, self.S)
-                      for f in sc.followers]
+        self.gains = []
+        for idx, f in enumerate(sc.followers):
+            try:
+                self.gains.append(synthesize_gains(f.A, f.B, f.Q, f.U, self.S))
+            except GainSynthesisError as exc:  # named as validate names it
+                raise GainSynthesisError(f"follower {idx}: {exc}") from exc
 
         self.A = np.stack([f.A for f in sc.followers], dtype=float)
         self.B = np.stack([f.B for f in sc.followers], dtype=float)
@@ -391,13 +395,13 @@ class Engine:
         the steps from k0 whose packed states are the rows of Y; with a
         ``table``, also write the sampled ones' rows (see ``advance``)."""
         sc = self.scenario
-        # stacked, these products keep the bits of O @ y and _rowdot per step
-        obs = np.matmul(self.O, Y[:, :, None])[:, :, 0]
+        # stacked, these products keep the bits of O @ y and a dot per step
+        obs = np.matvec(self.O, Y)
         e_c = obs[:, self._observed[0]]
         x = Y[:, self._slices[0]].reshape(len(Y), self.N, self.n)
         _, i, j = safety._pair_index(self.N)
         diffs = (x[:, i] - x[:, j]).reshape(-1, self.n)
-        rr = safety._rowdot(diffs, diffs).reshape(len(Y), -1)
+        rr = np.vecdot(diffs, diffs).reshape(len(Y), -1)
         dist = np.sqrt(rr)  # bits of a per-pair norm
         if table is not None:
             at = np.flatnonzero(self._sampled(k0 + np.arange(len(Y))))
@@ -405,7 +409,7 @@ class Engine:
                 ((k0 + at) * sc.dt)[:, None], Y[at], obs[at], samples[at],
                 dist[at], sc.d_s * sc.d_s - rr[at],  # the filter's barrier
             ], axis=1)[:, self._columns]
-        return (np.sqrt(safety._rowdot(e_c, e_c)),
+        return (np.sqrt(np.vecdot(e_c, e_c)),
                 dist.min(axis=1, initial=np.inf))
 
     def new_table(self) -> np.ndarray:

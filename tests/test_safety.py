@@ -195,6 +195,19 @@ def test_qp_degenerate_zero_row():
         solve_agent_qp(u_bar, _rows([_constraint([0.0], -1.0)]))
 
 
+def test_the_qp_one_row_step_is_lapacks_division():
+    # solve_agent_qp takes the step of a one-row active set as
+    # -(n c) / (n n), where it called np.linalg.solve: this holds the two
+    # bit for bit, so a numpy or LAPACK whose 1x1 solve rounds otherwise
+    # fails here, not as drift in the replayed steps
+    rng = np.random.default_rng(17)
+    for _ in range(10_000):
+        n_mat, cp = rng.standard_normal((2, 1, 3)) * 10.0 ** rng.uniform(
+            -3, 3, (2, 1, 3))
+        nc, nn = n_mat @ cp[0], n_mat @ n_mat.T
+        assert np.array_equal(np.linalg.solve(nn, nc), nc / nn[0])
+
+
 def test_qp_minimality_against_random_feasible_points():
     rng = np.random.default_rng(31)
     instances = 0

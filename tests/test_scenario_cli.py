@@ -762,7 +762,7 @@ def test_cli_run_reports_an_aborted_simulation_as_an_error(tmp_path, capsys):
     assert err == "error: simulation aborted: non-finite state at t=1.000000\n"
 
 
-@pytest.mark.parametrize("follower, field", [(0, "Q"), (1, "B")])
+@pytest.mark.parametrize("follower, field", [(0, "Q"), (1, "B"), (3, "Q")])
 def test_cli_reports_a_failed_gain_synthesis_as_an_error(
     tmp_path, capsys, follower, field
 ):
@@ -782,9 +782,33 @@ def test_cli_reports_a_failed_gain_synthesis_as_an_error(
         assert cli.run_command(args) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: gain synthesis failed: ")
+        # the follower is named as validate names it, from 0
+        assert captured.err.startswith(
+            f"error: gain synthesis failed: follower {follower}: ")
         assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["validate", "run", "gains"])
+def test_an_overflowing_controllability_matrix_is_listed_quietly(
+    tmp_path, capfd, command
+):
+    # A * 1e300 is finite, but A^2 B overflows: its rank means nothing, so
+    # no SVD runs on it (LAPACK printed "** On entry to DLASCL" lines, and
+    # numpy an overflow warning) and the violation says why
+    doc = _bundled_doc()
+    spec = doc["followers"][2]
+    spec["A"] = [[v * 1e300 for v in row] for row in spec["A"]]
+    args = [command, "--scenario", _write(tmp_path, doc)]
+    if command == "run":
+        args += ["--output-dir", str(tmp_path / "o")]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"valid": False, "violations": [
+        "follower 2: (A, B) controllability matrix is not finite"]}
+    assert not (tmp_path / "o").exists()
 
 
 def test_one_follower_summary_is_strict_json(tmp_path):

@@ -463,7 +463,7 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
         diffs = xs[pair_i] - xs[pair_j]
         rec = engine.layout.record(row)
         dist = rec.pair_distance
-        assert np.array_equal(dist, np.sqrt(safety._rowdot(diffs, diffs)))
+        assert np.array_equal(dist, np.sqrt(np.vecdot(diffs, diffs)))
         assert min_pair == dist.min()
         ax = np.matmul(engine.A, xs[:, :, None])[:, :, 0]
         _, h, _, _, _ = safety._barrier_terms(

@@ -197,9 +197,9 @@ def test_qp_degenerate_zero_row():
 
 def test_the_qp_one_row_step_is_lapacks_division():
     # solve_agent_qp takes the step of a one-row active set as
-    # -(n c) / (n n), where it called np.linalg.solve: this holds the two
-    # bit for bit, so a numpy or LAPACK whose 1x1 solve rounds otherwise
-    # fails here, not as drift in the replayed steps
+    # -(n c) / (n n), the quotient a 1x1 np.linalg.solve returns; a numpy
+    # or LAPACK whose 1x1 solve rounds otherwise fails here, not as drift
+    # in the replayed steps
     rng = np.random.default_rng(17)
     for _ in range(10_000):
         n_mat, cp = rng.standard_normal((2, 1, 3)) * 10.0 ** rng.uniform(

@@ -794,9 +794,9 @@ def test_cli_reports_a_failed_gain_synthesis_as_an_error(
 def test_an_overflowing_controllability_matrix_is_listed_quietly(
     tmp_path, capfd, command
 ):
-    # A * 1e300 is finite, but A^2 B overflows: its rank means nothing, so
-    # no SVD runs on it (LAPACK printed "** On entry to DLASCL" lines, and
-    # numpy an overflow warning) and the violation says why
+    # A * 1e300 is finite, but A^2 B overflows: its rank means nothing, and
+    # an SVD of it makes LAPACK print "** On entry to DLASCL" lines on
+    # stdout; the violation says why, and nothing else is printed
     doc = _bundled_doc()
     spec = doc["followers"][2]
     spec["A"] = [[v * 1e300 for v in row] for row in spec["A"]]

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-from .gains import GainSynthesisError, care_residual
+from .gains import care_residual
 from .scenario import CONTROLLER_MODES, ScenarioError, load_scenario
 from .sim import RunResult, SimulationError
 
@@ -250,13 +250,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gains(args) -> int:
-    scenario = _load(args)
-    if scenario is None:
+    sc = _load(args)
+    if sc is None:
         return EXIT_ERROR
-    engine = sim.Engine(scenario)
-    for idx, (f, gainset) in enumerate(zip(scenario.followers, engine.gains)):
+    for idx, (f, gainset) in enumerate(zip(sc.followers, sc.gain_sets)):
         care_res = care_residual(f.A, f.B, f.Q, f.U, gainset.P)
-        reg_res = np.linalg.norm(engine.S - f.A - f.B @ gainset.Pi)
+        reg_res = np.linalg.norm(sc.S - f.A - f.B @ gainset.Pi)
         print(f"follower {idx + 1}:")
         for name in ("P", "K", "H", "Pi"):
             print(f"  {name} =")
@@ -355,8 +354,6 @@ def run_command(argv=None) -> int:
         return args.func(args)
     except SimulationError as exc:
         return _report(f"simulation aborted: {exc}")
-    except GainSynthesisError as exc:  # from run, gains and sweep
-        return _report(f"gain synthesis failed: {exc}")
 
 
 def main() -> None:

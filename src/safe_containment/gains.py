@@ -162,11 +162,11 @@ def synthesize_gains(A, B, Q, U, S) -> GainSet:
     """Solve both matrix equations for the follower x' = A x + B u with
     Riccati weights Q, U and the leader x' = S x, and assemble the gain
     set K = -U^-1 B' P, H = Pi - K.  Raises GainSynthesisError with the
-    first problem of a non-square S or of the model (``model_problems``)."""
+    first problem of a non-square S or, at S's size, of the model."""
     a, b, q, u, s = (np.asarray(mat, dtype=float) for mat in (A, B, Q, U, S))
-    problems = model_problems(a, b, q, u)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        problems.insert(0, "S must be square")
+    square = s.ndim == 2 and s.shape[0] == s.shape[1]
+    problems = (model_problems(a, b, q, u, len(s)) if square
+                else ["S must be square"])
     if problems:
         raise GainSynthesisError(problems[0])
     pi = solve_regulator(a, b, s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,17 +96,11 @@ class ScenarioConfig:
         s = np.asarray(self.S)
         n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
         errs.extend(gains.leader_problems(s))
-        regulator = n is not None and bool(np.all(np.isfinite(s)))
 
         for idx, f in enumerate(self.followers):
             tag = f"follower {idx}"
             problems = gains.model_problems(f.A, f.B, f.Q, f.U, n)
             errs.extend(f"{tag}: {p}" for p in problems)
-            if regulator and not problems:
-                try:  # synthesize_gains' check
-                    gains.solve_regulator(f.A, f.B, s)
-                except gains.GainSynthesisError as exc:
-                    errs.append(f"{tag}: {exc}")
             m = f.B.shape[1] if f.B.ndim == 2 else None
             for key, vec, size in (
                 ("x0", f.x0, n),
@@ -123,6 +118,11 @@ class ScenarioConfig:
                     errs.append(f"{tag}: {key} must be finite")
             for key, val in (("q", f.q), ("alpha", f.alpha), ("c", f.c)):
                 errs.extend(_positive(f"{tag}: {key}", val))
+        if n is not None and np.all(np.isfinite(s)):
+            try:  # cached for Engine; repeats each first model problem above
+                self.gain_sets
+            except ScenarioError as exc:
+                errs.extend(v for v in exc.violations if v not in errs)
 
         if len({f.B.shape[1] for f in self.followers if f.B.ndim == 2}) > 1:
             errs.append("every follower's B must have the same column count m")
@@ -137,10 +137,10 @@ class ScenarioConfig:
                 errs.append("topology follower count does not match followers")
             if lead.ndim and graph.n_leaders != len(lead):
                 errs.append("topology leader count does not match leader_x0")
-            unreachable = topo.check_reachability(graph)
-            if unreachable:
-                errs.append("followers unreachable from every leader: "
-                            f"{sorted(unreachable)}")
+            try:
+                topo.build_phi_family(graph)
+            except topo.TopologyError as exc:
+                errs.append(f"topology: {exc}")
 
         for key, val in (
             ("d_s", self.d_s),
@@ -160,6 +160,8 @@ class ScenarioConfig:
         if off > 1e-9 * abs(steps):
             errs.append(f"horizon must be a whole number of dt steps, "
                         f"not {steps:.6g}")
+        elif 2**63 <= steps < np.inf:  # the step indices are int64
+            errs.append(f"horizon must be under 2**63 dt steps, not {steps:.6g}")
         delta = np.asarray(self.delta, dtype=float)
         n_f = self.n_followers
         if delta.ndim != 0 and delta.shape != (n_f, n_f):
@@ -175,6 +177,8 @@ class ScenarioConfig:
             errs.append("output_stride must be a whole number")
         elif self.output_stride < 1:
             errs.append("output_stride must be at least 1")
+        elif self.output_stride >= 2**63:  # as a step index, int64
+            errs.append("output_stride must be below 2**63")
         if not isinstance(self.absolute_clock, bool):
             errs.append("absolute_clock must be true or false")
         if self.controller_mode not in CONTROLLER_MODES:
@@ -187,8 +191,23 @@ class ScenarioConfig:
                         f"separator, other than '.' and '..', not {name!r}")
         return errs
 
+    @cached_property
+    def gain_sets(self) -> list[gains.GainSet]:
+        """Each follower's gains; a ScenarioError lists every failing one."""
+        sets, errs = [], []
+        for idx, f in enumerate(self.followers):
+            try:
+                sets.append(gains.synthesize_gains(f.A, f.B, f.Q, f.U, self.S))
+            except gains.GainSynthesisError as exc:
+                errs.append(f"follower {idx}: {exc}")
+        if errs:
+            raise ScenarioError(errs)
+        return sets
+
     def with_mode(self, mode: str) -> "ScenarioConfig":
-        return replace(self, controller_mode=mode)
+        twin = replace(self, controller_mode=mode)
+        twin.gain_sets = self.gain_sets  # the mode is not an input to them
+        return twin
 
     def attack_free(self) -> "ScenarioConfig":
         """Copy of this scenario with every attack coefficient zeroed."""

@@ -37,7 +37,7 @@ from . import safety
 from .attacks import eval_stacked
 from .compensation import (
     compensation_law, nominal_input, per_follower, projected_error)
-from .gains import GainSynthesisError, synthesize_gains
+from .gains import synthesize_gains  # unused: benchmark/tracing.py wraps it
 from .observer import adaptive_gain, neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
 from .topology import PhiFamily, Topology, build_phi_family
@@ -155,7 +155,7 @@ def _operator(parts) -> np.ndarray:
 
 
 class Engine:
-    """Precompiled scenario: gains synthesized, arrays stacked, ready to step."""
+    """Precompiled scenario: gains and arrays stacked, ready to step."""
 
     def __init__(self, scenario: ScenarioConfig):
         self.scenario = scenario
@@ -166,12 +166,7 @@ class Engine:
         self.n_steps = int(round(sc.horizon / sc.dt))
         self.S = np.asarray(sc.S, dtype=float)
         self.models = sc.followers  # each with its A, B, Q and U
-        self.gains = []
-        for idx, f in enumerate(sc.followers):
-            try:
-                self.gains.append(synthesize_gains(f.A, f.B, f.Q, f.U, self.S))
-            except GainSynthesisError as exc:  # named as validate names it
-                raise GainSynthesisError(f"follower {idx}: {exc}") from exc
+        self.gains = sc.gain_sets
 
         self.A = np.stack([f.A for f in sc.followers], dtype=float)
         self.B = np.stack([f.B for f in sc.followers], dtype=float)

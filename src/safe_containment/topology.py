@@ -106,7 +106,7 @@ def build_phi_family(topology: Topology) -> PhiFamily:
     to the observer containment error.
 
     Raises TopologyError if some follower is unreachable from every leader,
-    naming the offending followers.
+    naming the offending followers, or if the sum of Phi_r is singular.
     """
     unreachable = check_reachability(topology)
     if unreachable:
@@ -121,10 +121,9 @@ def build_phi_family(topology: Topology) -> PhiFamily:
         [laplacian / m + np.diag(topology.pinning[r]) for r in range(m)]
     )
     phi_sum = phi.sum(axis=0)
-    smin = np.linalg.svd(phi_sum, compute_uv=False)[-1]
-    if smin <= 0:
-        raise TopologyError("sum of Phi_r is singular")
-    return PhiFamily(
-        phi=phi, phi_sum=phi_sum, laplacian=laplacian,
-        hull_weights=np.linalg.solve(phi_sum, phi.sum(axis=2).T),
-    )
+    try:  # LU can meet a zero pivot where an SVD sees none (weights 1e300)
+        hull_weights = np.linalg.solve(phi_sum, phi.sum(axis=2).T)
+    except np.linalg.LinAlgError:
+        raise TopologyError("sum of Phi_r is singular") from None
+    return PhiFamily(phi=phi, phi_sum=phi_sum, laplacian=laplacian,
+                     hull_weights=hull_weights)

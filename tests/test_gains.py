@@ -139,6 +139,14 @@ def test_model_validation():
         )
 
 
+def test_model_is_checked_at_the_leader_state_size():
+    # a 2-state model under a 3-state leader: its first problem, not a
+    # broadcasting error in the regulator equation
+    with pytest.raises(GainSynthesisError, match="A must be 3x3"):
+        synthesize_gains(A=np.eye(2), B=np.eye(2), Q=np.eye(2), U=np.eye(2),
+                         S=np.zeros((3, 3)))
+
+
 def test_non_square_leader_matrix_is_rejected():
     with pytest.raises(GainSynthesisError, match="S must be square"):
         synthesize_gains(A=np.eye(2), B=np.eye(2), Q=np.eye(2), U=np.eye(2),

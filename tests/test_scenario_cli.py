@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from safe_containment import cli, sim
+from safe_containment import cli, gains, sim
 from safe_containment.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -766,27 +766,58 @@ def test_cli_run_reports_an_aborted_simulation_as_an_error(tmp_path, capsys):
 def test_cli_reports_a_failed_gain_synthesis_as_an_error(
     tmp_path, capsys, follower, field
 ):
-    # every value is finite, so the document is valid, but its Riccati
-    # iteration overflows
+    # every value is finite, but the Riccati iteration overflows; the
+    # gains are synthesized in validation, so every command lists it
     doc = _bundled_doc()
     spec = doc["followers"][follower]
     spec[field] = [[v * 1e300 for v in row] for row in spec[field]]
     scn_path = _write(tmp_path, doc)
-    assert cli.run_command(["validate", "--scenario", scn_path]) == cli.EXIT_OK
-    capsys.readouterr()
     out = tmp_path / "o"
-    for args in (["run", "--output-dir", str(out)], ["gains"],
+    for args in (["validate"], ["run", "--output-dir", str(out)], ["gains"],
                  ["sweep", "--param", "q", "--values", "1", "--output-dir",
                   str(out)]):
         args = [args[0], "--scenario", scn_path, *args[1:]]
         assert cli.run_command(args) == cli.EXIT_ERROR
         captured = capsys.readouterr()
-        assert captured.out == ""
-        # the follower is named as validate names it, from 0
-        assert captured.err.startswith(
-            f"error: gain synthesis failed: follower {follower}: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["valid"] is False
+        (violation,) = report["violations"]
+        assert violation.startswith(  # the follower numbered from 0
+            f"follower {follower}: Riccati iteration did not converge")
     assert not out.exists()
+
+
+def test_validation_lists_every_follower_whose_gains_fail_once():
+    doc = _bundled_doc()
+    doc["followers"][0]["Q"] = [[3, 1, 0], [0, 3, 0], [0, 0, 3]]
+    for spec in doc["followers"][2:]:
+        spec["Q"] = [[v * 1e300 for v in row] for row in spec["Q"]]
+    assert _violations(doc) == [
+        "follower 0: Q must be symmetric",
+        "follower 2: Riccati iteration did not converge: final residual inf",
+        "follower 3: Riccati iteration did not converge: final residual inf",
+    ]
+
+
+def test_each_follower_is_synthesized_once_per_job(
+    tmp_path, monkeypatch, capsys
+):
+    calls = dict.fromkeys(("solve_regulator", "solve_care"), 0)
+    for name in calls:
+        def counted(*args, _solve=getattr(gains, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(gains, name, counted)
+    doc = _tiny_doc()  # two followers
+    sim.run(scenario_from_dict(doc))
+    assert calls == {"solve_regulator": 2, "solve_care": 2}
+    # a --mode copy keeps the gains validation synthesized
+    calls.update(solve_regulator=0, solve_care=0)
+    args = ["run", "--scenario", _write(tmp_path, doc), "--mode",
+            "conventional", "--output-dir", str(tmp_path / "o")]
+    assert cli.run_command(args) == cli.EXIT_OK
+    assert calls == {"solve_regulator": 2, "solve_care": 2}
 
 
 @pytest.mark.filterwarnings("error")

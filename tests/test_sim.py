@@ -590,6 +590,18 @@ def test_run_matches_stepping_by_hand(paper_scenario, mode, stride):
         assert got["first_divergence_time"] is None
 
 
+def test_a_stride_past_the_horizon_samples_the_first_and_last_steps(
+    paper_scenario,
+):
+    # up to the largest valid stride, one below 2**63
+    scn = dataclasses.replace(paper_scenario.with_mode("conventional"),
+                              horizon=10 * paper_scenario.dt)
+    short, longest = (sim.run(dataclasses.replace(scn, output_stride=stride))
+                      for stride in (10, 2**63 - 1))
+    assert len(short.table) == 2
+    assert np.array_equal(short.table, longest.table)
+
+
 def test_a_blow_up_inside_a_block_and_a_divergence_read_from_the_norms():
     # dt = 0.022 is past RK4's stability limit for the two-follower
     # document's gains: the error swings ever wider and, by 7 s, overflows

@@ -51,6 +51,15 @@ def test_unreachable_follower_rejected_by_name():
         build_phi_family(top)
 
 
+def test_a_singular_phi_sum_is_a_topology_error(paper_scenario):
+    # the paper's ring weighted 1e300 over unit pinning: the sum of Phi_r
+    # is singular to working precision, and its solve meets a zero pivot
+    top = paper_scenario.topology
+    heavy = Topology(adjacency=top.adjacency * 1e300, pinning=top.pinning)
+    with pytest.raises(TopologyError, match="sum of Phi_r is singular"):
+        build_phi_family(heavy)
+
+
 def test_reachability_fully_pinned():
     top = Topology(adjacency=np.zeros((3, 3)), pinning=np.ones((1, 3)))
     assert check_reachability(top) == set()

@@ -17,13 +17,13 @@ def eval_stacked(
     coefficients: np.ndarray,
     rates: np.ndarray,
     start_time: float,
-    t: float,
+    t: float | np.ndarray,
     absolute_clock: bool = False,
 ) -> np.ndarray:
     """Every channel of a stack of (·, d) coefficient/rate arrays sharing
     one start time, at time t: zero before start_time, then
-    coefficients * exp(rates * tau)."""
-    if t < start_time:
-        return np.zeros_like(coefficients)
+    coefficients * exp(rates * tau).  An array of times gives one stack
+    per time, its axes first."""
+    t = np.asarray(t, dtype=float)[(..., *[None] * np.ndim(coefficients))]
     tau = t if absolute_clock else t - start_time
-    return coefficients * np.exp(rates * tau)
+    return np.where(t < start_time, 0.0, coefficients * np.exp(rates * tau))

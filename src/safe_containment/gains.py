@@ -95,7 +95,8 @@ class GainSet:
 def solve_regulator(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Least-squares solution Pi of S = A + B Pi, exact to REGULATOR_TOL."""
     pi, *_ = np.linalg.lstsq(B, S - A, rcond=None)
-    residual = np.linalg.norm(S - A - B @ pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is rejected
+        residual = np.linalg.norm(S - A - B @ pi)
     if residual > REGULATOR_TOL:
         raise GainSynthesisError(
             "regulator equation unsolvable for this (A, B, S): "

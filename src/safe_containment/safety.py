@@ -55,9 +55,10 @@ class PairConstraint:
         return (self.i, self.j)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FilterResult:
-    """Filtered input for one agent with its constraint activity."""
+    """Filtered input for one agent with its constraint activity; built
+    for every agent at every filter call, so slotted and not frozen."""
 
     u: np.ndarray
     delta_u: np.ndarray

@@ -124,7 +124,8 @@ class ScenarioConfig:
             except ScenarioError as exc:
                 errs.extend(v for v in exc.violations if v not in errs)
 
-        if len({f.B.shape[1] for f in self.followers if f.B.ndim == 2}) > 1:
+        m_all = {f.B.shape[1] for f in self.followers if f.B.ndim == 2}
+        if len(m_all) > 1:
             errs.append("every follower's B must have the same column count m")
         lead = self.leader_x0
         if lead.ndim != 2 or n not in (None, lead.shape[1]):
@@ -157,11 +158,14 @@ class ScenarioConfig:
                         "where exp(gain_cap) overflows")
         steps = self.horizon / self.dt if self.dt > 0 else 0.0
         off = abs(steps - round(steps)) if np.isfinite(steps) else 0.0
+        n_steps = None  # the step count, if it is one
         if off > 1e-9 * abs(steps):
             errs.append(f"horizon must be a whole number of dt steps, "
                         f"not {steps:.6g}")
         elif 2**63 <= steps < np.inf:  # the step indices are int64
             errs.append(f"horizon must be under 2**63 dt steps, not {steps:.6g}")
+        elif 0 < steps < np.inf:
+            n_steps = int(round(steps))
         delta = np.asarray(self.delta, dtype=float)
         n_f = self.n_followers
         if delta.ndim != 0 and delta.shape != (n_f, n_f):
@@ -179,6 +183,8 @@ class ScenarioConfig:
             errs.append("output_stride must be at least 1")
         elif self.output_stride >= 2**63:  # as a step index, int64
             errs.append("output_stride must be below 2**63")
+        elif n_steps is not None and n is not None and len(m_all) == 1:
+            errs.extend(self._array_problems(n_steps, n, *m_all))
         if not isinstance(self.absolute_clock, bool):
             errs.append("absolute_clock must be true or false")
         if self.controller_mode not in CONTROLLER_MODES:
@@ -190,6 +196,20 @@ class ScenarioConfig:
             errs.append("name must be a non-empty string without a path "
                         f"separator, other than '.' and '..', not {name!r}")
         return errs
+
+    def _array_problems(self, n_steps: int, n: int, m: int) -> list[str]:
+        """The arrays of a run over n_steps steps, its two float per-step
+        arrays and its trace table, that exceed numpy's largest array."""
+        from .sim import TraceLayout  # sim imports this module
+
+        stride, limit = int(self.output_stride), np.iinfo(np.intp).max
+        rows = -(-n_steps // stride) + 1
+        sizes = {"per-step arrays": 16 * (n_steps + 1),
+                 f"a trace table (output_stride {stride})":
+                 8 * rows * TraceLayout(self.n_followers, n, m).width}
+        return [f"horizon of {n_steps} dt steps needs {what} of {size:.3g} "
+                f"bytes, more than numpy's largest array ({limit} bytes)"
+                for what, size in sizes.items() if size > limit]
 
     @cached_property
     def gain_sets(self) -> list[gains.GainSet]:

@@ -12,8 +12,12 @@ adaptive gains' exponentials, the compensation's gain law and the
 attacks, so one matrix L gives all the linear parts of an evaluation in
 one product, and one matrix O the errors a step measures; both are
 those parts evaluated on the identity once per scenario.  A run
-integrates BLOCK steps, keeping their states and sampled pipeline
-outputs, then measures them together in a few stacked products.
+integrates BLOCK steps at a time.  The attacks and the compensation's
+regularizer depend on time alone, so each block computes them first at
+every stage time of its steps, in one vectorised call each.  It then
+integrates, keeping each state and what only a sampled step's pipeline
+evaluation knows, and at the end checks every state for finiteness and
+measures and records the steps together in a few stacked products.
 
 Three controller modes share the pipeline:
 
@@ -70,9 +74,11 @@ TRACE_FIELDS = (
 
 
 BLOCK = 32  # steps a run integrates before it measures them together
-# The pipeline outputs a sampled step records, in its sample row's order.
-SAMPLED = ("xi", "eps", "u_c", "gamma_hat", "u_r", "u_bar", "u", "delta_u",
-           "pair_active")
+# What a sampled step's pipeline evaluation writes into its sample row, in
+# order: the outputs of L @ y (xi, eps, s and u_c, one slice), gamma_hat,
+# u and the pair-active mask.  ``advance`` derives u_r, u_bar and delta_u
+# from them for a whole block at once.
+SAMPLED = ("xi", "eps", "s", "u_c", "gamma_hat", "u", "pair_active")
 
 
 # One sample of a run as views into its row of the run's table: t, then
@@ -144,6 +150,14 @@ def _consecutive(lengths: list[int], start: int = 0) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
+def _check_finite(Y: np.ndarray, times: np.ndarray) -> None:
+    """Raise SimulationError at the first non-finite row of Y, the packed
+    states at ``times``."""
+    bad = ~np.isfinite(Y).all(axis=1)
+    if bad.any():
+        raise SimulationError(f"non-finite state at t={times[bad.argmax()]:.6f}")
+
+
 def _operator(parts) -> np.ndarray:
     """The matrix of a linear map from its parts evaluated on the identity,
     each (D, ...): column j stacks the flattened parts at unit state j."""
@@ -207,17 +221,20 @@ class Engine:
         self.L, self.O = np.split(ops, [self._outputs[-1].stop])
         self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
         self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
-        self._at_time = (None, None)  # see _time_terms
-        # a sampled step's source row, whose columns its table row gathers:
-        # t, y, O y, its SAMPLED outputs, then pair distances and barriers
         P = len(self.layout.pairs)
+        widths = [N * n, N * n, N * m, N * m, N * m, N * m, P]
+        self._recorded = dict(zip(SAMPLED, _consecutive(widths)))
+        self._sample_width = sum(widths)
+        # a sampled step's source row, whose columns its table row gathers:
+        # t, y, O y, its SAMPLED outputs, u_r, u_bar and delta_u, then pair
+        # distances and barriers
         sizes = [1, *(sl.stop - sl.start for sl in self._slices),
-                 *[N * n] * 4, *[N * m] * 6, P, P, P]
+                 N * n, N * n, *widths, *[N * m] * 3, P, P]
         at = dict(zip(("t", "x", "leader_x", "zeta", "theta", "rho_hat", "e_c",
-                       "delta_o", *SAMPLED, "pair_distance", "pair_h"),
+                       "delta_o", *SAMPLED, "u_r", "u_bar", "delta_u",
+                       "pair_distance", "pair_h"),
                       np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
-        self._sample_width = sum(len(at[name]) for name in SAMPLED)
-        del at["leader_x"]
+        del at["leader_x"], at["s"]
         self._columns = self.layout.column_map(at)
 
     # -- state packing ---------------------------------------------------
@@ -273,26 +290,22 @@ class Engine:
             x - ref, zeta - ref,
         )
 
-    def _time_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Both attacks (N, n + m) and the regularizers exp(-c t^2) at t,
-        read-only, kept for the last time asked: a stage time repeats
-        only the one just before it (RK4's two midpoint stages, and a
-        step's first stage where it equals the previous step's last)."""
-        if self._at_time[0] != t:
-            sc = self.scenario
-            terms = (eval_stacked(self.attack_coeff, self.attack_rate,
-                                  sc.attack_start, t, sc.absolute_clock),
-                     np.exp(-self.c * t * t))
-            for v in terms:
-                v.flags.writeable = False
-            self._at_time = (t, terms)
-        return self._at_time[1]
+    def _time_table(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The time-only terms of the pipeline at every time of an array:
+        both attacks (..., N, n + m) and the regularizers exp(-c t^2)
+        (..., N), the times' axes first."""
+        sc = self.scenario
+        t = times[..., None]
+        return (eval_stacked(self.attack_coeff, self.attack_rate,
+                             sc.attack_start, times, sc.absolute_clock),
+                np.exp(-self.c * t * t))
 
     # -- control pipeline -------------------------------------------------
 
-    def _pipeline(self, t: float, y: np.ndarray, collect: bool = False):
-        """The derivative of the packed state y at time t; with
-        ``collect``, also the layer outputs a trace row records.
+    def _pipeline(self, stage: tuple, y: np.ndarray, row=None):
+        """The derivative of the packed state y at a stage (t, attacks,
+        exp(-c t^2)) of ``_time_table``; given a sample ``row``, also write
+        the SAMPLED outputs into it, whose pair-active entries start at 0.
 
         One product L @ y gives the derivative's linear part, xi, eps, s
         and u_c.  What is not linear in y is added to it: the observer's
@@ -300,14 +313,14 @@ class Engine:
         B u after the safety filter, and the gain rates."""
         sc = self.scenario
         N, n = self.N, self.n
+        t, gamma, reg = stage
         resilient = sc.controller_mode != "conventional"
         x_sl, _, zeta_sl, theta_sl, rho_sl = self._slices
-        xi_sl, eps_sl, s_sl, uc_sl = self._outputs
+        xi_sl, _, s_sl, uc_sl = self._outputs
 
         z = self.L @ y
         deriv = z[:self.D]
         xi, u_c = z[xi_sl].reshape(N, n), z[uc_sl].reshape(N, -1)
-        gamma, reg = self._time_terms(t)
         # theta and rho_hat are adjacent in y: both gains in one call
         gain = adaptive_gain(y[theta_sl.start:rho_sl.stop], sc.gain_cap)
         driving, dtheta = observer_input(
@@ -320,44 +333,47 @@ class Engine:
         u_r = u_c - gamma_hat
         u_bar = u_r + gamma[:, n:]
 
-        results = None
-        u = u_bar
+        u, active = u_bar, ()
         if sc.controller_mode == "saar":
             try:
                 results = safety.sequential_filter(
                     u_bar, y[x_sl].reshape(N, n), self.A, self.B, sc.delta,
                     sc.d_s,
                 )
-                u = np.array([r.u for r in results])
-                self.filter_intervention_count += bool((u != u_bar).any())
             except safety.QPInfeasibleError:
                 self.qp_infeasible_count += 1
                 if self.first_infeasible_time is None:
                     self.first_infeasible_time = t
+            else:
+                # an agent with no active pair kept its u_bar
+                active = [p for r in results for p in r.active_set]
+                if active:
+                    u = np.array([r.u for r in results])
+                    self.filter_intervention_count += bool((u != u_bar).any())
 
         deriv[x_sl] += self.B_diag @ u.ravel()
         deriv[zeta_sl] += driving.ravel()
         deriv[theta_sl] = dtheta
         deriv[rho_sl] = drho
-        if not collect:
-            return deriv
-        active = np.zeros(len(self.layout.pairs))
-        active[[self.layout.pairs.index(p)
-                for r in results or () for p in r.active_set]] = 1.0
-        return deriv, dict(
-            xi=xi, eps=z[eps_sl], u_c=u_c, gamma_hat=gamma_hat, u_r=u_r,
-            u_bar=u_bar, u=u, delta_u=u - u_bar, pair_active=active,
-        )
+        if row is not None:
+            rec = self._recorded
+            row[:rec["u_c"].stop] = z[self.D:]
+            row[rec["gamma_hat"]] = gamma_hat.ravel()
+            row[rec["u"]] = u.ravel()
+            if active:
+                row[rec["pair_active"]][
+                    [self.layout.pairs.index(p) for p in active]] = 1.0
+        return deriv
 
     # -- integration -------------------------------------------------------
 
-    def _rk4(
-        self, t: float, y: np.ndarray, dt: float, k1: np.ndarray
-    ) -> np.ndarray:
-        """One RK4 step from (t, y), given the first stage k1 = f(t, y)."""
-        k2 = self._pipeline(t + dt / 2, y + (dt / 2) * k1)
-        k3 = self._pipeline(t + dt / 2, y + (dt / 2) * k2)
-        k4 = self._pipeline(t + dt, y + dt * k3)
+    def _rk4(self, y: np.ndarray, dt: float, k1: np.ndarray,
+             mid: tuple, end: tuple) -> np.ndarray:
+        """One RK4 step of length dt from y, given its first stage k1 and
+        the stages (see ``_pipeline``) of its midpoint and its end."""
+        k2 = self._pipeline(mid, y + (dt / 2) * k1)
+        k3 = self._pipeline(mid, y + (dt / 2) * k2)
+        k4 = self._pipeline(end, y + dt * k3)
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def _sampled(self, k):
@@ -365,30 +381,57 @@ class Engine:
         return (k % self.scenario.output_stride == 0) | (k == self.n_steps)
 
     def advance(self, k0: int, y: np.ndarray, steps: int, table=None):
-        """Integrate ``steps`` steps from step k0's state y, keeping each
-        state and, with a ``table``, the SAMPLED outputs of each sampled
-        step's first RK4 stage; then ``observe`` them.  Returns the state
-        after them (None past the horizon) and what ``observe`` returns."""
+        """Integrate ``steps`` steps from step k0's state y; then
+        ``observe`` them.  Returns the state after them (None past the
+        horizon) and what ``observe`` returns.
+
+        The time-only terms come first, at every stage time of the steps,
+        each formed as a lone step forms it: k dt, k dt + dt/2 and
+        k dt + dt.  With a ``table``, a sampled step's first RK4 stage
+        writes the SAMPLED outputs into its sample row; u_r, u_bar and
+        delta_u follow for all sampled steps at once.  The first
+        non-finite state of the block raises SimulationError."""
         sc = self.scenario
-        Y = np.empty((steps, self.D))
-        samples = np.empty((steps, self._sample_width))
-        for i, k in enumerate(range(k0, k0 + steps)):
-            Y[i], t = y, k * sc.dt
-            if table is not None and self._sampled(k):
-                deriv, parts = self._pipeline(t, y, collect=True)
-                np.concatenate([parts[name].ravel() for name in SAMPLED],
-                               out=samples[i])
-            else:
-                deriv = self._pipeline(t, y)
-            y = self._rk4(t, y, sc.dt, deriv) if k < self.n_steps else None
-            if y is not None and not np.all(np.isfinite(y)):
-                raise SimulationError(f"non-finite state at t={t + sc.dt:.6f}")
-        return y, *self.observe(k0, Y, samples, table)
+        k = np.arange(k0, k0 + steps)
+        t = k * sc.dt
+        times = np.stack([t, t + sc.dt / 2, t + sc.dt], axis=1)
+        gamma, reg = self._time_table(times)
+        stages = list(zip(times.ravel().tolist(),
+                          gamma.reshape(3 * steps, self.N, -1),
+                          reg.reshape(3 * steps, self.N)))
+        sampled = self._sampled(k) & (table is not None)
+        # Y[i] is step k0 + i's state, Y[i + 1] the one it integrates to
+        integrated = min(steps, self.n_steps - k0)
+        Y = np.empty((steps + 1, self.D))
+        Y[0] = y
+        samples = np.zeros((steps, self._sample_width))
+        try:
+            for i, is_sampled in enumerate(sampled.tolist()):
+                first, mid, end = stages[3 * i:3 * i + 3]
+                k1 = self._pipeline(first, y,
+                                    samples[i] if is_sampled else None)
+                if i < integrated:
+                    y = Y[i + 1] = self._rk4(y, sc.dt, k1, mid, end)
+        except Exception:
+            # a solver fed a state gone non-finite earlier in the block
+            _check_finite(Y[1:i + 1], times[:i, 2])
+            raise
+        _check_finite(Y[1:integrated + 1], times[:integrated, 2])
+
+        at = np.flatnonzero(sampled)
+        rec, got = self._recorded, samples[at]
+        u_r = got[:, rec["u_c"]] - got[:, rec["gamma_hat"]]
+        u_bar = u_r + gamma[at, 0, :, self.n:].reshape(u_r.shape)
+        rows = np.concatenate([got, u_r, u_bar, got[:, rec["u"]] - u_bar],
+                              axis=1)
+        y = y if integrated == steps else None
+        return y, *self.observe(k0, Y[:steps], rows, table)
 
     def observe(self, k0: int, Y: np.ndarray, samples: np.ndarray, table):
         """The containment-error norms and least follower pair distances of
         the steps from k0 whose packed states are the rows of Y; with a
-        ``table``, also write the sampled ones' rows (see ``advance``)."""
+        ``table``, also write the sampled ones' rows, given the rows of
+        their SAMPLED outputs, u_r, u_bar and delta_u (see ``advance``)."""
         sc = self.scenario
         # stacked, these products keep the bits of O @ y and a dot per step
         obs = np.matvec(self.O, Y)
@@ -401,7 +444,7 @@ class Engine:
         if table is not None:
             at = np.flatnonzero(self._sampled(k0 + np.arange(len(Y))))
             table[-(-(k0 + at) // sc.output_stride)] = np.concatenate([
-                ((k0 + at) * sc.dt)[:, None], Y[at], obs[at], samples[at],
+                ((k0 + at) * sc.dt)[:, None], Y[at], obs[at], samples,
                 dist[at], sc.d_s * sc.d_s - rr[at],  # the filter's barrier
             ], axis=1)[:, self._columns]
         return (np.sqrt(np.vecdot(e_c, e_c)),

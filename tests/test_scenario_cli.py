@@ -842,6 +842,29 @@ def test_an_overflowing_controllability_matrix_is_listed_quietly(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("steps, stride, needs", [
+    (2**58, 10, "a trace table (output_stride 10) of 3.94e+19 bytes"),
+    (2**60, 2**62, "per-step arrays of 1.84e+19 bytes"),
+])
+def test_a_horizon_past_numpys_largest_array_is_listed(
+    tmp_path, capfd, steps, stride, needs
+):
+    # each step count is below 2**63, but a run's trace table or its
+    # per-step arrays would be more bytes than numpy can index
+    doc = _bundled_doc()
+    doc["horizon"], doc["output_stride"] = steps * doc["dt"], stride
+    out = tmp_path / "o"
+    for args in (["validate"], ["run", "--output-dir", str(out)]):
+        args = [args[0], "--scenario", _write(tmp_path, doc), *args[1:]]
+        assert cli.run_command(args) == cli.EXIT_ERROR
+        stdout, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(stdout) == {"valid": False, "violations": [
+            f"horizon of {steps} dt steps needs {needs}, more than "
+            f"numpy's largest array ({np.iinfo(np.intp).max} bytes)"]}
+    assert not out.exists()
+
+
 def test_one_follower_summary_is_strict_json(tmp_path):
     doc = _tiny_doc()
     doc["followers"] = doc["followers"][:1]

@@ -8,6 +8,7 @@ import json
 import math
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from safe_containment import cli, sim
@@ -106,6 +107,7 @@ HUGE_REJECTED = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_every_field_times_1e300_is_rejected_or_runs(tmp_path, capsys):
     """Each field of the bundled scenario times 1e300, through ``validate``
     and ``run`` over 10 steps (the field's own horizon for horizon and

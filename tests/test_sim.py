@@ -305,7 +305,7 @@ def test_conventional_mode_runs_standard_observer(paper_scenario):
 
     x, leader, zeta, _, rho_hat = engine._unpack(y)
     t = scn.attack_start + 1.0
-    deriv = engine._pipeline(t, np.concatenate(
+    deriv = engine._pipeline(_stage(engine, t), np.concatenate(
         [x.ravel(), leader.ravel(), zeta.ravel(), np.full(4, 2.0), rho_hat]))
     _, _, dzeta, dtheta, _ = engine._unpack(deriv)
     xi = oracles.kron_stacked_xi(zeta, leader, engine.phi).reshape(4, 3)
@@ -351,6 +351,11 @@ def test_records_are_views_built_on_read(paper_scenario):
     assert np.array_equal(result.records[2].x, rec.x)
 
 
+def _stage(engine, t):
+    """The pipeline's stage at time t: t with its time-only terms."""
+    return (t, *engine._time_table(np.asarray(t)))
+
+
 @pytest.mark.parametrize("mode", ["saar", "resilient_unsafe", "conventional"])
 def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
     # L @ y sums the linear layers' terms in another order than the layer
@@ -386,14 +391,17 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
             "nij,nj->ni", engine.B, u)
         want = np.concatenate([dx.ravel(), (leader @ engine.S.T).ravel(),
                                dzeta.ravel(), dtheta, drho])
-        got, parts = engine._pipeline(t, y, collect=True)
+        row = np.zeros(engine._sample_width)
+        got = engine._pipeline(_stage(engine, t), y, row)
+        parts = {name: row[sl] for name, sl in engine._recorded.items()}
         tol = 64 * np.finfo(float).eps
         np.testing.assert_allclose(
             got, want, rtol=0, atol=tol * np.abs(want).max())
         np.testing.assert_allclose(
-            parts["u"], u, rtol=0, atol=tol * np.abs(u).max())
+            parts["u"].reshape(u.shape), u, rtol=0, atol=tol * np.abs(u).max())
         np.testing.assert_allclose(
-            parts["xi"], xi, rtol=0, atol=tol * np.abs(xi).max())
+            parts["xi"].reshape(xi.shape), xi, rtol=0,
+            atol=tol * np.abs(xi).max())
 
 
 @pytest.mark.parametrize("doc", [None, _tiny_doc_m2], ids=["paper", "m2"])
@@ -472,51 +480,52 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
         assert np.array_equal(rec.pair_h, h)
 
 
-def test_the_time_memo_keeps_the_derivative_and_its_arrays_read_only(
-    paper_scenario,
+@pytest.mark.parametrize("absolute_clock", [False, True])
+def test_a_block_takes_each_stage_time_terms_from_its_table(
+    paper_scenario, absolute_clock
 ):
-    # before, across and after the attack onset at 3 s; the memo keeps
-    # one time, so t1 asked again after another time is computed anew,
-    # and asked once more is the kept one
-    engine = Engine(paper_scenario)
-    rng = np.random.default_rng(4)
-    y = engine.initial_state() + 0.01 * rng.standard_normal(engine.D)
-    for times in ((1.0, 2.5), (2.5, 3.5), (3.5, 9.0), (1.0, 2.0, 3.25, 3.5)):
-        t1 = times[0]
-        for t in (*times, t1, t1):
-            got = engine._pipeline(t, y)
-        assert engine._at_time[0] == t1
-        assert np.array_equal(got, Engine(paper_scenario)._pipeline(t1, y))
-    for v in engine._at_time[1]:
-        assert not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[...] = 0.0
+    # a block across the attack onset at 3 s: every stage evaluation gets
+    # the time a step forms, k dt, k dt + dt/2 twice and k dt + dt, and the
+    # bits of eval_stacked and exp(-c t^2) computed at that time alone
+    scn = dataclasses.replace(paper_scenario, absolute_clock=absolute_clock)
+    engine = Engine(scn)
+    stages = []
+    pipeline = engine._pipeline
+
+    def recorded(stage, y, row=None):
+        stages.append(stage)
+        return pipeline(stage, y, row)
+
+    engine._pipeline = recorded
+    k0 = 2990
+    engine.advance(k0, engine.initial_state(), sim.BLOCK)
+    want = []
+    for k in range(k0, k0 + sim.BLOCK):
+        t = k * scn.dt
+        want += [t, t + scn.dt / 2, t + scn.dt / 2, t + scn.dt]
+    assert [stage[0] for stage in stages] == want
+    assert want[0] < scn.attack_start < want[-1]
+    for t, gamma, reg in stages:
+        assert np.array_equal(gamma, eval_stacked(
+            engine.attack_coeff, engine.attack_rate, scn.attack_start, t,
+            absolute_clock))
+        assert np.array_equal(reg, np.exp(-engine.c * t * t))
 
 
-def test_the_time_terms_are_computed_once_per_run_of_equal_stage_times(
-    paper_scenario, monkeypatch
-):
-    # a step's stage times are k dt, t + dt/2 twice and t + dt; the next
-    # step's k dt may equal t + dt or differ from it in the last bit
+def test_a_run_evaluates_the_attacks_once_per_block(paper_scenario,
+                                                    monkeypatch):
     scn = dataclasses.replace(paper_scenario, horizon=0.2)
     calls = []
 
-    def counted(coeff, rate, start, t, absolute_clock):
-        calls.append(t)
-        return eval_stacked(coeff, rate, start, t, absolute_clock)
+    def counted(*args):
+        calls.append(args[3])
+        return eval_stacked(*args)
 
     monkeypatch.setattr(sim, "eval_stacked", counted)
-    engine = Engine(scn)
-    y = engine.initial_state()
-    stages = []
-    for k in range(engine.n_steps + 1):
-        t = k * scn.dt
-        stages += [t] if k == engine.n_steps else [t, t + scn.dt / 2,
-                                                    t + scn.dt / 2, t + scn.dt]
-        y = engine.step(k, y)[0]
-    distinct = [t for i, t in enumerate(stages) if i == 0 or t != stages[i - 1]]
-    assert calls == distinct
-    assert len(distinct) < len(stages)
+    sim.run(scn)
+    assert len(calls) == -(-201 // sim.BLOCK) == 7
+    assert [times.shape for times in calls] == (
+        [(sim.BLOCK, 3)] * 6 + [(201 - 6 * sim.BLOCK, 3)])
 
 
 def _stepped(scn):
@@ -600,6 +609,35 @@ def test_a_stride_past_the_horizon_samples_the_first_and_last_steps(
                       for stride in (10, 2**63 - 1))
     assert len(short.table) == 2
     assert np.array_equal(short.table, longest.table)
+
+
+def test_a_filtered_blow_up_inside_a_block_names_its_first_time(monkeypatch):
+    # saar over the two-follower document at dt = 0.022 overflows at step
+    # 309, inside a block, as before states were checked a block at once
+    doc = _tiny_doc()
+    doc["horizon"], doc["dt"] = 8.8, 0.022
+    scn = scenario_from_dict(doc)
+    assert 0 < 309 % sim.BLOCK < sim.BLOCK - 1
+    with pytest.raises(SimulationError, match=r"^non-finite state at "
+                       r"t=6\.798000$"):
+        sim.run(scn)
+
+    # a solver that fails on the NaN states of the steps after it in the
+    # block still leaves the blow-up as the cause.  The step that blows up
+    # starts from a finite state, so at most its last three stages see NaN.
+    nan_calls = []
+
+    def failing(u_bars, states, *args):
+        if np.isnan(states).any():
+            nan_calls.append(len(nan_calls))
+            if len(nan_calls) > 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return sequential_filter(u_bars, states, *args)
+
+    monkeypatch.setattr(safety, "sequential_filter", failing)
+    with pytest.raises(SimulationError, match=r"t=6\.798000$"):
+        sim.run(scn)
+    assert len(nan_calls) == 4
 
 
 def test_a_blow_up_inside_a_block_and_a_divergence_read_from_the_norms():

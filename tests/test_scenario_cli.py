@@ -845,7 +845,7 @@ def test_an_overflowing_controllability_matrix_is_listed_quietly(
 @pytest.mark.parametrize("steps, stride, needs", [
     (2**58, 10, "a trace table (output_stride 10) of 3.94e+19 bytes"),
     (2**60, 2**62, "per-step arrays of 1.84e+19 bytes"),
-])
+], ids=["table", "per-step"])
 def test_a_horizon_past_numpys_largest_array_is_listed(
     tmp_path, capfd, steps, stride, needs
 ):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import shutil
@@ -36,7 +35,8 @@ import numpy as np
 
 from . import sim
 from .gains import care_residual
-from .scenario import CONTROLLER_MODES, ScenarioError, load_scenario
+from .scenario import (
+    CONTROLLER_MODES, SWEEPABLE, ScenarioError, load_scenario)
 from .sim import RunResult, SimulationError
 
 EXIT_OK = 0
@@ -266,16 +266,13 @@ def cmd_gains(args) -> int:
     return EXIT_OK
 
 
-_SWEEPABLE = ("d_s", "delta", "dt", "attack_start", "q", "alpha", "c")
-
-
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     if scenario is None:
         return EXIT_ERROR
-    if args.param not in _SWEEPABLE:
+    if args.param not in SWEEPABLE:
         return _report(
-            f"unknown sweep parameter {args.param!r}; choose from {_SWEEPABLE}"
+            f"unknown sweep parameter {args.param!r}; choose from {SWEEPABLE}"
         )
     try:
         values = [float(v) for v in args.values.split(",")]
@@ -287,14 +284,7 @@ def cmd_sweep(args) -> int:
         return _report(problem)
     rows = []
     for value in values:
-        if args.param in ("d_s", "delta", "dt", "attack_start"):
-            variant = dataclasses.replace(scenario, **{args.param: value})
-        else:
-            followers = [
-                dataclasses.replace(f, **{args.param: value})
-                for f in scenario.followers
-            ]
-            variant = dataclasses.replace(scenario, followers=followers)
+        variant = scenario.with_value(args.param, value)
         violations = variant.validate()
         if violations:
             return _report(f"{args.param}={value} invalid: {violations}")

@@ -13,7 +13,10 @@ pair's constraint that do not depend on an input are assembled for all
 pairs at once, so each agent's constraints are a slice of stacked rows.
 Every row is tested once, in one batch, with the same comparison the
 QP's first iteration makes, so only the agents that the QP would move
-reach it.
+reach it, and each QP starts from the violations and scales that test
+computed for its rows.  At these sizes a call costs what its numpy calls
+cost, not its arithmetic, so the pair operands come from one gathered
+table each and no product is computed twice.
 """
 
 from __future__ import annotations
@@ -68,11 +71,16 @@ class FilterResult:
 @dataclass(frozen=True)
 class AgentRows:
     """One agent's constraints a_k' u <= b_k as arrays: rows ``a`` (k, m),
-    bounds ``b`` (k,) and the follower pair of each row."""
+    bounds ``b`` (k,) and the follower pair of each row.  ``viol`` and
+    ``scale`` are, if given, each row's violation a_k' u_bar - b_k at the
+    u_bar the QP is given and its scale max(1, |b_k|), as the filter's
+    screen computed them; without them the QP computes both itself."""
 
     a: np.ndarray
     b: np.ndarray
     pairs: Sequence[tuple[int, int]]
+    viol: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.b)
@@ -151,8 +159,14 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     along the projection of its gradient onto the null space of the active
     rows.  A blocking multiplier hitting zero drops its constraint; a zero
     step direction with no blocking constraint certifies infeasibility.
-    A row holds when (a u - b) / max(1, |b|) <= QP_TOL; at u_bar, a u is
-    the ``np.vecdot`` product that ``sequential_filter`` screens with.
+    A row holds when (a u - b) / max(1, |b|) <= QP_TOL.  At u_bar the
+    violations a u - b and scales max(1, |b|) are the ``constraints``'
+    ``viol`` and ``scale`` when given (``sequential_filter`` passes its
+    screen's), else computed here with the same ``np.vecdot`` product, so
+    a call gives the same bits either way.  The first step needs no new
+    product: with no row active its direction is the row itself, its
+    squared norm the one the degeneracy test took, and its violation the
+    one in hand.
     A violated row with ||a|| <= QP_TOL * max(1, |b|) is degenerate: on
     the scale its violation is measured in, its gradient is zero, so it
     reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
@@ -165,16 +179,19 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
         return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
 
     rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
-    scale = np.maximum(1.0, np.abs(rhs))
-    viol = np.vecdot(rows, u_bar) - rhs
+    viol, scale = constraints.viol, constraints.scale
+    if viol is None:
+        viol = np.vecdot(rows, u_bar) - rhs
+        scale = np.maximum(1.0, np.abs(rhs))
     rhs_f = rhs.tolist()
-    u = u_bar.copy()
+    u = u_bar  # u_bar until the first step moves it to a new array
     active: list[int] = []
     lam: list[float] = []
     for _ in range(QP_MAX_ITER):
         scaled = viol / scale
         p = int(scaled.argmax())
         if scaled[p] <= QP_TOL:
+            u = u_bar.copy() if u is u_bar else u
             return FilterResult(
                 u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
             )
@@ -195,11 +212,10 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
                 r = -nc / nn[0] if len(active) == 1 else -np.linalg.solve(nn, nc)
                 z = cp + n_mat.T @ r
                 r = r.tolist()
+                zz = float(z @ z)
             else:
-                r = []
-                z = cp
-            zz = float(z @ z)
-            s_p = float(cp @ u) - rhs_f[p]
+                r, z, zz = [], cp, cc
+            s_p = float(viol[p]) if u is u_bar else float(cp @ u) - rhs_f[p]
             # full step reaches the violated constraint's boundary
             t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else math.inf
             # partial step where an active multiplier would turn negative
@@ -244,15 +260,18 @@ def sequential_filter(
     """Backward sweep over agents: u_N stays as requested, then each lower
     index is filtered against all higher-indexed, already-finalized inputs.
 
-    Every pair's input-free barrier terms are assembled in one batch, and
-    every row's bound b is completed with B_j u_bar_j.  The screen then
-    tests every row at u_bar with the QP's own first test, on the same
-    products: (a u_bar - b) / max(1, |b|) <= QP_TOL.  An agent whose rows
-    all pass keeps u_bar, as its QP would return it.  The highest agent i
-    with a failing row solves its QP on its slice of rows; B_i u_i then
-    completes b anew for the rows of the agents below i, and only those
-    rows are tested again.  The outputs are bit-identical to solving every
-    agent's QP in turn.
+    Every pair's input-free barrier terms are assembled in one batch, from
+    the pairs' rows of one table [x | A x] gathered once for the i side and
+    once for the j side, and every row's bound b is completed with
+    B_j u_bar_j.  The screen then tests every row at u_bar with the QP's
+    own first test, on the same products: its violation a u_bar - b over
+    its scale max(1, |b|) is at most QP_TOL.  An agent whose rows all pass
+    keeps u_bar, as its QP would return it.  The highest agent i with a
+    failing row solves its QP on its slice of rows, starting from the
+    screen's violations and scales of them; B_i u_i then completes b anew
+    for the rows of the agents below i, and only those rows are tested
+    again.  The outputs are bit-identical to solving every agent's QP in
+    turn.
 
     a_mats (N, n, n) and b_mats (N, n, m) stack the agents' A and B; delta
     may be a scalar or an (N, N) array of per-pair constraint rates.
@@ -263,33 +282,41 @@ def sequential_filter(
     pairs, pair_i, pair_j = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
     delta = delta[pair_i, pair_j] if delta.ndim else float(delta)
-    ax = np.matvec(a_mats, states)
+    n = states.shape[1]
+    # [x | A x]: each side's pair operands in one gather
+    xax = np.concatenate((states, np.matvec(a_mats, states)), axis=1)
+    side_i, side_j = xax.take(pair_i, axis=0), xax.take(pair_j, axis=0)
     r, _, a, b0, lf = _barrier_terms(
-        states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],
-        b_mats[pair_i], delta, d_s,
+        side_i[:, :n], side_j[:, :n], side_i[:, n:], side_j[:, n:],
+        b_mats.take(pair_i, axis=0), delta, d_s,
     )
     bu = np.matvec(b_mats, u_bars)  # B_j u_j
-    b = _barrier_rhs(b0, r, bu[pair_j], lf)
-    au = np.vecdot(a, u_bars[pair_i])
+    b = _barrier_rhs(b0, r, bu.take(pair_j, axis=0), lf)
+    au = np.vecdot(a, u_bars.take(pair_i, axis=0))
 
     # every agent keeps its u_bar unless its QP runs
     results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))
     end = len(pairs)  # rows of the agents not yet finalized
     while end:
-        certified = (au[:end] - b) / np.maximum(1.0, np.abs(b)) <= QP_TOL
-        if certified.all():
+        viol = au[:end] - b
+        scale = np.maximum(1.0, np.abs(b))
+        certified = viol / scale <= QP_TOL
+        last = end - 1 - int(certified[::-1].argmin())  # last open row, if any
+        if certified[last]:
             break
-        i = int(pair_i[end - 1 - certified[::-1].argmin()])  # last open row
+        i = int(pair_i[last])
         start = i * (2 * n_agents - i - 1) // 2  # agent i's rows (i, j > i)
         own = slice(start, start + n_agents - 1 - i)
         try:
-            results[i] = solve_agent_qp(
-                u_bars[i], AgentRows(a=a[own], b=b[own], pairs=pairs[own])
-            )
+            results[i] = solve_agent_qp(u_bars[i], AgentRows(
+                a=a[own], b=b[own], pairs=pairs[own],
+                viol=viol[own], scale=scale[own],
+            ))
         except QPInfeasibleError as err:
             err.agent = i
             raise
         end = start
         bu[i] = b_mats[i] @ results[i].u
-        b = _barrier_rhs(b0[:end], r[:end], bu[pair_j[:end]], lf[:end])
+        b = _barrier_rhs(
+            b0[:end], r[:end], bu.take(pair_j[:end], axis=0), lf[:end])
     return results

@@ -20,6 +20,10 @@ import numpy as np
 from . import gains, topology as topo
 
 CONTROLLER_MODES = ("saar", "resilient_unsafe", "conventional")
+# the scalars a sweep may vary; none is an input to the gains or the Phi
+# family, so a sweep's variants keep their parent's
+_FOLLOWER_SCALARS = ("q", "alpha", "c")
+SWEEPABLE = ("d_s", "delta", "dt", "attack_start", *_FOLLOWER_SCALARS)
 # the largest gain whose exponential is a finite float (about 709.78)
 MAX_GAIN_CAP = float(np.log(np.finfo(float).max))
 
@@ -138,8 +142,8 @@ class ScenarioConfig:
                 errs.append("topology follower count does not match followers")
             if lead.ndim and graph.n_leaders != len(lead):
                 errs.append("topology leader count does not match leader_x0")
-            try:
-                topo.build_phi_family(graph)
+            try:  # cached for Engine
+                self.phi_family
             except topo.TopologyError as exc:
                 errs.append(f"topology: {exc}")
 
@@ -224,17 +228,39 @@ class ScenarioConfig:
             raise ScenarioError(errs)
         return sets
 
-    def with_mode(self, mode: str) -> "ScenarioConfig":
-        twin = replace(self, controller_mode=mode)
-        twin.gain_sets = self.gain_sets  # the mode is not an input to them
+    @cached_property
+    def phi_family(self) -> topo.PhiFamily:
+        """The topology's Phi family; a TopologyError if it has none."""
+        return topo.build_phi_family(self.topology)
+
+    def _twin(self, **changes) -> "ScenarioConfig":
+        """A copy with ``changes``, none of them an input to the gains or
+        the Phi family, so the copy keeps those this scenario has built."""
+        twin = replace(self, **changes)
+        for key in ("gain_sets", "phi_family"):
+            if key in self.__dict__:  # built (cached_property)
+                twin.__dict__[key] = self.__dict__[key]
         return twin
+
+    def with_mode(self, mode: str) -> "ScenarioConfig":
+        return self._twin(controller_mode=mode)
+
+    def with_value(self, param: str, value: float) -> "ScenarioConfig":
+        """A copy with one of ``SWEEPABLE`` set to ``value``: a scenario
+        field, or q, alpha or c of every follower."""
+        if param not in SWEEPABLE:
+            raise ValueError(f"{param!r} is not one of {SWEEPABLE}")
+        if param in _FOLLOWER_SCALARS:
+            return self._twin(followers=[
+                replace(f, **{param: value}) for f in self.followers])
+        return self._twin(**{param: value})
 
     def attack_free(self) -> "ScenarioConfig":
         """Copy of this scenario with every attack coefficient zeroed."""
         followers = [
             replace(f, attack_cil=None, attack_ol=None) for f in self.followers
         ]
-        return replace(self, followers=followers)
+        return self._twin(followers=followers)
 
 
 def _positive(key: str, value: float) -> list[str]:

@@ -44,13 +44,14 @@ from .compensation import (
 from .gains import synthesize_gains  # unused: benchmark/tracing.py wraps it
 from .observer import adaptive_gain, neighborhood_signal, observer_input
 from .scenario import ScenarioConfig
-from .topology import PhiFamily, Topology, build_phi_family
+from .topology import PhiFamily, Topology
 
 log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
-    """Raised when integration produces non-finite state."""
+    """Raised when integration produces non-finite state, or when a run's
+    arrays cannot be allocated."""
 
 
 # Per-follower trace fields in CSV column order: the TraceRecord
@@ -189,7 +190,7 @@ class Engine:
         self.PB = np.stack([g.P @ B for g, B in zip(self.gains, self.B)])
 
         self.topology: Topology = sc.topology
-        self.phi: PhiFamily = build_phi_family(self.topology)
+        self.phi: PhiFamily = sc.phi_family  # built in validation
 
         self.q = np.array([f.q for f in sc.followers])
         self.alpha = np.array([f.alpha for f in sc.followers])
@@ -495,10 +496,15 @@ def run(scenario: ScenarioConfig) -> RunResult:
     """
     engine = Engine(scenario)
     y = engine.initial_state()
-    table = engine.new_table()
-    t_start = time.perf_counter()
     steps = engine.n_steps + 1
-    ec_norms, pair_mins = np.empty((2, steps))
+    try:  # numpy refuses a size it cannot map at once, allocating nothing
+        table = engine.new_table()
+        ec_norms, pair_mins = np.empty((2, steps))
+    except MemoryError as exc:
+        raise SimulationError(
+            f"cannot allocate a run of {engine.n_steps} dt steps: {exc}"
+        ) from None
+    t_start = time.perf_counter()
     # A run that blows up ends at the finiteness check in ``advance``;
     # numpy's overflow and NaN warnings on the way there add nothing to it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

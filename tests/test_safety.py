@@ -232,6 +232,49 @@ def test_qp_minimality_against_random_feasible_points():
         instances += 1
 
 
+def _qp_outcome(u_bar, rows):
+    """solve_agent_qp's u bytes and active set, or its QPInfeasibleError's
+    pairs and message."""
+    try:
+        res = solve_agent_qp(u_bar, rows)
+    except QPInfeasibleError as err:
+        return "infeasible", err.pairs, str(err)
+    return res.u.tobytes(), res.delta_u.tobytes(), res.active_set
+
+
+def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
+    # sequential_filter hands each QP its screen's violations a u_bar - b
+    # (on the rows and their agent's u_bar gathered per row) and scales
+    # max(1, |b|); the QP must give the bits it gives on the rows alone
+    rng = np.random.default_rng(53)
+    seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
+    for trial in range(1600):
+        kind = trial % 4
+        k = 1 if kind == 0 else int(rng.integers(2, 7))
+        u_bar = rng.standard_normal(3) * 10.0 ** rng.uniform(-1, 3)
+        a = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+        # most rows violated at u_bar, by amounts on either side of 1
+        b = a @ u_bar - rng.uniform(-1, 3, k) * 10.0 ** rng.uniform(-3, 3, k)
+        if kind == 2:  # a violated row too short to step along
+            a[0] *= 1e-11 / np.linalg.norm(a[0])
+            b[0] = a[0] @ u_bar - rng.uniform(0.5, 2.0)
+        elif kind == 3:  # two rows no input satisfies together
+            a[1], b[1] = -a[0], -b[0] - rng.uniform(0.1, 5.0)
+        pairs = [(0, j) for j in range(1, k + 1)]
+        screened = AgentRows(
+            a=a, b=b, pairs=pairs,
+            viol=np.vecdot(a, np.tile(u_bar, (k, 1))) - b,
+            scale=np.maximum(1.0, np.abs(b)),
+        )
+        got = _qp_outcome(u_bar, screened)
+        assert got == _qp_outcome(u_bar, AgentRows(a=a, b=b, pairs=pairs))
+        if got[0] == "infeasible":
+            seen["degenerate" if "degenerate" in got[2] else "infeasible"] += 1
+        elif got[2]:
+            seen[len(got[2])] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_sequential_filter_inactive_when_far_apart():
     models = [_plant(np.zeros((3, 3)), np.eye(3))] * 3
     states = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10, 0]])

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from safe_containment import cli, gains, sim
+from safe_containment import cli, gains, sim, topology
 from safe_containment.scenario import (
+    SWEEPABLE,
     ScenarioError,
     bundled_scenario_path,
     load_scenario,
@@ -803,21 +804,38 @@ def test_validation_lists_every_follower_whose_gains_fail_once():
 def test_each_follower_is_synthesized_once_per_job(
     tmp_path, monkeypatch, capsys
 ):
-    calls = dict.fromkeys(("solve_regulator", "solve_care"), 0)
+    # and the Phi family is built once per job, in validation
+    once = {"solve_regulator": 2, "solve_care": 2, "build_phi_family": 1}
+    calls = dict.fromkeys(once, 0)
     for name in calls:
-        def counted(*args, _solve=getattr(gains, name), _name=name):
+        owner = topology if name == "build_phi_family" else gains
+        def counted(*args, _solve=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _solve(*args)
-        monkeypatch.setattr(gains, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     doc = _tiny_doc()  # two followers
-    sim.run(scenario_from_dict(doc))
-    assert calls == {"solve_regulator": 2, "solve_care": 2}
-    # a --mode copy keeps the gains validation synthesized
-    calls.update(solve_regulator=0, solve_care=0)
+    scenario = scenario_from_dict(doc)
+    assert sim.Engine(scenario).phi is scenario.phi_family
+    sim.run(scenario)
+    assert calls == once
+    # a --mode copy keeps what validation built
+    calls.update(dict.fromkeys(once, 0))
     args = ["run", "--scenario", _write(tmp_path, doc), "--mode",
             "conventional", "--output-dir", str(tmp_path / "o")]
     assert cli.run_command(args) == cli.EXIT_OK
-    assert calls == {"solve_regulator": 2, "solve_care": 2}
+    assert calls == once
+    # so does each variant of a sweep, whatever scalar it varies
+    values = {"d_s": "0.3,0.4", "delta": "5,6", "dt": "0.001,0.002",
+              "attack_start": "0.1,0.2", "q": "1,2", "alpha": "1,2",
+              "c": "1,2"}
+    assert sorted(values) == sorted(SWEEPABLE)
+    for param, vals in values.items():
+        calls.update(dict.fromkeys(once, 0))
+        args = ["sweep", "--scenario", _write(tmp_path, doc), "--param",
+                param, "--values", vals, "--output-dir", str(tmp_path / "o")]
+        assert cli.run_command(args) == cli.EXIT_OK
+        assert calls == once, param
+    capsys.readouterr()
 
 
 @pytest.mark.filterwarnings("error")
@@ -862,6 +880,27 @@ def test_a_horizon_past_numpys_largest_array_is_listed(
         assert json.loads(stdout) == {"valid": False, "violations": [
             f"horizon of {steps} dt steps needs {needs}, more than "
             f"numpy's largest array ({np.iinfo(np.intp).max} bytes)"]}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_horizon_too_large_to_allocate_is_one_error_line(
+    tmp_path, capfd, command
+):
+    # validate accepts 2**50 steps, but the run's trace table would be 137
+    # PiB: numpy refuses it at once, allocating nothing
+    doc = _bundled_doc()
+    doc["horizon"] = 2**50 * doc["dt"]
+    out = tmp_path / "o"
+    args = [command, "--scenario", _write(tmp_path, doc),
+            "--output-dir", str(out)]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot allocate a run of {2**50} dt steps" in err
     assert not out.exists()
 
 

@@ -233,8 +233,8 @@ def test_qp_minimality_against_random_feasible_points():
 
 
 def _qp_outcome(u_bar, rows):
-    """solve_agent_qp's u bytes and active set, or its QPInfeasibleError's
-    pairs and message."""
+    """solve_agent_qp's u and delta_u bytes and active set, or its
+    QPInfeasibleError's pairs and message."""
     try:
         res = solve_agent_qp(u_bar, rows)
     except QPInfeasibleError as err:

@@ -804,7 +804,7 @@ def test_validation_lists_every_follower_whose_gains_fail_once():
 def test_each_follower_is_synthesized_once_per_job(
     tmp_path, monkeypatch, capsys
 ):
-    # and the Phi family is built once per job, in validation
+    # one synthesis per follower and one Phi family per job, in validation
     once = {"solve_regulator": 2, "solve_care": 2, "build_phi_family": 1}
     calls = dict.fromkeys(once, 0)
     for name in calls:

@@ -170,7 +170,17 @@ def synthesize_gains(A, B, Q, U, S) -> GainSet:
                 else ["S must be square"])
     if problems:
         raise GainSynthesisError(problems[0])
+    return solve_gains(a, b, q, u, s)
+
+
+def solve_gains(a, b, q, u, s) -> GainSet:
+    """``synthesize_gains`` without its checks: the gain set of float
+    arrays that ``model_problems`` passes at S's size.  Its arrays are
+    read-only, so followers that share one cannot change each other's."""
     pi = solve_regulator(a, b, s)
     p = solve_care(a, b, q, u)
     k = -np.linalg.solve(u, b.T @ p)
-    return GainSet(P=p, K=k, H=pi - k, Pi=pi)
+    gainset = GainSet(P=p, K=k, H=pi - k, Pi=pi)
+    for arr in (p, k, gainset.H, pi):
+        arr.setflags(write=False)
+    return gainset

@@ -101,9 +101,9 @@ class ScenarioConfig:
         n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
         errs.extend(gains.leader_problems(s))
 
-        for idx, f in enumerate(self.followers):
+        for idx, (f, (_, problems)) in enumerate(
+                zip(self.followers, self._model_checks), start=1):
             tag = f"follower {idx}"
-            problems = gains.model_problems(f.A, f.B, f.Q, f.U, n)
             errs.extend(f"{tag}: {p}" for p in problems)
             m = f.B.shape[1] if f.B.ndim == 2 else None
             for key, vec, size in (
@@ -216,14 +216,42 @@ class ScenarioConfig:
                 for what, size in sizes.items() if size > limit]
 
     @cached_property
+    def _model_checks(self) -> list[tuple[tuple, list[str]]]:
+        """Each follower's model key, the shapes and bytes of its float A,
+        B, Q and U, with that model's problems at S's size (at A's own if
+        S is not square), checked once per key."""
+        s = np.asarray(self.S)
+        n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
+        checked, keys = {}, []
+        for f in self.followers:
+            mats = [np.asarray(mat, dtype=float)
+                    for mat in (f.A, f.B, f.Q, f.U)]
+            keys.append(tuple((mat.shape, mat.tobytes()) for mat in mats))
+            if keys[-1] not in checked:
+                checked[keys[-1]] = gains.model_problems(*mats, n)
+        return [(key, checked[key]) for key in keys]
+
+    @cached_property
     def gain_sets(self) -> list[gains.GainSet]:
-        """Each follower's gains; a ScenarioError lists every failing one."""
-        sets, errs = [], []
-        for idx, f in enumerate(self.followers):
+        """Each follower's gains, synthesized once per model key, so the
+        followers that share a model share one (read-only) GainSet; a
+        ScenarioError lists every failing follower, numbered from 1."""
+        s = np.asarray(self.S, dtype=float)
+        square = s.ndim == 2 and s.shape[0] == s.shape[1]
+        made = {}  # model key: its GainSet, or why it has none
+        for f, (key, problems) in zip(self.followers, self._model_checks):
+            if key in made:
+                continue
+            problems = problems if square else ["S must be square"]
             try:
-                sets.append(gains.synthesize_gains(f.A, f.B, f.Q, f.U, self.S))
+                made[key] = problems[0] if problems else gains.solve_gains(
+                    *(np.asarray(mat, dtype=float)
+                      for mat in (f.A, f.B, f.Q, f.U)), s)
             except gains.GainSynthesisError as exc:
-                errs.append(f"follower {idx}: {exc}")
+                made[key] = str(exc)
+        sets = [made[key] for key, _ in self._model_checks]
+        errs = [f"follower {idx}: {why}" for idx, why in enumerate(sets, 1)
+                if isinstance(why, str)]
         if errs:
             raise ScenarioError(errs)
         return sets
@@ -234,10 +262,11 @@ class ScenarioConfig:
         return topo.build_phi_family(self.topology)
 
     def _twin(self, **changes) -> "ScenarioConfig":
-        """A copy with ``changes``, none of them an input to the gains or
-        the Phi family, so the copy keeps those this scenario has built."""
+        """A copy with ``changes``, none of them an input to the model
+        checks, the gains or the Phi family, so the copy keeps those this
+        scenario has built."""
         twin = replace(self, **changes)
-        for key in ("gain_sets", "phi_family"):
+        for key in ("_model_checks", "gain_sets", "phi_family"):
             if key in self.__dict__:  # built (cached_property)
                 twin.__dict__[key] = self.__dict__[key]
         return twin

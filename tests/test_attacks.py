@@ -96,7 +96,7 @@ def test_signal_validation():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.violations == [
-        "follower 0: attack_cil rate must have length 3",
+        "follower 1: attack_cil rate must have length 3",
         "attack_start must be nonnegative",
     ]
     doc["followers"][0]["attack_cil"]["rate"] = [0.1, 0.1, 0.1]

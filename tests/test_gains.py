@@ -85,6 +85,17 @@ def test_synthesize_scalar_identity_toy():
     assert g.H == pytest.approx(np.array([[1.0]]), abs=1e-10)
 
 
+def test_synthesized_gains_are_read_only(paper_scenario):
+    # followers that share a model share its GainSet: no caller may
+    # change one follower's gains through another
+    f = paper_scenario.followers[0]
+    for gainset in (synthesize_gains(*_model(f), paper_scenario.S),
+                    paper_scenario.gain_sets[0]):
+        for name in ("P", "K", "H", "Pi"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gainset, name)[0, 0] = 0.0
+
+
 def test_feedforward_split_identity(paper_scenario):
     f = paper_scenario.followers[2]
     g = synthesize_gains(*_model(f), paper_scenario.S)

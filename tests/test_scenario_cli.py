@@ -103,7 +103,7 @@ def test_validation_names_asymmetric_q():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert any(
-        "follower 1" in v and "Q" in v for v in err.value.violations
+        "follower 2" in v and "Q" in v for v in err.value.violations
     )
 
 
@@ -133,7 +133,7 @@ def test_validation_rejects_zero_q():
     doc["followers"][1]["q"] = 0.0
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
-    assert err.value.violations == ["follower 1: q must be positive"]
+    assert err.value.violations == ["follower 2: q must be positive"]
 
 
 def test_validation_rejects_nonpositive_alpha_and_c():
@@ -144,7 +144,7 @@ def test_validation_rejects_nonpositive_alpha_and_c():
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict(doc)
             assert err.value.violations == [
-                f"follower 0: {key} must be positive"
+                f"follower 1: {key} must be positive"
             ]
 
 
@@ -182,10 +182,10 @@ def test_validation_rejects_nonfinite_attacks_and_lists_every_violation():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.violations == [
-        "follower 0: attack_cil coeff must be finite",
-        "follower 0: attack_ol rate must be finite",
-        "follower 1: attack_cil rate must be finite",
-        "follower 1: attack_ol coeff must be finite",
+        "follower 1: attack_cil coeff must be finite",
+        "follower 1: attack_ol rate must be finite",
+        "follower 2: attack_cil rate must be finite",
+        "follower 2: attack_ol coeff must be finite",
         "delta must be a scalar or a 2x2 array, not shape (3, 3)",
         "delta entries must be finite and positive",
     ]
@@ -288,7 +288,7 @@ def test_a_rejected_topology_is_listed_with_the_other_violations():
     doc["dt"] = -1
     assert _violations(doc) == [
         "topology: edge and pinning weights must be finite and nonnegative",
-        "follower 2: Q must be positive definite",
+        "follower 3: Q must be positive definite",
         "dt must be positive",
     ]
 
@@ -306,7 +306,7 @@ def test_a_rejected_topology_is_listed_with_the_other_violations():
 def test_bad_model_matrix_is_one_violation(field, edit, violation):
     doc = _tiny_doc()
     edit(doc["followers"][1])
-    assert _violations(doc) == [f"follower 1: {violation}"]
+    assert _violations(doc) == [f"follower 2: {violation}"]
 
 
 def _paper_doc_m2():
@@ -330,7 +330,7 @@ def test_cli_rejects_unsolvable_regulator_equation(tmp_path, capsys, command):
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is False
     assert len(out["violations"]) == 4
-    for idx, v in enumerate(out["violations"]):
+    for idx, v in enumerate(out["violations"], start=1):
         assert v.startswith(f"follower {idx}: regulator equation unsolvable")
     assert not (tmp_path / "o").exists()
 
@@ -784,8 +784,8 @@ def test_cli_reports_a_failed_gain_synthesis_as_an_error(
         report = json.loads(captured.out)
         assert report["valid"] is False
         (violation,) = report["violations"]
-        assert violation.startswith(  # the follower numbered from 0
-            f"follower {follower}: Riccati iteration did not converge")
+        assert violation.startswith(  # the follower numbered from 1
+            f"follower {follower + 1}: Riccati iteration did not converge")
     assert not out.exists()
 
 
@@ -795,9 +795,9 @@ def test_validation_lists_every_follower_whose_gains_fail_once():
     for spec in doc["followers"][2:]:
         spec["Q"] = [[v * 1e300 for v in row] for row in spec["Q"]]
     assert _violations(doc) == [
-        "follower 0: Q must be symmetric",
-        "follower 2: Riccati iteration did not converge: final residual inf",
+        "follower 1: Q must be symmetric",
         "follower 3: Riccati iteration did not converge: final residual inf",
+        "follower 4: Riccati iteration did not converge: final residual inf",
     ]
 
 
@@ -838,6 +838,78 @@ def test_each_follower_is_synthesized_once_per_job(
     capsys.readouterr()
 
 
+def _twice_doc():
+    """``paper_sec4`` with each of its four followers twice: followers k
+    and k + 4 (from 1) share a model.  The eight form a bidirectional
+    ring; leader r pins followers r and r + 4."""
+    doc = _bundled_doc()
+    doc["name"] = "twice"
+    doc["horizon"] = 0.01
+    doc["followers"] = [copy.deepcopy(f) for f in doc["followers"] * 2]
+    for spec in doc["followers"][4:]:
+        spec["x0"] = [2 * v for v in spec["x0"]]
+    ring = np.zeros((8, 8))
+    for i in range(8):
+        ring[i, (i + 1) % 8] = ring[i, (i - 1) % 8] = 1.0
+    doc["topology"] = {"adjacency": ring.tolist(),
+                       "pinning": np.hstack([np.eye(4)] * 2).tolist()}
+    return doc
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each ``gains`` function in ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _solve=getattr(gains, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(gains, name, counted)
+    return calls
+
+
+def test_each_distinct_model_is_checked_and_synthesized_once_per_load(
+    monkeypatch
+):
+    # four models among eight followers: four checks and four solves of
+    # each equation per load, and a second load repeats them all
+    names = ("model_problems", "solve_regulator", "solve_care")
+    calls = _count_calls(monkeypatch, names)
+    for load in (1, 2):
+        scenario = scenario_from_dict(_twice_doc())
+        sim.Engine(scenario)
+        assert calls == dict.fromkeys(names, 4 * load)
+        assert scenario.gain_sets[0] is scenario.gain_sets[4]
+
+
+def test_shared_gains_give_the_engine_each_followers_own_bits():
+    scenario = scenario_from_dict(_twice_doc())
+    engine = sim.Engine(scenario)
+    for i, f in enumerate(scenario.followers):
+        own = gains.synthesize_gains(f.A, f.B, f.Q, f.U, scenario.S)
+        for got, want in ((engine.K[i], own.K), (engine.H[i], own.H),
+                          (engine.PB[i], own.P @ f.B)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale, violation", [
+    (None, "Q must be symmetric"),
+    (1e300, "Riccati iteration did not converge: final residual inf"),
+], ids=["asymmetric", "overflowing"])
+def test_a_bad_model_shared_by_two_followers_is_listed_for_each(
+    monkeypatch, scale, violation
+):
+    doc = _twice_doc()
+    for spec in doc["followers"][1::4]:  # followers 2 and 6
+        spec["Q"] = ([[3, 1, 0], [0, 3, 0], [0, 0, 3]] if scale is None
+                     else [[v * scale for v in row] for row in spec["Q"]])
+    calls = _count_calls(monkeypatch, ("model_problems", "solve_care"))
+    assert _violations(doc) == [
+        f"follower 2: {violation}", f"follower 6: {violation}"]
+    # the bad model is checked once, and solved once if it passes
+    assert calls == {"model_problems": 4,
+                     "solve_care": 3 if scale is None else 4}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["validate", "run", "gains"])
 def test_an_overflowing_controllability_matrix_is_listed_quietly(
@@ -856,7 +928,7 @@ def test_an_overflowing_controllability_matrix_is_listed_quietly(
     out, err = capfd.readouterr()
     assert err == ""
     assert json.loads(out) == {"valid": False, "violations": [
-        "follower 2: (A, B) controllability matrix is not finite"]}
+        "follower 3: (A, B) controllability matrix is not finite"]}
     assert not (tmp_path / "o").exists()
 
 

@@ -102,7 +102,7 @@ HUGE_REJECTED = {
     ("horizon",): "horizon must be under 2**63 dt steps, not 1.6e+304",
     ("output_stride",): "output_stride must be below 2**63",
     ("topology", "adjacency"): "topology: sum of Phi_r is singular",
-    **{("followers", i, key): f"follower {i}: Riccati iteration did not "
+    **{("followers", i, key): f"follower {i + 1}: Riccati iteration did not "
        "converge" for i in range(4) for key in "BQ"},
 }
 

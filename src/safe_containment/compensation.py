@@ -39,16 +39,17 @@ def projected_error(PB: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 
 def compensation_law(
-    s: np.ndarray, gain: np.ndarray, alpha: np.ndarray, reg: np.ndarray
+    s: np.ndarray, gain: np.ndarray, alpha: np.ndarray, reg: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive compensation gamma_hat and its gain rate rho_hat' from
     the projected errors s (see ``projected_error``), the gains
     exp(rho_hat) (see ``observer.adaptive_gain``) and the regularizers
-    exp(-c t^2):
+    exp(-c t^2); the rate is written into ``out`` when one is given:
 
         gamma_hat_i = s_i' exp(rho_hat_i) / (||s_i|| + exp(-c_i t^2))
         rho_hat_i'  = alpha_i ||s_i||       (always nonnegative)
     """
     ns = np.sqrt(np.add.reduce(s * s, axis=1))
     gamma_hat = s * (gain / (ns + reg))[:, None]
-    return gamma_hat, alpha * ns
+    return gamma_hat, np.multiply(alpha, ns, out=out)

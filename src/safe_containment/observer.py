@@ -49,14 +49,20 @@ def observer_input(
     gain: np.ndarray,
     q: np.ndarray,
     resilient: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The observer rates less their linear drift S zeta: the driving
     term exp(theta) xi + gamma_ol of zeta' and the rate theta', given the
-    gains exp(theta) (see ``adaptive_gain``).
+    gains exp(theta) (see ``adaptive_gain``).  The rate is written into
+    ``out`` when one is given.
 
     With ``resilient=False`` this is the standard observer: unit gain
     whatever ``gain`` is, and theta' = 0.
     """
-    if not resilient:
+    if resilient:
+        return (gain[:, None] * xi + gamma_ol,
+                np.multiply(q, np.add.reduce(xi * xi, axis=1), out=out))
+    if out is None:
         return xi + gamma_ol, np.zeros(len(xi))
-    return gain[:, None] * xi + gamma_ol, q * np.add.reduce(xi * xi, axis=1)
+    out[...] = 0.0
+    return xi + gamma_ol, out

@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, make_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -206,6 +207,8 @@ class Engine:
 
         N, n, m = self.N, self.n, self.B.shape[2]
         self.layout = TraceLayout(N, n, m)
+        self._resilient = sc.controller_mode != "conventional"
+        self._filtered = sc.controller_mode == "saar"
 
         self.qp_infeasible_count = 0
         self.filter_intervention_count = 0
@@ -237,6 +240,9 @@ class Engine:
                       np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
         del at["leader_x"], at["s"]
         self._columns = self.layout.column_map(at)
+        # one workspace per RK4 stage, and the state each later stage is at
+        self._workspaces = [self._workspace() for _ in range(4)]
+        self._stage_state = np.empty(self.D)
 
     # -- state packing ---------------------------------------------------
 
@@ -303,43 +309,61 @@ class Engine:
 
     # -- control pipeline -------------------------------------------------
 
-    def _pipeline(self, stage: tuple, y: np.ndarray, row=None):
+    def _workspace(self) -> SimpleNamespace:
+        """A vector for the output of L y, with views of its parts: the
+        derivative, its x (flat), zeta, theta and rho_hat parts, xi, s and
+        u_c, and ``outputs``, the SAMPLED outputs that follow the
+        derivative."""
+        z = np.empty(len(self.L))
+        x, _, zeta, theta, rho = self._slices
+        xi, _, s, u_c = self._outputs
+        N = self.N
+        return SimpleNamespace(
+            z=z, deriv=z[:self.D], dx=z[x], dzeta=z[zeta].reshape(N, -1),
+            dtheta=z[theta], drho=z[rho], xi=z[xi].reshape(N, -1),
+            s=z[s].reshape(N, -1), u_c=z[u_c].reshape(N, -1),
+            outputs=z[self.D:])
+
+    def _pipeline(self, stage: tuple, y: np.ndarray, row=None, *, out=None):
         """The derivative of the packed state y at a stage (t, attacks,
         exp(-c t^2)) of ``_time_table``; given a sample ``row``, also write
         the SAMPLED outputs into it, whose pair-active entries start at 0.
 
-        One product L @ y gives the derivative's linear part, xi, eps, s
-        and u_c.  What is not linear in y is added to it: the observer's
+        One product L y gives the derivative's linear part, xi, eps, s and
+        u_c.  What is not linear in y is added to it: the observer's
         exp(theta) xi and the output attack, the compensation's gain law,
-        B u after the safety filter, and the gain rates."""
+        B u after the safety filter, and the gain rates.
+
+        The evaluation works in the workspace ``out`` (``_workspace``), or
+        in a fresh one, and returns a view of it: a derivative is valid
+        until its workspace's next evaluation."""
         sc = self.scenario
         N, n = self.N, self.n
         t, gamma, reg = stage
-        resilient = sc.controller_mode != "conventional"
-        x_sl, _, zeta_sl, theta_sl, rho_sl = self._slices
-        xi_sl, _, s_sl, uc_sl = self._outputs
+        ws = self._workspace() if out is None else out
+        theta_sl, rho_sl = self._slices[3:]
 
-        z = self.L @ y
-        deriv = z[:self.D]
-        xi, u_c = z[xi_sl].reshape(N, n), z[uc_sl].reshape(N, -1)
+        self.L.dot(y, out=ws.z)
         # theta and rho_hat are adjacent in y: both gains in one call
         gain = adaptive_gain(y[theta_sl.start:rho_sl.stop], sc.gain_cap)
-        driving, dtheta = observer_input(
-            xi, gamma[:, :n], gain[:N], self.q, resilient)
-        if resilient:
-            gamma_hat, drho = compensation_law(
-                z[s_sl].reshape(N, -1), gain[N:], self.alpha, reg)
+        driving, _ = observer_input(
+            ws.xi, gamma[:, :n], gain[:N], self.q, self._resilient,
+            out=ws.dtheta)
+        if self._resilient:
+            gamma_hat, _ = compensation_law(
+                ws.s, gain[N:], self.alpha, reg, out=ws.drho)
         else:
-            gamma_hat, drho = np.zeros_like(u_c), np.zeros(N)
-        u_r = u_c - gamma_hat
+            gamma_hat = np.zeros_like(ws.u_c)
+            ws.drho[...] = 0.0
+        u_r = ws.u_c - gamma_hat
         u_bar = u_r + gamma[:, n:]
 
         u, active = u_bar, ()
-        if sc.controller_mode == "saar":
+        if self._filtered:
             try:
                 results = safety.sequential_filter(
-                    u_bar, y[x_sl].reshape(N, n), self.A, self.B, sc.delta,
-                    sc.d_s,
+                    u_bar, y[self._slices[0]].reshape(N, n), self.A, self.B,
+                    sc.delta, sc.d_s,
                 )
             except safety.QPInfeasibleError:
                 self.qp_infeasible_count += 1
@@ -352,30 +376,44 @@ class Engine:
                     u = np.array([r.u for r in results])
                     self.filter_intervention_count += bool((u != u_bar).any())
 
-        deriv[x_sl] += self.B_diag @ u.ravel()
-        deriv[zeta_sl] += driving.ravel()
-        deriv[theta_sl] = dtheta
-        deriv[rho_sl] = drho
+        ws.dx += self.B_diag.dot(u.ravel())
+        ws.dzeta += driving
         if row is not None:
             rec = self._recorded
-            row[:rec["u_c"].stop] = z[self.D:]
+            row[:rec["u_c"].stop] = ws.outputs
             row[rec["gamma_hat"]] = gamma_hat.ravel()
             row[rec["u"]] = u.ravel()
             if active:
                 row[rec["pair_active"]][
                     [self.layout.pairs.index(p) for p in active]] = 1.0
-        return deriv
+        return ws.deriv
 
     # -- integration -------------------------------------------------------
 
     def _rk4(self, y: np.ndarray, dt: float, k1: np.ndarray,
              mid: tuple, end: tuple) -> np.ndarray:
         """One RK4 step of length dt from y, given its first stage k1 and
-        the stages (see ``_pipeline``) of its midpoint and its end."""
-        k2 = self._pipeline(mid, y + (dt / 2) * k1)
-        k3 = self._pipeline(mid, y + (dt / 2) * k2)
-        k4 = self._pipeline(end, y + dt * k3)
-        return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        the stages (see ``_pipeline``) of its midpoint and its end.
+
+        The later stages are evaluated in the Engine's workspaces 1 to 3,
+        at states formed in its stage-state vector; k1 is left as it is.
+        The weighted sum is formed in k2's workspace, in the order of
+        k1 + 2 k2 + 2 k3 + k4, and the new state is a fresh array."""
+        _, ws2, ws3, ws4 = self._workspaces
+        at = self._stage_state
+        k2 = self._pipeline(
+            mid, np.add(y, np.multiply(dt / 2, k1, out=at), out=at), out=ws2)
+        k3 = self._pipeline(
+            mid, np.add(y, np.multiply(dt / 2, k2, out=at), out=at), out=ws3)
+        k4 = self._pipeline(
+            end, np.add(y, np.multiply(dt, k3, out=at), out=at), out=ws4)
+        k2 *= 2
+        k3 *= 2
+        total = np.add(k1, k2, out=k2)
+        total += k3
+        total += k4
+        total *= dt / 6
+        return y + total
 
     def _sampled(self, k):
         """Whether step k (an int or an int array) is sampled."""
@@ -410,7 +448,8 @@ class Engine:
             for i, is_sampled in enumerate(sampled.tolist()):
                 first, mid, end = stages[3 * i:3 * i + 3]
                 k1 = self._pipeline(first, y,
-                                    samples[i] if is_sampled else None)
+                                    samples[i] if is_sampled else None,
+                                    out=self._workspaces[0])
                 if i < integrated:
                     y = Y[i + 1] = self._rk4(y, sc.dt, k1, mid, end)
         except Exception:

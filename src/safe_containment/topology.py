@@ -106,13 +106,14 @@ def build_phi_family(topology: Topology) -> PhiFamily:
     to the observer containment error.
 
     Raises TopologyError if some follower is unreachable from every leader,
-    naming the offending followers, or if the sum of Phi_r is singular.
+    naming the offending followers numbered from 1, or if the sum of Phi_r
+    is singular.
     """
     unreachable = check_reachability(topology)
     if unreachable:
         raise TopologyError(
             "followers with no directed path from any leader: "
-            f"{sorted(unreachable)}"
+            f"{sorted(i + 1 for i in unreachable)}"
         )
     adj = topology.adjacency
     m = topology.n_leaders

@@ -838,21 +838,23 @@ def test_each_follower_is_synthesized_once_per_job(
     capsys.readouterr()
 
 
-def _twice_doc():
-    """``paper_sec4`` with each of its four followers twice: followers k
-    and k + 4 (from 1) share a model.  The eight form a bidirectional
-    ring; leader r pins followers r and r + 4."""
+def _copies_doc(copies=2):
+    """``paper_sec4`` with each of its four followers ``copies`` times:
+    followers k, k + 4, ... (from 1) share a model, and copy c (from 1)
+    starts at c x0.  The 4 ``copies`` followers form a bidirectional
+    ring; leader r pins followers r, r + 4, ...."""
     doc = _bundled_doc()
-    doc["name"] = "twice"
+    doc["name"] = "copies"
     doc["horizon"] = 0.01
-    doc["followers"] = [copy.deepcopy(f) for f in doc["followers"] * 2]
-    for spec in doc["followers"][4:]:
-        spec["x0"] = [2 * v for v in spec["x0"]]
-    ring = np.zeros((8, 8))
-    for i in range(8):
-        ring[i, (i + 1) % 8] = ring[i, (i - 1) % 8] = 1.0
+    doc["followers"] = [copy.deepcopy(f) for f in doc["followers"] * copies]
+    for i, spec in enumerate(doc["followers"]):
+        spec["x0"] = [(i // 4 + 1) * v for v in spec["x0"]]
+    n = 4 * copies
+    ring = np.zeros((n, n))
+    for i in range(n):
+        ring[i, (i + 1) % n] = ring[i, (i - 1) % n] = 1.0
     doc["topology"] = {"adjacency": ring.tolist(),
-                       "pinning": np.hstack([np.eye(4)] * 2).tolist()}
+                       "pinning": np.hstack([np.eye(4)] * copies).tolist()}
     return doc
 
 
@@ -875,14 +877,14 @@ def test_each_distinct_model_is_checked_and_synthesized_once_per_load(
     names = ("model_problems", "solve_regulator", "solve_care")
     calls = _count_calls(monkeypatch, names)
     for load in (1, 2):
-        scenario = scenario_from_dict(_twice_doc())
+        scenario = scenario_from_dict(_copies_doc())
         sim.Engine(scenario)
         assert calls == dict.fromkeys(names, 4 * load)
         assert scenario.gain_sets[0] is scenario.gain_sets[4]
 
 
 def test_shared_gains_give_the_engine_each_followers_own_bits():
-    scenario = scenario_from_dict(_twice_doc())
+    scenario = scenario_from_dict(_copies_doc())
     engine = sim.Engine(scenario)
     for i, f in enumerate(scenario.followers):
         own = gains.synthesize_gains(f.A, f.B, f.Q, f.U, scenario.S)
@@ -898,7 +900,7 @@ def test_shared_gains_give_the_engine_each_followers_own_bits():
 def test_a_bad_model_shared_by_two_followers_is_listed_for_each(
     monkeypatch, scale, violation
 ):
-    doc = _twice_doc()
+    doc = _copies_doc()
     for spec in doc["followers"][1::4]:  # followers 2 and 6
         spec["Q"] = ([[3, 1, 0], [0, 3, 0], [0, 0, 3]] if scale is None
                      else [[v * scale for v in row] for row in spec["Q"]])

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 import oracles
-from test_scenario_cli import _tiny_doc, _tiny_doc_m2
+from test_scenario_cli import _copies_doc, _tiny_doc, _tiny_doc_m2
 from safe_containment import safety, sim
 from safe_containment.attacks import eval_stacked
 from safe_containment.compensation import (
@@ -356,6 +356,15 @@ def _stage(engine, t):
     return (t, *engine._time_table(np.asarray(t)))
 
 
+def _random_state(engine, rng, spread):
+    """A packed state of standard normal entries whose follower and
+    observer states are scaled by ``spread``, with gains in [0, 3)."""
+    y = rng.standard_normal(engine.D)
+    y[:engine._slices[2].stop] *= spread
+    y[engine._slices[3].start:] = rng.uniform(0.0, 3.0, 2 * engine.N)
+    return y
+
+
 @pytest.mark.parametrize("mode", ["saar", "resilient_unsafe", "conventional"])
 def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
     # L @ y sums the linear layers' terms in another order than the layer
@@ -365,9 +374,7 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
     rng = np.random.default_rng(8)
     resilient = mode != "conventional"
     for t in (0.5, 3.5, 9.0):
-        y = rng.standard_normal(engine.D)
-        y[:engine._slices[2].stop] *= 5.0  # followers well apart
-        y[engine._slices[3].start:] = rng.uniform(0.0, 3.0, 2 * engine.N)
+        y = _random_state(engine, rng, 5.0)  # followers well apart
         x, leader, zeta, theta, rho = engine._unpack(y)
         xi = neighborhood_signal(zeta, leader, engine.topology)
         gamma = eval_stacked(engine.attack_coeff, engine.attack_rate,
@@ -492,9 +499,9 @@ def test_a_block_takes_each_stage_time_terms_from_its_table(
     stages = []
     pipeline = engine._pipeline
 
-    def recorded(stage, y, row=None):
+    def recorded(stage, *args, **kwargs):
         stages.append(stage)
-        return pipeline(stage, y, row)
+        return pipeline(stage, *args, **kwargs)
 
     engine._pipeline = recorded
     k0 = 2990
@@ -510,6 +517,114 @@ def test_a_block_takes_each_stage_time_terms_from_its_table(
             engine.attack_coeff, engine.attack_rate, scn.attack_start, t,
             absolute_clock))
         assert np.array_equal(reg, np.exp(-engine.c * t * t))
+
+
+@pytest.mark.parametrize("doc, mode", [
+    (None, "saar"), (None, "resilient_unsafe"), (None, "conventional"),
+    (_tiny_doc_m2, "saar"),
+], ids=["saar", "resilient_unsafe", "conventional", "m2"])
+def test_a_workspace_keeps_nothing_of_its_last_evaluation(
+    paper_scenario, doc, mode
+):
+    # an Engine workspace evaluates state A, then B: the derivative and the
+    # sample row hold the bits of B's evaluation in a fresh workspace, and
+    # the gain rates those of the laws at B's own xi and s
+    scn = (paper_scenario if doc is None else scenario_from_dict(doc())
+           ).with_mode(mode)
+    engine = Engine(scn)
+    N, n, rec = engine.N, engine.n, engine._recorded
+    resilient = mode != "conventional"
+    ws = engine._workspaces[0]
+    rng = np.random.default_rng(22)
+    active = 0
+    for t in (0.5, 3.5, 9.0):
+        stage = _stage(engine, t)
+        for spread_a, spread_b in ((0.2, 5.0), (5.0, 0.2), (1.0, 1.0)):
+            a = _random_state(engine, rng, spread_a)
+            b = _random_state(engine, rng, spread_b)
+            engine._pipeline(stage, a, np.zeros(engine._sample_width),
+                             out=ws)
+            row = np.zeros(engine._sample_width)
+            got = engine._pipeline(stage, b, row, out=ws)
+            fresh_row = np.zeros(engine._sample_width)
+            fresh = engine._pipeline(stage, b, fresh_row)
+            assert np.shares_memory(got, ws.z)
+            assert not np.shares_memory(fresh, ws.z)
+            assert np.array_equal(got, fresh)
+            assert np.array_equal(row, fresh_row)
+            active += row[rec["pair_active"]].sum()
+
+            _, gamma, reg = stage
+            gain = adaptive_gain(b[engine._slices[3].start:], scn.gain_cap)
+            _, dtheta = observer_input(
+                row[rec["xi"]].reshape(N, n), gamma[:, :n], gain[:N],
+                engine.q, resilient)
+            _, drho = compensation_law(row[rec["s"]].reshape(N, -1),
+                                       gain[N:], engine.alpha, reg)
+            assert np.array_equal(got[engine._slices[3]], dtheta)
+            assert np.array_equal(got[engine._slices[4]],
+                                  drho if resilient else np.zeros(N))
+    # the filter acted in some of the saar evaluations
+    assert (active > 0) == (mode == "saar")
+
+
+def test_rk4_stages_leave_k1_and_the_states_own_their_memory(paper_scenario):
+    # a block across the attack onset: each step's k1, evaluated in
+    # workspace 0, is unchanged by _rk4's later stages, the step is the
+    # RK4 formula on stages evaluated in fresh workspaces, bit for bit, and
+    # no state that step or advance returns shares a workspace's memory
+    engine = Engine(paper_scenario)
+    dt = paper_scenario.dt
+    buffers = [ws.z for ws in engine._workspaces] + [engine._stage_state]
+    k0 = 2990
+    y = engine.initial_state()
+    for k in range(k0, k0 + 20):
+        first, mid, end = (_stage(engine, k * dt + h)
+                           for h in (0.0, dt / 2, dt))
+        k1 = engine._pipeline(first, y, out=engine._workspaces[0])
+        want_k1 = k1.copy()
+        y_before = y.copy()
+        y_next = engine._rk4(y, dt, k1, mid, end)
+        assert np.array_equal(k1, want_k1)
+        assert np.array_equal(y, y_before)
+
+        f1 = engine._pipeline(first, y)
+        f2 = engine._pipeline(mid, y + (dt / 2) * f1)
+        f3 = engine._pipeline(mid, y + (dt / 2) * f2)
+        f4 = engine._pipeline(end, y + dt * f3)
+        assert np.array_equal(
+            y_next, y + (dt / 6) * (f1 + 2 * f2 + 2 * f3 + f4))
+        assert not any(np.shares_memory(y_next, b) for b in buffers)
+        y = y_next
+
+    table = engine.new_table()
+    stepped, *_ = engine.step(k0 + 20, y, table)
+    advanced, *_ = engine.advance(k0 + 20, y, 5, table)
+    for state in (stepped, advanced):
+        assert not any(np.shares_memory(state, b) for b in buffers)
+        assert not any(np.shares_memory(state, b) for b in (table, y))
+
+
+@pytest.mark.parametrize("copies", [1, 4], ids=["N4", "N16"])
+def test_dot_into_a_workspace_keeps_the_bits_of_matmul(paper_scenario,
+                                                       copies):
+    # _pipeline takes L y and B u from ndarray.dot, which skips matmul's
+    # dispatch; both reach the same BLAS gemv.  A numpy or BLAS whose two
+    # paths round otherwise fails here, not as drift in the traces
+    scn = (paper_scenario if copies == 1
+           else scenario_from_dict(_copies_doc(copies)))
+    engine = Engine(scn)
+    assert engine.N == 4 * copies
+    ws = engine._workspace()
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        y = rng.standard_normal(engine.D) * 10.0 ** rng.uniform(
+            -3, 3, engine.D)
+        u = rng.standard_normal(engine.B_diag.shape[1]) * 10.0 ** (
+            rng.uniform(-3, 3, engine.B_diag.shape[1]))
+        engine.L.dot(y, out=ws.z)
+        assert np.array_equal(ws.z, engine.L @ y)
+        assert np.array_equal(engine.B_diag.dot(u), engine.B_diag @ u)
 
 
 def test_a_run_evaluates_the_attacks_once_per_block(paper_scenario,

@@ -43,11 +43,12 @@ def test_phi_construction_matches_definition(paper_scenario):
 
 
 def test_unreachable_follower_rejected_by_name():
-    # follower 1 (0-based) has no in-edges and no pinning
+    # the second follower has no in-edges and no pinning; the error numbers
+    # followers from 1, as the other violations of a scenario do
     adj = np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]])
     pin = np.array([[1.0, 0, 0]])
     top = Topology(adjacency=adj, pinning=pin)
-    with pytest.raises(TopologyError, match=r"\[1\]"):
+    with pytest.raises(TopologyError, match=r"\[2\]"):
         build_phi_family(top)
 
 

@@ -15,8 +15,8 @@ Every row is tested once, in one batch, with the same comparison the
 QP's first iteration makes, so only the agents that the QP would move
 reach it, and each QP starts from the violations and scales that test
 computed for its rows.  At these sizes a call costs what its numpy calls
-cost, not its arithmetic, so the pair operands come from one gathered
-table each and no product is computed twice.
+cost, not its arithmetic, so the pair operands come from one gather of
+one per-agent table and no product is computed twice.
 """
 
 from __future__ import annotations
@@ -68,13 +68,14 @@ class FilterResult:
     active_set: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentRows:
     """One agent's constraints a_k' u <= b_k as arrays: rows ``a`` (k, m),
     bounds ``b`` (k,) and the follower pair of each row.  ``viol`` and
     ``scale`` are, if given, each row's violation a_k' u_bar - b_k at the
     u_bar the QP is given and its scale max(1, |b_k|), as the filter's
-    screen computed them; without them the QP computes both itself."""
+    screen computed them; without them the QP computes both itself.
+    Built for every QP, so slotted and not frozen."""
 
     a: np.ndarray
     b: np.ndarray
@@ -89,38 +90,49 @@ class AgentRows:
 @lru_cache(maxsize=None)
 def _pair_index(n_agents: int):
     """Every follower pair (i, j), i < j, in ``itertools.combinations``
-    order, with the pairs' i and j as read-only index arrays.  Agent i's
+    order, and the pairs as a read-only (P, 2) index array.  Agent i's
     pairs are one contiguous run of N - 1 - i rows."""
     pairs = tuple(itertools.combinations(range(n_agents), 2))
-    index = np.array(pairs, dtype=int).reshape(-1, 2).T.copy()
+    index = np.array(pairs, dtype=int).reshape(-1, 2)
     index.setflags(write=False)
-    return pairs, index[0], index[1]
+    return pairs, index
 
 
-def _barrier_terms(x_i, x_j, ax_i, ax_j, b_i, delta, d_s):
-    """The input-free barrier terms of a stack of pairs (i_k, j_k), one
-    row per pair, from the pairs' states x, products A x and matrices B_i.
+def _barrier_rows(states, inputs, a_mats, b_mats, index, delta, d_s):
+    """The barrier rows of the pairs (i_k, j_k) of ``index`` (P, 2), from
+    the agents' states (N, n), inputs (N, m) and stacked A and B.
 
     With r = x_i - x_j the barrier derivative along the joint dynamics is
     -2 r' (A_i x_i + B_i u_i - A_j x_j - B_j u_j), so h' <= -delta * h
     rearranges to the row a = -2 r' B_i on u_i and the bound
     b = -delta*h - 2 r'(A_j x_j) - 2 r'(B_j u_j) - lf with lf = -2 r'(A_i x_i).
-    Returns r, h, a, b0 = -delta*h - 2 r'(A_j x_j) (the part of b that
-    needs no input; ``_barrier_rhs`` completes b) and lf.
+    Each pair's operands are one gather of the table [x | A x | B u | u],
+    and its -2 r' products are one ``np.vecdot`` of r2 = -2 r against its
+    A x and B u blocks.  Scaling by -2 is exact, so these are the bits of
+    -2 times the dot of r unless a product overflows or underflows.  The
+    terms of b are summed in the formula's order: regrouping them moves b
+    in the last bits, which a long run amplifies.
+
+    Returns the table's B u block (a view), r2, h, a, b0 = -delta*h -
+    2 r'(A_j x_j) (the part of b that needs no input), lf, b and each
+    row's a' u_i.
     """
-    r = x_i - x_j
+    n = states.shape[1]
+    table = np.concatenate((states, np.matvec(a_mats, states),
+                            np.matvec(b_mats, inputs), inputs), axis=1)
+    side = table.take(index, axis=0)  # (P, 2, 3n + m): agent i, agent j
+    r = side[:, 0, :n] - side[:, 1, :n]
+    r2 = -2.0 * r
     h = d_s * d_s - np.vecdot(r, r)
-    lf = -2.0 * np.vecdot(r, ax_i)
-    a = -2.0 * np.vecmat(r, b_i)
-    b0 = -delta * h - 2.0 * np.vecdot(r, ax_j)
-    return r, h, a, b0, lf
-
-
-def _barrier_rhs(b0, r, bu_j, lf):
-    """b of each row, given B_j u_j of the row's finalized agent j.  The
-    terms are summed in the formula's order: regrouping them moves b in
-    the last bits, which a long run amplifies."""
-    return b0 - 2.0 * np.vecdot(r, bu_j) - lf
+    # [[lf, -2 r'(B_i u_i)], [-2 r'(A_j x_j), -2 r'(B_j u_j)]] per pair
+    terms = np.vecdot(
+        r2[:, None, None], side[:, :, n:3 * n].reshape(-1, 2, 2, n))
+    lf = terms[:, 0, 0]
+    b0 = -delta * h + terms[:, 1, 0]
+    b = b0 + terms[:, 1, 1] - lf
+    a = np.vecmat(r2, b_mats.take(index[:, 0], axis=0))
+    au = np.vecdot(a, side[:, 0, 3 * n:])
+    return table[:, 2 * n:3 * n], r2, h, a, b0, lf, b, au
 
 
 def build_constraint(
@@ -133,18 +145,17 @@ def build_constraint(
     d_s: float,
 ) -> PairConstraint:
     """Constraint on u_i for the pair (i, j), given agent j's finalized
-    input: the one-pair case of the filter's stacked assembly."""
-    x_i, x_j = states[i], states[j]
-    r, h, a, b0, lf = _barrier_terms(
-        x_i[None],
-        x_j[None],
-        (models[i].A @ x_i)[None],
-        (models[j].A @ x_j)[None],
-        models[i].B[None],
+    input: the one-pair case of the filter's stacked assembly, at u_i = 0,
+    which neither the row nor the bound reads."""
+    _, _, h, a, _, _, b, _ = _barrier_rows(
+        np.asarray(states, dtype=float)[[i, j]],
+        np.array((np.zeros_like(u_j, dtype=float), u_j), dtype=float),
+        np.array((models[i].A, models[j].A), dtype=float),
+        np.array((models[i].B, models[j].B), dtype=float),
+        _pair_index(2)[1],
         delta_ij,
         d_s,
     )
-    b = _barrier_rhs(b0, r, (models[j].B @ u_j)[None], lf)
     return PairConstraint(
         i=i, j=j, a=a[0], b=float(b[0]), delta=delta_ij, h=float(h[0])
     )
@@ -171,8 +182,11 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     the scale its violation is measured in, its gradient is zero, so it
     reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
     zero row does; stepping along it would move u by about |b| / ||a||.
-    Dense solves serve the few rows; one row divides as a 1x1 dgesv does.
-    Scalars are Python floats, which round as numpy's float64 does.
+    Dense solves serve the few rows.  One active row a_k steps with the
+    1-D dots a_k.dot(cp) and a_k.dot(a_k), the bits of the 1x3 gemv and
+    syrk forms, and divides as a 1x1 dgesv does.  Every sum is a BLAS dot;
+    Python floats, which round as numpy's float64 does, serve only
+    quotients and comparisons.
     """
     u_bar = np.asarray(u_bar, dtype=float)
     if not constraints:
@@ -196,7 +210,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
                 u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
             )
         cp = rows[p]
-        cc = float(cp @ cp)
+        cc = float(cp.dot(cp))
         if math.sqrt(cc) <= QP_TOL * scale[p]:
             blocking = [pairs[k] for k in active] + [pairs[p]]
             raise QPInfeasibleError(
@@ -206,16 +220,20 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
             )
         lam_p = 0.0
         for _ in range(QP_MAX_ITER):
-            if active:
+            if len(active) == 1:
+                a_k = rows[active[0]]
+                r = [-float(a_k.dot(cp)) / float(a_k.dot(a_k))]
+                z = cp + a_k * r[0]
+                zz = float(z.dot(z))
+            elif active:
                 n_mat = rows[active]
-                nc, nn = n_mat @ cp, n_mat @ n_mat.T  # a 1x1 dgesv is b / a
-                r = -nc / nn[0] if len(active) == 1 else -np.linalg.solve(nn, nc)
-                z = cp + n_mat.T @ r
+                r = -np.linalg.solve(n_mat.dot(n_mat.T), n_mat.dot(cp))
+                z = cp + n_mat.T.dot(r)
                 r = r.tolist()
-                zz = float(z @ z)
+                zz = float(z.dot(z))
             else:
                 r, z, zz = [], cp, cc
-            s_p = float(viol[p]) if u is u_bar else float(cp @ u) - rhs_f[p]
+            s_p = float(viol[p]) if u is u_bar else float(cp.dot(u)) - rhs_f[p]
             # full step reaches the violated constraint's boundary
             t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else math.inf
             # partial step where an active multiplier would turn negative
@@ -242,7 +260,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
                 break
             active.pop(block)
             lam.pop(block)
-        viol = rows @ u - rhs
+        viol = rows.dot(u) - rhs
     raise QPInfeasibleError(
         "active-set iteration cap exceeded",
         pairs=list(pairs),
@@ -260,18 +278,17 @@ def sequential_filter(
     """Backward sweep over agents: u_N stays as requested, then each lower
     index is filtered against all higher-indexed, already-finalized inputs.
 
-    Every pair's input-free barrier terms are assembled in one batch, from
-    the pairs' rows of one table [x | A x] gathered once for the i side and
-    once for the j side, and every row's bound b is completed with
-    B_j u_bar_j.  The screen then tests every row at u_bar with the QP's
-    own first test, on the same products: its violation a u_bar - b over
-    its scale max(1, |b|) is at most QP_TOL.  An agent whose rows all pass
-    keeps u_bar, as its QP would return it.  The highest agent i with a
-    failing row solves its QP on its slice of rows, starting from the
-    screen's violations and scales of them; B_i u_i then completes b anew
-    for the rows of the agents below i, and only those rows are tested
-    again.  The outputs are bit-identical to solving every agent's QP in
-    turn.
+    Every pair's row and bound b at the requested inputs are assembled in
+    one batch (``_barrier_rows``) from one gather of the agents' table
+    [x | A x | B u_bar | u_bar].  The screen then tests every row at u_bar
+    with the QP's own first test, on the same products: its violation
+    a u_bar - b over its scale max(1, |b|) is at most QP_TOL.  An agent
+    whose rows all pass keeps u_bar, as its QP would return it.  The
+    highest agent i with a failing row solves its QP on its slice of rows,
+    starting from the screen's violations and scales of them; B_i u_i then
+    completes b anew, with one dot of r2 = -2 r per row, for the rows of
+    the agents below i, and only those rows are tested again.  The outputs
+    are bit-identical to solving every agent's QP in turn.
 
     a_mats (N, n, n) and b_mats (N, n, m) stack the agents' A and B; delta
     may be a scalar or an (N, N) array of per-pair constraint rates.
@@ -279,20 +296,11 @@ def sequential_filter(
     n_agents = len(u_bars)
     u_bars = np.asarray(u_bars, dtype=float)
     states = np.asarray(states, dtype=float)
-    pairs, pair_i, pair_j = _pair_index(n_agents)
+    pairs, index = _pair_index(n_agents)
     delta = np.asarray(delta, dtype=float)
-    delta = delta[pair_i, pair_j] if delta.ndim else float(delta)
-    n = states.shape[1]
-    # [x | A x]: each side's pair operands in one gather
-    xax = np.concatenate((states, np.matvec(a_mats, states)), axis=1)
-    side_i, side_j = xax.take(pair_i, axis=0), xax.take(pair_j, axis=0)
-    r, _, a, b0, lf = _barrier_terms(
-        side_i[:, :n], side_j[:, :n], side_i[:, n:], side_j[:, n:],
-        b_mats.take(pair_i, axis=0), delta, d_s,
-    )
-    bu = np.matvec(b_mats, u_bars)  # B_j u_j
-    b = _barrier_rhs(b0, r, bu.take(pair_j, axis=0), lf)
-    au = np.vecdot(a, u_bars.take(pair_i, axis=0))
+    delta = delta[index[:, 0], index[:, 1]] if delta.ndim else float(delta)
+    bu, r2, _, a, b0, lf, b, au = _barrier_rows(
+        states, u_bars, a_mats, b_mats, index, delta, d_s)
 
     # every agent keeps its u_bar unless its QP runs
     results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))
@@ -304,7 +312,7 @@ def sequential_filter(
         last = end - 1 - int(certified[::-1].argmin())  # last open row, if any
         if certified[last]:
             break
-        i = int(pair_i[last])
+        i = int(index[last, 0])
         start = i * (2 * n_agents - i - 1) // 2  # agent i's rows (i, j > i)
         own = slice(start, start + n_agents - 1 - i)
         try:
@@ -316,7 +324,8 @@ def sequential_filter(
             err.agent = i
             raise
         end = start
-        bu[i] = b_mats[i] @ results[i].u
-        b = _barrier_rhs(
-            b0[:end], r[:end], bu.take(pair_j[:end], axis=0), lf[:end])
+        if end:
+            bu[i] = b_mats[i].dot(results[i].u)
+            b = b0[:end] + np.vecdot(
+                r2[:end], bu.take(index[:end, 1], axis=0)) - lf[:end]
     return results

@@ -179,6 +179,11 @@ class ScenarioConfig:
             )
         if not np.all(np.isfinite(delta) & (delta > 0)):
             errs.append("delta entries must be finite and positive")
+        elif delta.shape == (n_f, n_f):  # the filter reads i < j only
+            errs.extend(
+                f"delta must be symmetric: pair ({i + 1}, {j + 1}) has rates "
+                f"{float(delta[i, j])!r} and {float(delta[j, i])!r}"
+                for i, j in np.argwhere(np.triu(delta != delta.T)).tolist())
         if not self.attack_start >= 0:  # inf: no attack
             errs.append("attack_start must be nonnegative")
         if not float(self.output_stride).is_integer():

@@ -477,7 +477,7 @@ class Engine:
         obs = np.matvec(self.O, Y)
         e_c = obs[:, self._observed[0]]
         x = Y[:, self._slices[0]].reshape(len(Y), self.N, self.n)
-        _, i, j = safety._pair_index(self.N)
+        i, j = safety._pair_index(self.N)[1].T
         diffs = (x[:, i] - x[:, j]).reshape(-1, self.n)
         rr = np.vecdot(diffs, diffs).reshape(len(Y), -1)
         dist = np.sqrt(rr)  # bits of a per-pair norm

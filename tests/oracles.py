@@ -3,12 +3,17 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial roots, barrier values from their
 definition, stacked signals from dense Kronecker assembly, and QP solutions
-from exhaustive active-set enumeration.
+from exhaustive active-set enumeration.  The bit references at the end are
+earlier forms of the safety filter's barrier rows and QP, each product
+through its own call, that the filter must match byte for byte.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from safe_containment.safety import QP_MAX_ITER, QP_TOL, QPInfeasibleError
 
 
 def charpoly_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -118,3 +123,87 @@ def kkt_residual(u, u_bar, rows, rhs, active_tol=1e-7):
     stationarity = float(np.max(np.abs(u - u_bar + sub.T @ lam)))
     dual = max(0.0, float(np.max(-lam)))
     return max(stationarity, primal, dual)
+
+
+# -- bit references of the safety filter ------------------------------------
+
+
+def barrier_terms(x_i, x_j, ax_i, ax_j, b_i, delta, d_s):
+    """The input-free barrier terms of a stack of pairs (i_k, j_k), one
+    row per pair, with -2 applied after each dot of r = x_i - x_j: r, h,
+    the rows a = -2 r' B_i, b0 = -delta*h - 2 r'(A_j x_j) and
+    lf = -2 r'(A_i x_i)."""
+    r = x_i - x_j
+    h = d_s * d_s - np.vecdot(r, r)
+    lf = -2.0 * np.vecdot(r, ax_i)
+    a = -2.0 * np.vecmat(r, b_i)
+    b0 = -delta * h - 2.0 * np.vecdot(r, ax_j)
+    return r, h, a, b0, lf
+
+
+def barrier_rhs(b0, r, bu_j, lf):
+    """The bound b = b0 - 2 r'(B_j u_j) - lf of each row, in that order."""
+    return b0 - 2.0 * np.vecdot(r, bu_j) - lf
+
+
+def reference_agent_qp(u_bar, rows, rhs, pairs):
+    """The dual active-set projection of u_bar onto {u : rows u <= rhs},
+    with every product through matmul on 2-D stacks of the active rows.
+    Returns u, u - u_bar and the active pairs, or raises QPInfeasibleError
+    with the pairs and message the filter's QP gives."""
+    u_bar = np.asarray(u_bar, dtype=float)
+    viol = np.vecdot(rows, u_bar) - rhs
+    scale = np.maximum(1.0, np.abs(rhs))
+    rhs_f = rhs.tolist()
+    u = u_bar
+    active, lam = [], []
+    for _ in range(QP_MAX_ITER):
+        scaled = viol / scale
+        p = int(scaled.argmax())
+        if scaled[p] <= QP_TOL:
+            u = u_bar.copy() if u is u_bar else u
+            return u, u - u_bar, [pairs[k] for k in active]
+        cp = rows[p]
+        cc = float(cp @ cp)
+        if math.sqrt(cc) <= QP_TOL * scale[p]:
+            raise QPInfeasibleError(
+                f"degenerate constraint for pair {pairs[p]}: violated, "
+                f"with a row of norm {math.sqrt(cc):.3g}",
+                pairs=[pairs[k] for k in active] + [pairs[p]],
+            )
+        lam_p = 0.0
+        for _ in range(QP_MAX_ITER):
+            if active:
+                n_mat = rows[active]
+                nc, nn = n_mat @ cp, n_mat @ n_mat.T
+                r = -nc / nn[0] if len(active) == 1 else -np.linalg.solve(nn, nc)
+                z = cp + n_mat.T @ r
+                r = r.tolist()
+                zz = float(z @ z)
+            else:
+                r, z, zz = [], cp, cc
+            s_p = float(viol[p]) if u is u_bar else float(cp @ u) - rhs_f[p]
+            t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else math.inf
+            t_part, block = math.inf, -1
+            for idx, r_idx in enumerate(r):
+                if r_idx < -1e-12 and -lam[idx] / r_idx < t_part:
+                    t_part, block = -lam[idx] / r_idx, idx
+            step = min(t_full, t_part)
+            if not math.isfinite(step):
+                blocking = [pairs[k] for k in active] + [pairs[p]]
+                raise QPInfeasibleError(
+                    f"no input satisfies constraints for pairs {blocking}",
+                    pairs=blocking,
+                )
+            u = u - step * z
+            lam = [lv + step * rv for lv, rv in zip(lam, r)]
+            lam_p += step
+            if t_full <= t_part:
+                active.append(p)
+                lam.append(lam_p)
+                break
+            active.pop(block)
+            lam.pop(block)
+        viol = rows @ u - rhs
+    raise QPInfeasibleError(
+        "active-set iteration cap exceeded", pairs=list(pairs))

@@ -37,7 +37,7 @@ INPUT_FIELDS = ("u_c", "gamma_hat", "u_r", "u_bar", "u", "delta_u")
 
 # Relative bound on what reordering the pipeline's floating-point sums may
 # move: 64 units in the last place.  Regrouping the three terms of the
-# filter's barrier bound b (``safety._barrier_rhs``) to
+# filter's barrier bound b (``safety._barrier_rows``) to
 # b0 - (2 r'(B_j u_j) + lf) moves the replayed inputs by at most 2.5e-16
 # of their size (1.1 ulp) and y_{k+1} by 5.5e-18 of its size.  A reordered
 # product L @ y sums at most N + M = 8 nonzero terms per entry, and its

@@ -206,6 +206,12 @@ def test_the_qp_one_row_step_is_lapacks_division():
             -3, 3, (2, 1, 3))
         nc, nn = n_mat @ cp[0], n_mat @ n_mat.T
         assert np.array_equal(np.linalg.solve(nn, nc), nc / nn[0])
+        # it forms those products on the 1-D row a_k, as ddot, and steps
+        # along cp + a_k r0: the 1x3 gemv and syrk forms' bits
+        a_k = n_mat[0]
+        assert a_k.dot(cp[0]) == nc[0] and a_k.dot(a_k) == nn[0, 0]
+        r = -nc / nn[0]
+        assert np.array_equal(cp[0] + a_k * r[0], cp[0] + n_mat.T @ r)
 
 
 def test_qp_minimality_against_random_feasible_points():
@@ -242,13 +248,10 @@ def _qp_outcome(u_bar, rows):
     return res.u.tobytes(), res.delta_u.tobytes(), res.active_set
 
 
-def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
-    # sequential_filter hands each QP its screen's violations a u_bar - b
-    # (on the rows and their agent's u_bar gathered per row) and scales
-    # max(1, |b|); the QP must give the bits it gives on the rows alone
-    rng = np.random.default_rng(53)
-    seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
-    for trial in range(1600):
+def _qp_draws(rng, trials):
+    """Seeded QP instances (u_bar, a, b, pairs): one row, or two to six
+    with most violated, a degenerate row or two contrary rows in turn."""
+    for trial in range(trials):
         kind = trial % 4
         k = 1 if kind == 0 else int(rng.integers(2, 7))
         u_bar = rng.standard_normal(3) * 10.0 ** rng.uniform(-1, 3)
@@ -260,7 +263,41 @@ def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
             b[0] = a[0] @ u_bar - rng.uniform(0.5, 2.0)
         elif kind == 3:  # two rows no input satisfies together
             a[1], b[1] = -a[0], -b[0] - rng.uniform(0.1, 5.0)
-        pairs = [(0, j) for j in range(1, k + 1)]
+        yield u_bar, a, b, [(0, j) for j in range(1, k + 1)]
+
+
+def _tally(seen, outcome):
+    if outcome[0] == "infeasible":
+        seen["degenerate" if "degenerate" in outcome[2] else "infeasible"] += 1
+    elif outcome[2]:
+        seen[len(outcome[2])] += 1
+
+
+def test_the_qp_gives_the_reference_qps_bytes():
+    # the QP's 1-D one-row step and its .dot products keep the bits of the
+    # same iteration on 2-D stacks of the active rows through matmul
+    rng = np.random.default_rng(59)
+    seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
+    for u_bar, a, b, pairs in _qp_draws(rng, 2000):
+        got = _qp_outcome(u_bar, AgentRows(a=a, b=b, pairs=pairs))
+        try:
+            u, du, active = oracles.reference_agent_qp(u_bar, a, b, pairs)
+            want = u.tobytes(), du.tobytes(), active
+        except QPInfeasibleError as err:
+            want = "infeasible", err.pairs, str(err)
+        assert got == want
+        _tally(seen, got)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
+    # sequential_filter hands each QP its screen's violations a u_bar - b
+    # (on the rows and their agent's u_bar gathered per row) and scales
+    # max(1, |b|); the QP must give the bits it gives on the rows alone
+    rng = np.random.default_rng(53)
+    seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
+    for u_bar, a, b, pairs in _qp_draws(rng, 1600):
+        k = len(b)
         screened = AgentRows(
             a=a, b=b, pairs=pairs,
             viol=np.vecdot(a, np.tile(u_bar, (k, 1))) - b,
@@ -268,11 +305,70 @@ def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
         )
         got = _qp_outcome(u_bar, screened)
         assert got == _qp_outcome(u_bar, AgentRows(a=a, b=b, pairs=pairs))
-        if got[0] == "infeasible":
-            seen["degenerate" if "degenerate" in got[2] else "infeasible"] += 1
-        elif got[2]:
-            seen[len(got[2])] += 1
+        _tally(seen, got)
     assert min(seen.values()) >= 20, seen
+
+
+def _reference_rows(states, inputs, models, delta, d_s, pair_i, pair_j):
+    """The rows a and bounds b of the pairs (pair_i, pair_j), gathered per
+    side, with -2 applied after each dot of r."""
+    ax = np.array([m.A @ x for m, x in zip(models, states)])
+    bu = np.array([m.B @ u for m, u in zip(models, inputs)])
+    b_mats = np.stack([m.B for m in models])
+    r, h, a, b0, lf = oracles.barrier_terms(
+        states[pair_i], states[pair_j], ax[pair_i], ax[pair_j],
+        b_mats[pair_i], delta, d_s)
+    return h, a, oracles.barrier_rhs(b0, r, bu[pair_j], lf)
+
+
+def test_the_folded_barrier_rows_give_the_reference_bits(monkeypatch):
+    # the filter scales r by -2 once, before its dots, which is exact:
+    # its rows and bounds, assembled in one batch and completed anew after
+    # each QP, keep the bits of -2 applied after each dot
+    qps = []
+    original = safety.solve_agent_qp
+
+    def recorded(u_bar, constraints):
+        qps.append(constraints)
+        return original(u_bar, constraints)
+
+    monkeypatch.setattr(safety, "solve_agent_qp", recorded)
+    rng = np.random.default_rng(61)
+    d_s, checked = 0.3, 0
+    for n in (2, 4, 16):
+        index = safety._pair_index(n)[1]
+        pair_i, pair_j = index.T
+        for trial in range(40):
+            models = _random_plants(rng, n)
+            spread = 10.0 ** rng.uniform(-3, 6)
+            states = rng.uniform(-1.0, 1.0, (n, 3)) * spread
+            u_bars = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 6)
+            delta = rng.uniform(0.5, 8.0, (n, n)) if trial % 2 else 5.0
+            rates = delta[pair_i, pair_j] if trial % 2 else delta
+            want = _reference_rows(
+                states, u_bars, models, rates, d_s, pair_i, pair_j)
+            _, _, *got = safety._barrier_rows(
+                states, u_bars, *_stack(models), index, rates, d_s)
+            for w, g in zip(want, (got[0], got[1], got[4])):
+                assert w.tobytes() == g.tobytes()
+            # a sweep's QPs see the bounds at the inputs finalized above
+            qps.clear()
+            try:
+                results = sequential_filter(
+                    u_bars, states, *_stack(models), delta, d_s)
+            except QPInfeasibleError:
+                continue
+            final = np.array([res.u for res in results])
+            for rows in qps:
+                i = rows.pairs[0][0]
+                mine = slice(i * (2 * n - i - 1) // 2, None)
+                _, a, b = _reference_rows(
+                    states, final, models, rates, d_s, pair_i, pair_j)
+                k = len(rows)
+                assert a[mine][:k].tobytes() == rows.a.tobytes()
+                assert b[mine][:k].tobytes() == rows.b.tobytes()
+                checked += 1
+    assert checked > 50, checked
 
 
 def test_sequential_filter_inactive_when_far_apart():

@@ -160,6 +160,22 @@ def test_validation_rejects_misshapen_delta():
     assert scenario_from_dict(doc).delta.shape == (4, 4)
 
 
+def test_validation_rejects_asymmetric_delta():
+    # the filter reads delta[i, j] with i < j only: a lower triangle that
+    # differs would be ignored, so validation lists every such pair
+    doc = _bundled_doc()  # four followers
+    delta = np.full((4, 4), 5.0)
+    delta[0, 2], delta[3, 1], delta[2, 2] = 6.0, 0.5, 7.0
+    doc["delta"] = delta.tolist()
+    assert _violations(doc) == [
+        "delta must be symmetric: pair (1, 3) has rates 6.0 and 5.0",
+        "delta must be symmetric: pair (2, 4) has rates 5.0 and 0.5",
+    ]
+    delta[2, 0], delta[1, 3] = 6.0, 0.5
+    doc["delta"] = delta.tolist()
+    assert np.array_equal(scenario_from_dict(doc).delta, delta)
+
+
 def test_validation_rejects_nonfinite_delta():
     for value in (float("nan"), float("inf")):
         for delta in (value, [[5.0, value], [5.0, 5.0]]):

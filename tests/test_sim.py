@@ -467,7 +467,8 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
     # a sampled row's d column holds the bits of the per-pair norm of
     # x_i - x_j, and its h column those of the barrier value the filter
     # evaluates, in the layout's pair order
-    _, pair_i, pair_j = safety._pair_index(N)
+    index = safety._pair_index(N)[1]
+    pair_i, pair_j = index.T
     table = engine.new_table()
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -480,10 +481,9 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
         dist = rec.pair_distance
         assert np.array_equal(dist, np.sqrt(np.vecdot(diffs, diffs)))
         assert min_pair == dist.min()
-        ax = np.matmul(engine.A, xs[:, :, None])[:, :, 0]
-        _, h, _, _, _ = safety._barrier_terms(
-            xs[pair_i], xs[pair_j], ax[pair_i], ax[pair_j],
-            engine.B[pair_i], scn.delta, scn.d_s)
+        _, _, h, *_ = safety._barrier_rows(
+            xs, np.zeros(engine.B.shape[::2]), engine.A, engine.B, index,
+            scn.delta, scn.d_s)
         assert np.array_equal(rec.pair_h, h)
 
 

@@ -482,7 +482,7 @@ def test_the_observation_operator_holds_the_hull_weights_and_pair_signs(
         assert np.array_equal(dist, np.sqrt(np.vecdot(diffs, diffs)))
         assert min_pair == dist.min()
         _, _, h, *_ = safety._barrier_rows(
-            xs, np.zeros(engine.B.shape[::2]), engine.A, engine.B, index,
+            xs, np.zeros((N, engine.B.shape[2])), engine.A, engine.B, index,
             scn.delta, scn.d_s)
         assert np.array_equal(rec.pair_h, h)
 

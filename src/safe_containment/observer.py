@@ -9,11 +9,12 @@ adaptively amplified neighborhood signal:
 The exponential gain eventually dominates any injected signal whose norm
 grows at most exponentially.
 
-The ``conventional`` controller mode runs the standard observer instead:
-the same equation with the fixed unit coupling gain (the resilient gain
-at theta = 0) and no adaptation, so theta stays 0:
+The standard observer, the same equation with the fixed unit coupling
+gain and no adaptation (theta stays 0),
 
     zeta' = S zeta + xi + gamma_ol
+
+is the ``conventional`` branch of the engine's pipeline (``sim``).
 
 Every function works on all N followers at once, one row per follower.
 """
@@ -48,21 +49,11 @@ def observer_input(
     gamma_ol: np.ndarray,
     gain: np.ndarray,
     q: np.ndarray,
-    resilient: bool = True,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The observer rates less their linear drift S zeta: the driving
     term exp(theta) xi + gamma_ol of zeta' and the rate theta', given the
     gains exp(theta) (see ``adaptive_gain``).  The rate is written into
-    ``out`` when one is given.
-
-    With ``resilient=False`` this is the standard observer: unit gain
-    whatever ``gain`` is, and theta' = 0.
-    """
-    if resilient:
-        return (gain[:, None] * xi + gamma_ol,
-                np.multiply(q, np.add.reduce(xi * xi, axis=1), out=out))
-    if out is None:
-        return xi + gamma_ol, np.zeros(len(xi))
-    out[...] = 0.0
-    return xi + gamma_ol, out
+    ``out`` when one is given."""
+    return (gain[:, None] * xi + gamma_ol,
+            np.multiply(q, np.add.reduce(xi * xi, axis=1), out=out))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -319,6 +319,13 @@ def _matrix(obj, key: str, where: str = "", default=None) -> np.ndarray:
         ) from exc
 
 
+def _defaults(cls) -> dict:
+    """The default of each field of a dataclass that has one."""
+    return {f.name: f.default if f.default_factory is MISSING
+            else f.default_factory() for f in fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING}
+
+
 def _number(obj: dict, key: str, default: float, where: str = "") -> float:
     try:
         return float(obj.get(key, default))
@@ -341,7 +348,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
     followers = doc.get("followers")
     if not isinstance(followers, list):
         raise ScenarioError(["followers must be a list"])
-    specs = []
+    specs, spec_defaults = [], _defaults(FollowerSpec)
     for idx, f in enumerate(followers):
         where = f"followers[{idx}]."
         if not isinstance(f, dict):
@@ -349,7 +356,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
         specs.append(FollowerSpec(
             *(_matrix(f, key, where) for key in ("A", "B", "Q", "U", "x0")),
             zeta0=None if f.get("zeta0") is None else _matrix(f, "zeta0", where),
-            **{key: _number(f, key, 1.0, where) for key in ("q", "alpha", "c")},
+            **{key: _number(f, key, spec_defaults[key], where)
+               for key in _FOLLOWER_SCALARS},
             attack_cil=_attack(f, "attack_cil", where),
             attack_ol=_attack(f, "attack_ol", where),
         ))
@@ -359,14 +367,10 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
         graph, violations = topo.Topology(*weights), []
     except topo.TopologyError as exc:
         graph, violations = None, [f"topology: {exc}"]
-    numbers = {
-        key: _number(doc, key, default)
-        for key, default in (
-            ("d_s", 0.3), ("attack_start", 3.0), ("dt", 1e-3),
-            ("horizon", 16.0), ("output_stride", 10), ("gain_cap", 700.0),
-            ("divergence_threshold", 1e3),
-        )
-    }
+    defaults = _defaults(ScenarioConfig)
+    numbers = {key: _number(doc, key, default)  # the scalar number fields
+               for key, default in defaults.items()
+               if type(default) in (int, float)}
     stride = numbers["output_stride"]  # an int if whole, for validate
     numbers["output_stride"] = int(stride) if stride.is_integer() else stride
     config = ScenarioConfig(
@@ -375,9 +379,10 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
         S=_matrix(doc, "S"),
         leader_x0=_matrix(doc, "leader_x0"),
         topology=graph,
-        delta=_matrix(doc, "delta", default=5.0),
-        absolute_clock=doc.get("absolute_clock", False),
-        controller_mode=str(doc.get("controller_mode", "saar")),
+        delta=_matrix(doc, "delta", default=defaults["delta"]),
+        absolute_clock=doc.get("absolute_clock", defaults["absolute_clock"]),
+        controller_mode=str(doc.get("controller_mode",
+                                    defaults["controller_mode"])),
         **numbers,
     )
     violations += config.validate()

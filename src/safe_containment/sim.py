@@ -24,9 +24,9 @@ Three controller modes share the pipeline:
     saar             full stack: resilient observer, compensation and
                      safety filter
     resilient_unsafe resilient observer and compensation, filter off
-    conventional     standard observer with fixed unit coupling gain
-                     (theta stays 0), compensation and filter off;
-                     attacks enter raw
+    conventional     the standard observer (unit coupling gain, theta
+                     stays 0), the pipeline's one mode branch;
+                     compensation and filter off, attacks enter raw
 """
 
 from __future__ import annotations
@@ -344,17 +344,16 @@ class Engine:
         theta_sl, rho_sl = self._slices[3:]
 
         self.L.dot(y, out=ws.z)
-        # theta and rho_hat are adjacent in y: both gains in one call
-        gain = adaptive_gain(y[theta_sl.start:rho_sl.stop], sc.gain_cap)
-        driving, _ = observer_input(
-            ws.xi, gamma[:, :n], gain[:N], self.q, self._resilient,
-            out=ws.dtheta)
         if self._resilient:
+            # theta and rho_hat are adjacent in y: both gains in one call
+            gain = adaptive_gain(y[theta_sl.start:rho_sl.stop], sc.gain_cap)
+            driving, _ = observer_input(
+                ws.xi, gamma[:, :n], gain[:N], self.q, out=ws.dtheta)
             gamma_hat, _ = compensation_law(
                 ws.s, gain[N:], self.alpha, reg, out=ws.drho)
-        else:
-            gamma_hat = np.zeros_like(ws.u_c)
-            ws.drho[...] = 0.0
+        else:  # the standard observer: unit gain, neither gain adapts
+            driving, gamma_hat = ws.xi + gamma[:, :n], np.zeros_like(ws.u_c)
+            ws.dtheta[...] = ws.drho[...] = 0.0
         u_r = ws.u_c - gamma_hat
         u_bar = u_r + gamma[:, n:]
 

@@ -82,20 +82,15 @@ def check_reachability(topology: Topology) -> set[int]:
     """Return the set of follower indices with no directed path from a leader.
 
     Information flows leader -> pinned follower -> followers that weight
-    them, so the search walks forward along information-flow edges:
-    follower j reaches follower i whenever a[i, j] > 0.
+    them.  Each round from the pinned followers reaches every follower i
+    with a[i, j] > 0 for a j the last round reached, until a round (the
+    fixed point) reaches no new follower; each column is read once.
     """
-    n = topology.n_followers
-    reached = set(np.nonzero(topology.pinning.sum(axis=0) > 0)[0].tolist())
-    frontier = list(reached)
-    while frontier:
-        j = frontier.pop()
-        for i in np.nonzero(topology.adjacency[:, j] > 0)[0]:
-            i = int(i)
-            if i not in reached:
-                reached.add(i)
-                frontier.append(i)
-    return set(range(n)) - reached
+    reached = new = topology.pinning.sum(axis=0) > 0
+    while new.any():
+        new = (topology.adjacency[:, new] > 0).any(axis=1) & ~reached
+        reached = reached | new
+    return set(np.flatnonzero(~reached).tolist())
 
 
 def build_phi_family(topology: Topology) -> PhiFamily:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 from safe_containment import cli, gains, sim, topology
 from safe_containment.scenario import (
     SWEEPABLE,
+    FollowerSpec,
+    ScenarioConfig,
     ScenarioError,
     bundled_scenario_path,
     load_scenario,
@@ -95,6 +98,38 @@ def test_bundled_scenario_matrices_bit_exact():
     assert np.array_equal(scn.followers[1].B, np.array(PAPER_B2, dtype=float))
     assert np.array_equal(scn.followers[2].B, np.eye(3))
     assert np.array_equal(scn.followers[3].B, np.eye(3))
+
+
+def _same(a, b) -> bool:
+    """a and b are equal and of one type; arrays also of one dtype."""
+    if isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_a_document_of_required_fields_loads_every_field_default():
+    # each default is stated once, on its dataclass field: every field a
+    # document leaves out takes that default, of the default's own type
+    required = ("A", "B", "Q", "U", "x0")
+    full = _tiny_doc()
+    doc = {key: full[key] for key in ("S", "leader_x0", "topology")}
+    doc["followers"] = [{key: f[key] for key in required}
+                        for f in full["followers"]]
+    scn = scenario_from_dict(doc)
+    pairs = [(scn, ScenarioConfig(scn.name, scn.followers, scn.S,
+                                  scn.leader_x0, scn.topology))]
+    pairs += [(f, FollowerSpec(*(getattr(f, key) for key in required)))
+              for f in scn.followers]
+    for got, want in pairs:
+        for fld in dataclasses.fields(want):
+            if (fld.default is dataclasses.MISSING
+                    and fld.default_factory is dataclasses.MISSING):
+                continue  # a required field
+            assert _same(getattr(got, fld.name), getattr(want, fld.name)), (
+                type(want).__name__, fld.name)
 
 
 def test_validation_names_asymmetric_q():

@@ -380,8 +380,9 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
         gamma = eval_stacked(engine.attack_coeff, engine.attack_rate,
                              scn.attack_start, t)
         driving, dtheta = observer_input(
-            xi, gamma[:, :3], adaptive_gain(theta, scn.gain_cap), engine.q,
-            resilient)
+            xi, gamma[:, :3], adaptive_gain(theta, scn.gain_cap), engine.q)
+        if not resilient:  # the standard observer: unit gain, theta' = 0
+            driving, dtheta = xi + gamma[:, :3], np.zeros(len(xi))
         dzeta = zeta @ engine.S.T + driving
         u_c = nominal_input(engine.K, engine.H, x, zeta)
         gamma_hat, drho = compensation_law(
@@ -558,7 +559,9 @@ def test_a_workspace_keeps_nothing_of_its_last_evaluation(
             gain = adaptive_gain(b[engine._slices[3].start:], scn.gain_cap)
             _, dtheta = observer_input(
                 row[rec["xi"]].reshape(N, n), gamma[:, :n], gain[:N],
-                engine.q, resilient)
+                engine.q)
+            if not resilient:  # the standard observer: theta' = 0
+                dtheta = np.zeros(N)
             _, drho = compensation_law(row[rec["s"]].reshape(N, -1),
                                        gain[N:], engine.alpha, reg)
             assert np.array_equal(got[engine._slices[3]], dtheta)

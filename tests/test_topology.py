@@ -74,6 +74,23 @@ def test_reachability_chain_through_followers():
     assert check_reachability(top) == set()
 
 
+def test_reachability_along_the_longest_chain_and_not_into_a_cycle():
+    # 64 followers in a chain pinned only at its far end: follower i
+    # listens to i + 1, so follower 0 is reached only in round N - 1 = 63
+    n = 64
+    chain = np.eye(n, k=1)
+    pin = np.zeros((1, n))
+    pin[0, -1] = 1.0
+    assert check_reachability(Topology(adjacency=chain, pinning=pin)) == set()
+    # beside it, three followers that listen only to each other in a cycle
+    # are reached in no round
+    adj = np.zeros((n + 3, n + 3))
+    adj[:n, :n] = chain
+    adj[n:, n:] = np.roll(np.eye(3), 1, axis=1)
+    top = Topology(adjacency=adj, pinning=np.pad(pin, ((0, 0), (0, 3))))
+    assert check_reachability(top) == {n, n + 1, n + 2}
+
+
 def test_reachability_isolated_follower():
     adj = np.zeros((2, 2))
     pin = np.array([[1.0, 0.0]])

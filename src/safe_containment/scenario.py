@@ -91,20 +91,19 @@ class ScenarioConfig:
         return self.leader_x0.shape[0]
 
     @property
-    def state_dim(self) -> int:
-        return self.S.shape[0]
+    def state_dim(self) -> int | None:
+        """S's size n, or None when S is not square."""
+        shape = np.shape(self.S)
+        return shape[0] if len(shape) == 2 and shape[0] == shape[1] else None
 
     def validate(self) -> list[str]:
         """Return every constraint violation found (empty list if valid)."""
-        errs: list[str] = []
-        s = np.asarray(self.S)
-        n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
-        errs.extend(gains.leader_problems(s))
-
-        for idx, (f, (_, problems)) in enumerate(
-                zip(self.followers, self._model_checks), start=1):
+        errs, n = gains.leader_problems(self.S), self.state_dim
+        verdicts = self._verdicts
+        for idx, (f, verdict) in enumerate(zip(self.followers, verdicts), 1):
             tag = f"follower {idx}"
-            errs.extend(f"{tag}: {p}" for p in problems)
+            if isinstance(verdict, list):  # its model's problems
+                errs.extend(f"{tag}: {p}" for p in verdict)
             m = f.B.shape[1] if f.B.ndim == 2 else None
             for key, vec, size in (
                 ("x0", f.x0, n),
@@ -122,11 +121,8 @@ class ScenarioConfig:
                     errs.append(f"{tag}: {key} must be finite")
             for key, val in (("q", f.q), ("alpha", f.alpha), ("c", f.c)):
                 errs.extend(_positive(f"{tag}: {key}", val))
-        if n is not None and np.all(np.isfinite(s)):
-            try:  # cached for Engine; repeats each first model problem above
-                self.gain_sets
-            except ScenarioError as exc:
-                errs.extend(v for v in exc.violations if v not in errs)
+        errs.extend(f"follower {idx}: {why}" for idx, why
+                    in enumerate(verdicts, 1) if isinstance(why, str))
 
         m_all = {f.B.shape[1] for f in self.followers if f.B.ndim == 2}
         if len(m_all) > 1:
@@ -140,19 +136,15 @@ class ScenarioConfig:
         if graph is not None:
             if graph.n_followers != self.n_followers:
                 errs.append("topology follower count does not match followers")
-            if lead.ndim and graph.n_leaders != len(lead):
+            if lead.ndim == 2 and graph.n_leaders != len(lead):
                 errs.append("topology leader count does not match leader_x0")
             try:  # cached for Engine
                 self.phi_family
             except topo.TopologyError as exc:
                 errs.append(f"topology: {exc}")
 
-        for key, val in (
-            ("d_s", self.d_s),
-            ("dt", self.dt),
-            ("horizon", self.horizon),
-        ):
-            errs.extend(_positive(key, val))
+        for key in ("d_s", "dt", "horizon"):
+            errs.extend(_positive(key, getattr(self, key)))
         if not self.divergence_threshold > 0:  # inf: never diverges
             errs.append("divergence_threshold must be positive")
         if not self.gain_cap > 0:
@@ -221,45 +213,36 @@ class ScenarioConfig:
                 for what, size in sizes.items() if size > limit]
 
     @cached_property
-    def _model_checks(self) -> list[tuple[tuple, list[str]]]:
-        """Each follower's model key, the shapes and bytes of its float A,
-        B, Q and U, with that model's problems at S's size (at A's own if
-        S is not square), checked once per key."""
-        s = np.asarray(self.S)
-        n = len(s) if s.ndim == 2 and s.shape == s.shape[::-1] else None
-        checked, keys = {}, []
+    def _verdicts(self) -> list:
+        """Each follower's verdict: its model's problems at S's size (at
+        A's own if S is not square), else its GainSet or why it has none,
+        else None while S is not square and finite.  A model, keyed by the
+        shapes and bytes of its float A, B, Q and U, is checked and
+        synthesized once: followers that share it share one GainSet."""
+        n, s = self.state_dim, np.asarray(self.S, dtype=float)
+        ready = n is not None and bool(np.all(np.isfinite(s)))
+        made, verdicts = {}, []
         for f in self.followers:
             mats = [np.asarray(mat, dtype=float)
                     for mat in (f.A, f.B, f.Q, f.U)]
-            keys.append(tuple((mat.shape, mat.tobytes()) for mat in mats))
-            if keys[-1] not in checked:
-                checked[keys[-1]] = gains.model_problems(*mats, n)
-        return [(key, checked[key]) for key in keys]
+            key = tuple((mat.shape, mat.tobytes()) for mat in mats)
+            if key not in made:
+                made[key] = gains.model_problems(*mats, n) or None
+            if made[key] is None and ready:
+                try:
+                    made[key] = gains.solve_gains(*mats, s)
+                except gains.GainSynthesisError as exc:
+                    made[key] = str(exc)
+            verdicts.append(made[key])
+        return verdicts
 
-    @cached_property
+    @property
     def gain_sets(self) -> list[gains.GainSet]:
-        """Each follower's gains, synthesized once per model key, so the
-        followers that share a model share one (read-only) GainSet; a
-        ScenarioError lists every failing follower, numbered from 1."""
-        s = np.asarray(self.S, dtype=float)
-        square = s.ndim == 2 and s.shape[0] == s.shape[1]
-        made = {}  # model key: its GainSet, or why it has none
-        for f, (key, problems) in zip(self.followers, self._model_checks):
-            if key in made:
-                continue
-            problems = problems if square else ["S must be square"]
-            try:
-                made[key] = problems[0] if problems else gains.solve_gains(
-                    *(np.asarray(mat, dtype=float)
-                      for mat in (f.A, f.B, f.Q, f.U)), s)
-            except gains.GainSynthesisError as exc:
-                made[key] = str(exc)
-        sets = [made[key] for key, _ in self._model_checks]
-        errs = [f"follower {idx}: {why}" for idx, why in enumerate(sets, 1)
-                if isinstance(why, str)]
-        if errs:
-            raise ScenarioError(errs)
-        return sets
+        """Each follower's GainSet, in follower order; if some follower
+        has none, a ScenarioError with ``validate()``'s whole list."""
+        if all(isinstance(v, gains.GainSet) for v in self._verdicts):
+            return self._verdicts
+        raise ScenarioError(self.validate())
 
     @cached_property
     def phi_family(self) -> topo.PhiFamily:
@@ -268,10 +251,10 @@ class ScenarioConfig:
 
     def _twin(self, **changes) -> "ScenarioConfig":
         """A copy with ``changes``, none of them an input to the model
-        checks, the gains or the Phi family, so the copy keeps those this
-        scenario has built."""
+        verdicts or the Phi family, so the copy keeps those this scenario
+        has built."""
         twin = replace(self, **changes)
-        for key in ("_model_checks", "gain_sets", "phi_family"):
+        for key in ("_verdicts", "phi_family"):
             if key in self.__dict__:  # built (cached_property)
                 twin.__dict__[key] = self.__dict__[key]
         return twin
@@ -305,18 +288,25 @@ def _positive(key: str, value: float) -> list[str]:
     return [] if np.isfinite(value) else [f"{key} must be finite"]
 
 
+def _numeric(value) -> bool:
+    """Whether a JSON value is a number or a list of numeric values."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix(obj, key: str, where: str = "", default=None) -> np.ndarray:
     """obj[key] (default if it is absent and a default is given) as a
     float array; errors name the field ``where + key``."""
-    value = obj.get(key, default) if isinstance(obj, dict) else None
-    if value is None:
+    if not isinstance(obj, dict) or (key not in obj and default is None):
         raise ScenarioError([f"missing required field {where}{key}"])
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        if key in obj and not _numeric(obj[key]):
+            raise TypeError("a string, a boolean or a null is not a number")
+        return np.asarray(obj.get(key, default), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(
-            [f"{where}{key}: not a numeric array ({exc})"]
-        ) from exc
+            [f"{where}{key}: not a numeric array ({exc})"]) from exc
 
 
 def _defaults(cls) -> dict:
@@ -327,9 +317,13 @@ def _defaults(cls) -> dict:
 
 
 def _number(obj: dict, key: str, default: float, where: str = "") -> float:
+    """obj[key] (default if it is absent) as a float, if a JSON number."""
+    value = obj.get(key, default)
     try:
-        return float(obj.get(key, default))
-    except (TypeError, ValueError):
+        if not _numeric(value):
+            raise TypeError
+        return float(value)  # a TypeError for a list
+    except (TypeError, OverflowError):
         raise ScenarioError([f"{where}{key}: not a number"]) from None
 
 

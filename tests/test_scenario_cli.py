@@ -274,6 +274,36 @@ def test_validation_rejects_nonsquare_s():
     assert "S must be square" in _violations(doc)
 
 
+def test_state_dim_is_none_unless_s_is_square():
+    scenario = scenario_from_dict(_tiny_doc())
+    assert scenario.state_dim == 3 and type(scenario.state_dim) is int
+    for shape in ((2, 3), (3,), (1, 3, 3)):
+        assert dataclasses.replace(
+            scenario, S=np.zeros(shape)).state_dim is None
+
+
+def test_gain_sets_of_a_nonsquare_s_raise_the_validation_list():
+    config = dataclasses.replace(scenario_from_dict(_bundled_doc()),
+                                 S=np.zeros((2, 3)))
+    with pytest.raises(ScenarioError) as err:
+        config.gain_sets
+    assert err.value.violations == config.validate() == ["S must be square"]
+
+
+def test_gain_sets_without_gains_raise_every_violation():
+    valid = scenario_from_dict(_bundled_doc())
+    followers = list(valid.followers)
+    followers[2] = dataclasses.replace(followers[2], Q=followers[2].Q * 1e300)
+    config = dataclasses.replace(valid, followers=followers, d_s=-1.0)
+    with pytest.raises(ScenarioError) as err:
+        config.gain_sets
+    assert err.value.violations == config.validate() == [
+        "follower 3: Riccati iteration did not converge: final residual inf",
+        "d_s must be positive",
+    ]
+    assert valid.gain_sets is valid.gain_sets  # one cached list
+
+
 def test_validation_rejects_gain_cap_past_exp_overflow():
     doc = _tiny_doc()
     doc["gain_cap"] = 1000.0
@@ -330,6 +360,55 @@ def test_loader_errors_are_listed_once_and_name_the_field():
     del doc["topology"]["pinning"]
     assert _violations(doc) == ["missing required field topology.pinning"]
     assert _violations([doc]) == ["a scenario must be a JSON object"]
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda doc: doc.update(horizon="16"), "horizon: not a number"),
+    (lambda doc: doc.update(output_stride=True), "output_stride: not a number"),
+    (lambda doc: doc.update(d_s=None), "d_s: not a number"),
+    (lambda doc: doc["followers"][1].update(q="1"),
+     "followers[1].q: not a number"),
+    (lambda doc: doc.update(horizon=10**400), "horizon: not a number"),
+    (lambda doc: doc.update(S=[[str(v) for v in row] for row in doc["S"]]),
+     "S: not a numeric array ("),
+    (lambda doc: doc["followers"][0].update(x0=[True, False, True]),
+     "followers[0].x0: not a numeric array ("),
+    (lambda doc: doc["followers"][0].update(x0=[1.0, True, 0.5]),
+     "followers[0].x0: not a numeric array ("),
+    (lambda doc: doc.update(delta=None), "delta: not a numeric array ("),
+    (lambda doc: doc["S"][0].__setitem__(0, 10**400),
+     "S: not a numeric array (int too large to convert to float)"),
+], ids=["string", "boolean", "null", "follower_string", "huge_int",
+        "string_matrix", "boolean_vector", "one_boolean", "null_matrix",
+        "huge_int_matrix"])
+def test_only_json_numbers_are_numeric(edit, violation):
+    doc = _tiny_doc()
+    edit(doc)
+    (got,) = _violations(doc)
+    assert (got.startswith(violation) if violation.endswith("(")
+            else got == violation)
+
+
+def test_json_ints_load_as_floats_and_null_tables_as_absent():
+    doc = _tiny_doc()
+    doc["S"] = [[float(v) for v in row] for row in doc["S"]]
+    want = scenario_from_dict(doc)
+    doc["S"] = [[int(v) for v in row] for row in doc["S"]]  # whole entries
+    doc["horizon"], doc["dt"] = 1, 0.001
+    doc["followers"][0].update(zeta0=None, attack_cil=None, attack_ol=None)
+    got = scenario_from_dict(doc)
+    assert got.S.dtype == float and np.array_equal(got.S, want.S)
+    assert got.horizon == 1.0 and type(got.horizon) is float
+    spec = got.followers[0]
+    assert spec.zeta0 is None
+    assert not np.any(np.concatenate([*spec.attack_cil, *spec.attack_ol]))
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_a_one_dimensional_leader_x0_is_listed_once(size):
+    doc = _bundled_doc()  # four leaders
+    doc["leader_x0"] = [0.5] * size
+    assert _violations(doc) == ["leader_x0 must be (M, 3)"]
 
 
 def test_a_rejected_topology_is_listed_with_the_other_violations():

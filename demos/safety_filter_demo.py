@@ -23,11 +23,10 @@ def simulate(filtered: bool) -> np.ndarray:
     for k in range(STEPS):
         def rate(xs):
             u_bar = np.stack([2.0 * (xs[1] - xs[0]), 2.0 * (xs[0] - xs[1])])
-            if filtered:
-                res = sequential_filter(u_bar, xs, A, B, 5.0, D_S)
-                u = np.stack([r.u for r in res])
-            else:
-                u = u_bar
+            u = u_bar.copy()
+            if filtered:  # each QP the filter ran moves its agent's input
+                for r in sequential_filter(u_bar, xs, A, B, 5.0, D_S):
+                    u[r.agent] = r.u
             return np.stack([A[i] @ xs[i] + B[i] @ u[i] for i in range(2)])
 
         k1 = rate(x)

@@ -13,10 +13,10 @@ pair's constraint that do not depend on an input are assembled for all
 pairs at once, so each agent's constraints are a slice of stacked rows.
 Every row is tested once, in one batch, with the same comparison the
 QP's first iteration makes, so only the agents that the QP would move
-reach it, and each QP starts from the violations and scales that test
-computed for its rows.  At these sizes a call costs what its numpy calls
-cost, not its arithmetic, so the pair operands come from one gather of
-one per-agent table and no product is computed twice.
+reach it; each QP starts from that test's violations and scales of its
+rows, and only the QPs run have a result.  A call costs what its numpy
+calls cost, not its arithmetic, so the pair operands come from one
+gather of one per-agent table and no product is computed twice.
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ class PairConstraint:
 
 @dataclass(slots=True)
 class FilterResult:
-    """Filtered input for one agent with its constraint activity; built
-    for every agent at every filter call, so slotted and not frozen."""
+    """The QP output of one ``agent``: its input u, u - u_bar and the
+    pairs active at u.  Built for every QP, so slotted and not frozen."""
 
     u: np.ndarray
     delta_u: np.ndarray
     active_set: list = field(default_factory=list)
+    agent: int | None = None
 
 
 @dataclass(slots=True)
@@ -288,7 +289,9 @@ def sequential_filter(
     starting from the screen's violations and scales of them; B_i u_i then
     completes b anew, with one dot of r2 = -2 r per row, for the rows of
     the agents below i, and only those rows are tested again.  The outputs
-    are bit-identical to solving every agent's QP in turn.
+    are bit-identical to solving every agent's QP in turn.  Each QP run
+    gives one result, naming its ``agent``, highest agent first; every
+    other agent keeps its u_bar, so a call with no QP returns [].
 
     a_mats (N, n, n) and b_mats (N, n, m) stack the agents' A and B; delta
     may be a scalar or an (N, N) array of per-pair constraint rates.
@@ -302,8 +305,7 @@ def sequential_filter(
     bu, r2, _, a, b0, lf, b, au = _barrier_rows(
         states, u_bars, a_mats, b_mats, index, delta, d_s)
 
-    # every agent keeps its u_bar unless its QP runs
-    results = list(map(FilterResult, u_bars.copy(), np.zeros(u_bars.shape)))
+    results = []  # the QPs run, highest agent first
     end = len(pairs)  # rows of the agents not yet finalized
     while end:
         viol = au[:end] - b
@@ -316,16 +318,18 @@ def sequential_filter(
         start = i * (2 * n_agents - i - 1) // 2  # agent i's rows (i, j > i)
         own = slice(start, start + n_agents - 1 - i)
         try:
-            results[i] = solve_agent_qp(u_bars[i], AgentRows(
+            result = solve_agent_qp(u_bars[i], AgentRows(
                 a=a[own], b=b[own], pairs=pairs[own],
                 viol=viol[own], scale=scale[own],
             ))
         except QPInfeasibleError as err:
             err.agent = i
             raise
+        result.agent = i
+        results.append(result)
         end = start
         if end:
-            bu[i] = b_mats[i].dot(results[i].u)
+            bu[i] = b_mats[i].dot(result.u)
             b = b0[:end] + np.vecdot(
                 r2[:end], bu.take(index[:end, 1], axis=0)) - lf[:end]
     return results

@@ -297,8 +297,11 @@ def _numeric(value) -> bool:
 
 def _matrix(obj, key: str, where: str = "", default=None) -> np.ndarray:
     """obj[key] (default if it is absent and a default is given) as a
-    float array; errors name the field ``where + key``."""
-    if not isinstance(obj, dict) or (key not in obj and default is None):
+    float array; errors name the field ``where + key``, or ``where`` if
+    obj is present but not a JSON object."""
+    if obj is not None and not isinstance(obj, dict):
+        raise ScenarioError([f"{where[:-1]} must be an object"])
+    if obj is None or (key not in obj and default is None):
         raise ScenarioError([f"missing required field {where}{key}"])
     try:
         if key in obj and not _numeric(obj[key]):

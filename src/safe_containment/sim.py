@@ -369,10 +369,12 @@ class Engine:
                 if self.first_infeasible_time is None:
                     self.first_infeasible_time = t
             else:
-                # an agent with no active pair kept its u_bar
+                # the agents whose QP did not run keep their u_bar
                 active = [p for r in results for p in r.active_set]
                 if active:
-                    u = np.array([r.u for r in results])
+                    u = u_bar.copy()
+                    for r in results:
+                        u[r.agent] = r.u
                     self.filter_intervention_count += bool((u != u_bar).any())
 
         ws.dx += self.B_diag.dot(u.ravel())
@@ -382,9 +384,9 @@ class Engine:
             row[:rec["u_c"].stop] = ws.outputs
             row[rec["gamma_hat"]] = gamma_hat.ravel()
             row[rec["u"]] = u.ravel()
-            if active:
-                row[rec["pair_active"]][
-                    [self.layout.pairs.index(p) for p in active]] = 1.0
+            if active:  # pair (i, j)'s column: its row in the filter
+                row[rec["pair_active"]][[i * (2 * N - i - 1) // 2 + j - i - 1
+                                         for i, j in active]] = 1.0
         return ws.deriv
 
     # -- integration -------------------------------------------------------

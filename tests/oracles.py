@@ -207,3 +207,12 @@ def reference_agent_qp(u_bar, rows, rhs, pairs):
         viol = rows @ u - rhs
     raise QPInfeasibleError(
         "active-set iteration cap exceeded", pairs=list(pairs))
+
+
+def filtered_inputs(u_bars, results):
+    """The inputs a ``sequential_filter`` call applies: u_bars, with the u
+    of each QP it ran written in at its agent."""
+    u = np.array(u_bars, dtype=float)
+    for res in results:
+        u[res.agent] = res.u
+    return u

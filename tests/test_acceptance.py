@@ -262,10 +262,10 @@ def test_criterion_07_forward_invariance():
             u_bars = np.stack(
                 [pull * (xs[1] - xs[0]), pull * (xs[0] - xs[1])]
             )
-            res = sequential_filter(u_bars, xs, a_mats, b_mats, 5.0, d_s)
+            u = oracles.filtered_inputs(u_bars, sequential_filter(
+                u_bars, xs, a_mats, b_mats, 5.0, d_s))
             return np.stack(
-                [models[i].A @ xs[i] + models[i].B @ res[i].u
-                 for i in range(2)]
+                [models[i].A @ xs[i] + models[i].B @ u[i] for i in range(2)]
             )
 
         try:

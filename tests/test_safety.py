@@ -58,10 +58,11 @@ def test_engine_models_give_build_constraint_the_filter_rows(monkeypatch):
         return solve_agent_qp(u_bar, constraints)
 
     monkeypatch.setattr(safety, "solve_agent_qp", recorded)
-    results = sequential_filter(u_bars, x, engine.A, engine.B, 5.0, 0.3)
+    final = oracles.filtered_inputs(u_bars, sequential_filter(
+        u_bars, x, engine.A, engine.B, 5.0, 0.3))
     assert [j for _, j in rows[1].pairs] == [2, 3]
     for a, b, (_, j) in zip(rows[1].a, rows[1].b, rows[1].pairs):
-        con = build_constraint(1, j, x, engine.models, results[j].u, 5.0, 0.3)
+        con = build_constraint(1, j, x, engine.models, final[j], 5.0, 0.3)
         assert np.array_equal(con.a, a)
         assert con.b == b
 
@@ -358,7 +359,7 @@ def test_the_folded_barrier_rows_give_the_reference_bits(monkeypatch):
                     u_bars, states, *_stack(models), delta, d_s)
             except QPInfeasibleError:
                 continue
-            final = np.array([res.u for res in results])
+            final = oracles.filtered_inputs(u_bars, results)
             for rows in qps:
                 i = rows.pairs[0][0]
                 mine = slice(i * (2 * n - i - 1) // 2, None)
@@ -372,13 +373,12 @@ def test_the_folded_barrier_rows_give_the_reference_bits(monkeypatch):
 
 
 def test_sequential_filter_inactive_when_far_apart():
+    # no QP runs, so every agent keeps its u_bar and nothing is returned
     models = [_plant(np.zeros((3, 3)), np.eye(3))] * 3
     states = np.array([[0.0, 0, 0], [10.0, 0, 0], [0.0, 10, 0]])
     u_bars = 0.01 * np.ones((3, 3))
     results = sequential_filter(u_bars, states, *_stack(models), 5.0, 0.3)
-    for k, res in enumerate(results):
-        assert np.array_equal(res.u, u_bars[k])
-        assert res.active_set == []
+    assert results == []
 
 
 def test_sequential_filter_head_on_deflects_lower_agent():
@@ -387,9 +387,10 @@ def test_sequential_filter_head_on_deflects_lower_agent():
     u_bars = np.array([[-5.0, 0, 0], [5.0, 0, 0]])  # closing fast
     delta = 5.0
     results = sequential_filter(u_bars, states, *_stack(models), delta, 0.3)
-    assert np.array_equal(results[1].u, u_bars[1])  # last agent untouched
-    assert not np.array_equal(results[0].u, u_bars[0])
-    hdot = _analytic_hdot(states, models, results[0].u, results[1].u)
+    assert [res.agent for res in results] == [0]  # last agent untouched
+    u = oracles.filtered_inputs(u_bars, results)
+    assert not np.array_equal(u[0], u_bars[0])
+    hdot = _analytic_hdot(states, models, u[0], u[1])
     h = cbf_value(states[0], states[1], 0.3)
     assert hdot <= -delta * h + 1e-9
 
@@ -440,10 +441,7 @@ def test_screen_skips_the_qp_of_every_agent_it_certifies(monkeypatch):
     far = np.array([[2.0, 0, 0], [0.0, 2, 0], [-2.0, 0, 0], [0.0, -2, 0]])
     u_bars = np.zeros((4, 3))
     results = sequential_filter(u_bars, far, a_mats, b_mats, 5.0, 0.3)
-    assert seen == []
-    for res, u_bar in zip(results, u_bars):
-        assert np.array_equal(res.u, u_bar) and res.u is not u_bar
-        assert res.active_set == []
+    assert seen == [] and results == []
 
     # followers 1 and 2 head-on, 0 and 3 far away: only agent 1's QP
     # runs, and agent 0's row on agent 1's new input stays certified
@@ -451,9 +449,10 @@ def test_screen_skips_the_qp_of_every_agent_it_certifies(monkeypatch):
     u_bars[1], u_bars[2] = [-5.0, 0, 0], [5.0, 0, 0]
     results = sequential_filter(u_bars, states, a_mats, b_mats, 5.0, 0.3)
     assert seen == [[(1, 2), (1, 3)]]
-    assert results[1].active_set == [(1, 2)]
+    assert [(res.agent, res.active_set) for res in results] == [(1, [(1, 2)])]
+    u = oracles.filtered_inputs(u_bars, results)
     for k in (0, 2, 3):
-        assert np.array_equal(results[k].u, u_bars[k])
+        assert np.array_equal(u[k], u_bars[k])
 
 
 def _reference_sweep(u_bars, states, models, delta, d_s):
@@ -475,6 +474,15 @@ def _reference_sweep(u_bars, states, models, delta, d_s):
             err.agent = i
             raise
     return results
+
+
+def _per_agent(u_bars, results):
+    """Each agent's FilterResult after a filter call: its QP's, or, where
+    none ran, its u_bar kept with no change and no active pair."""
+    by_agent = {res.agent: res for res in results}
+    return [by_agent[i] if i in by_agent else safety.FilterResult(
+        u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
+        for i, u_bar in enumerate(u_bars)]
 
 
 def _random_plants(rng, n):
@@ -507,12 +515,54 @@ def test_stacked_filter_matches_pairwise_reference():
             except QPInfeasibleError:
                 continue
             got = sequential_filter(u_bars, states, *_stack(models), delta, d_s)
-            for res, ref in zip(got, expected):
+            want = np.array([ref.u for ref in expected])
+            assert oracles.filtered_inputs(u_bars, got).tobytes() == (
+                want.tobytes())
+            for res, ref in zip(_per_agent(u_bars, got), expected):
                 assert np.array_equal(res.u, ref.u)
                 assert np.array_equal(res.delta_u, ref.delta_u)
                 assert res.active_set == ref.active_set
                 active_rows += len(res.active_set)
         assert active_rows > 0, n
+
+
+def test_the_filter_returns_each_qp_it_ran_highest_agent_first():
+    # one result per QP run, naming its agent, from the top agent down;
+    # every other agent keeps its u_bar, so the results written into the
+    # u_bars give the reference sweep's inputs bit for bit
+    rng = np.random.default_rng(59)
+    d_s, seen = 0.3, {"results": 0, "empty": 0, "infeasible": 0}
+    for n in (2, 4, 16):
+        for trial in range(30):
+            models = _random_plants(rng, n)
+            if trial % 3 == 0:  # an agent with no input authority
+                k = int(rng.integers(n - 1))
+                models[k] = _plant(models[k].A, np.zeros((3, 3)))
+            states = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.2, 4.0)
+            u_bars = rng.standard_normal((n, 3)) * rng.uniform(0.5, 20.0)
+            args = (u_bars, states, *_stack(models), 5.0, d_s)
+            try:
+                expected = _reference_sweep(u_bars, states, models, 5.0, d_s)
+            except QPInfeasibleError as ref:
+                with pytest.raises(QPInfeasibleError) as err:
+                    sequential_filter(*args)
+                assert err.value.agent == ref.agent
+                assert type(err.value.agent) is int
+                seen["infeasible"] += 1
+                continue
+            results = sequential_filter(*args)
+            agents = [res.agent for res in results]
+            assert agents == sorted(set(agents), reverse=True)
+            assert all(type(i) is int and 0 <= i < n - 1 for i in agents)
+            for res in results:
+                assert res.active_set
+                assert all(i == res.agent for i, _ in res.active_set)
+            want = np.array([ref.u for ref in expected])
+            assert oracles.filtered_inputs(u_bars, results).tobytes() == (
+                want.tobytes())
+            seen["results"] += len(results)
+            seen["empty"] += not results
+    assert min(seen.values()) > 0, seen
 
 
 def _nudge_to_the_tolerance(rng, u_bars, states, models, delta, d_s):
@@ -582,7 +632,7 @@ def test_screen_matches_the_reference_at_the_tolerance_boundary():
                 assert err.value.pairs == ref.pairs
                 continue
             got = sequential_filter(*args)
-            for res, ref in zip(got, expected):
+            for res, ref in zip(_per_agent(u_bars, got), expected):
                 assert np.array_equal(res.u, ref.u)
                 assert np.array_equal(res.delta_u, ref.delta_u)
                 assert res.active_set == ref.active_set
@@ -659,10 +709,10 @@ def test_two_agent_forward_invariance_deterministic():
     for k in range(1500):
         def rate(xs):
             u_bars = np.stack([3.0 * (xs[1] - xs[0]), 3.0 * (xs[0] - xs[1])])
-            res = sequential_filter(u_bars, xs, *_stack(models), 5.0, d_s)
+            u = oracles.filtered_inputs(u_bars, sequential_filter(
+                u_bars, xs, *_stack(models), 5.0, d_s))
             return np.stack(
-                [models[i].A @ xs[i] + models[i].B @ res[i].u
-                 for i in range(2)]
+                [models[i].A @ xs[i] + models[i].B @ u[i] for i in range(2)]
             )
 
         k1 = rate(x)

@@ -363,6 +363,22 @@ def test_loader_errors_are_listed_once_and_name_the_field():
 
 
 @pytest.mark.parametrize("edit, violation", [
+    (lambda doc: doc["followers"][0].update(
+        attack_cil=[[1, 2, 3], [0.1, 0.1, 0.1]]),
+     "followers[0].attack_cil must be an object"),
+    (lambda doc: doc["followers"][0].update(attack_cil=5),
+     "followers[0].attack_cil must be an object"),
+    (lambda doc: doc.update(topology=[[0, 1], [1, 0]]),
+     "topology must be an object"),
+], ids=["attack_list", "attack_number", "topology_list"])
+def test_a_table_of_the_wrong_type_is_listed_as_such(edit, violation):
+    # present but not a JSON object: the wrong type, not a missing field
+    doc = _tiny_doc()
+    edit(doc)
+    assert _violations(doc) == [violation]
+
+
+@pytest.mark.parametrize("edit, violation", [
     (lambda doc: doc.update(horizon="16"), "horizon: not a number"),
     (lambda doc: doc.update(output_stride=True), "output_stride: not a number"),
     (lambda doc: doc.update(d_s=None), "d_s: not a number"),

@@ -16,7 +16,6 @@ from .gains import (
 )
 from .observer import neighborhood_signal
 from .safety import (
-    AgentRows,
     FilterResult,
     PairConstraint,
     QPInfeasibleError,
@@ -35,7 +34,6 @@ from .topology import (
 )
 
 __all__ = [
-    "AgentRows",
     "Engine",
     "FilterResult",
     "GainSet",

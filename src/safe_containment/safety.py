@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,25 +66,6 @@ class FilterResult:
     delta_u: np.ndarray
     active_set: list = field(default_factory=list)
     agent: int | None = None
-
-
-@dataclass(slots=True)
-class AgentRows:
-    """One agent's constraints a_k' u <= b_k as arrays: rows ``a`` (k, m),
-    bounds ``b`` (k,) and the follower pair of each row.  ``viol`` and
-    ``scale`` are, if given, each row's violation a_k' u_bar - b_k at the
-    u_bar the QP is given and its scale max(1, |b_k|), as the filter's
-    screen computed them; without them the QP computes both itself.
-    Built for every QP, so slotted and not frozen."""
-
-    a: np.ndarray
-    b: np.ndarray
-    pairs: Sequence[tuple[int, int]]
-    viol: np.ndarray | None = None
-    scale: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.b)
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +142,9 @@ def build_constraint(
     )
 
 
-def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
-    """Project u_bar onto the polyhedron {u : a_k' u <= b_k}.
+def solve_agent_qp(u_bar, a, b, pairs, viol=None, scale=None) -> FilterResult:
+    """Project u_bar onto the polyhedron {u : a_k' u <= b_k} of the rows
+    ``a`` (k, m) and bounds ``b`` (k,), row k of the follower pair pairs[k].
 
     Dual active-set iteration (Goldfarb-Idnani scheme specialized to an
     identity Hessian): start at the unconstrained optimum u_bar, repeatedly
@@ -172,13 +153,12 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     rows.  A blocking multiplier hitting zero drops its constraint; a zero
     step direction with no blocking constraint certifies infeasibility.
     A row holds when (a u - b) / max(1, |b|) <= QP_TOL.  At u_bar the
-    violations a u - b and scales max(1, |b|) are the ``constraints``'
-    ``viol`` and ``scale`` when given (``sequential_filter`` passes its
-    screen's), else computed here with the same ``np.vecdot`` product, so
-    a call gives the same bits either way.  The first step needs no new
-    product: with no row active its direction is the row itself, its
-    squared norm the one the degeneracy test took, and its violation the
-    one in hand.
+    violations a u - b and scales max(1, |b|) are ``viol`` and ``scale``
+    when given (``sequential_filter`` passes its screen's), else computed
+    here with the same ``np.vecdot`` product, so a call gives the same bits
+    either way.  The first step needs no new product: with no row active
+    its direction is the row itself, its squared norm the one the
+    degeneracy test took, and its violation the one in hand.
     A violated row with ||a|| <= QP_TOL * max(1, |b|) is degenerate: on
     the scale its violation is measured in, its gradient is zero, so it
     reads 0' u <= b < 0 and raises ``QPInfeasibleError``, as an exactly
@@ -190,15 +170,13 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
     quotients and comparisons.
     """
     u_bar = np.asarray(u_bar, dtype=float)
-    if not constraints:
+    if not len(b):
         return FilterResult(u=u_bar.copy(), delta_u=np.zeros_like(u_bar))
 
-    rows, rhs, pairs = constraints.a, constraints.b, constraints.pairs
-    viol, scale = constraints.viol, constraints.scale
     if viol is None:
-        viol = np.vecdot(rows, u_bar) - rhs
-        scale = np.maximum(1.0, np.abs(rhs))
-    rhs_f = rhs.tolist()
+        viol = np.vecdot(a, u_bar) - b
+        scale = np.maximum(1.0, np.abs(b))
+    b_f = b.tolist()
     u = u_bar  # u_bar until the first step moves it to a new array
     active: list[int] = []
     lam: list[float] = []
@@ -210,7 +188,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
             return FilterResult(
                 u=u, delta_u=u - u_bar, active_set=[pairs[k] for k in active]
             )
-        cp = rows[p]
+        cp = a[p]
         cc = float(cp.dot(cp))
         if math.sqrt(cc) <= QP_TOL * scale[p]:
             blocking = [pairs[k] for k in active] + [pairs[p]]
@@ -222,19 +200,19 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
         lam_p = 0.0
         for _ in range(QP_MAX_ITER):
             if len(active) == 1:
-                a_k = rows[active[0]]
+                a_k = a[active[0]]
                 r = [-float(a_k.dot(cp)) / float(a_k.dot(a_k))]
                 z = cp + a_k * r[0]
                 zz = float(z.dot(z))
             elif active:
-                n_mat = rows[active]
+                n_mat = a[active]
                 r = -np.linalg.solve(n_mat.dot(n_mat.T), n_mat.dot(cp))
                 z = cp + n_mat.T.dot(r)
                 r = r.tolist()
                 zz = float(z.dot(z))
             else:
                 r, z, zz = [], cp, cc
-            s_p = float(viol[p]) if u is u_bar else float(cp.dot(u)) - rhs_f[p]
+            s_p = float(viol[p]) if u is u_bar else float(cp.dot(u)) - b_f[p]
             # full step reaches the violated constraint's boundary
             t_full = s_p / zz if zz > 1e-12 * max(cc, 1e-300) else math.inf
             # partial step where an active multiplier would turn negative
@@ -261,7 +239,7 @@ def solve_agent_qp(u_bar: np.ndarray, constraints: AgentRows) -> FilterResult:
                 break
             active.pop(block)
             lam.pop(block)
-        viol = rows.dot(u) - rhs
+        viol = a.dot(u) - b
     raise QPInfeasibleError(
         "active-set iteration cap exceeded",
         pairs=list(pairs),
@@ -318,10 +296,8 @@ def sequential_filter(
         start = i * (2 * n_agents - i - 1) // 2  # agent i's rows (i, j > i)
         own = slice(start, start + n_agents - 1 - i)
         try:
-            result = solve_agent_qp(u_bars[i], AgentRows(
-                a=a[own], b=b[own], pairs=pairs[own],
-                viol=viol[own], scale=scale[own],
-            ))
+            result = solve_agent_qp(u_bars[i], a[own], b[own], pairs[own],
+                                    viol[own], scale[own])
         except QPInfeasibleError as err:
             err.agent = i
             raise

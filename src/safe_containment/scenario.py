@@ -339,13 +339,17 @@ def _attack(obj: dict, key: str, where: str):
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
-    """Build and fully validate a ScenarioConfig from parsed JSON."""
+    """Build and fully validate a ScenarioConfig from parsed JSON, in
+    which a key that names no field is a violation."""
     if not isinstance(doc, dict):
         raise ScenarioError(["a scenario must be a JSON object"])
     followers = doc.get("followers")
     if not isinstance(followers, list):
         raise ScenarioError(["followers must be a list"])
     specs, spec_defaults = [], _defaults(FollowerSpec)
+    spec_keys = {x.name for x in fields(FollowerSpec)}
+    # each JSON object read, as (its path, the object, the keys it may hold)
+    tables = [("", doc, {x.name for x in fields(ScenarioConfig)})]
     for idx, f in enumerate(followers):
         where = f"followers[{idx}]."
         if not isinstance(f, dict):
@@ -358,8 +362,12 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
             attack_cil=_attack(f, "attack_cil", where),
             attack_ol=_attack(f, "attack_ol", where),
         ))
+        tables += [(where, f, spec_keys)] + [
+            (f"{where}{key}.", f[key], ("coeff", "rate"))
+            for key in ("attack_cil", "attack_ol") if f.get(key)]
     weights = [_matrix(doc.get("topology"), key, "topology.")
                for key in ("adjacency", "pinning")]
+    tables.append(("topology.", doc["topology"], ("adjacency", "pinning")))
     try:
         graph, violations = topo.Topology(*weights), []
     except topo.TopologyError as exc:
@@ -382,7 +390,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
                                     defaults["controller_mode"])),
         **numbers,
     )
-    violations += config.validate()
+    violations += [f"unknown field {where}{key}" for where, obj, known in tables
+                   for key in obj if key not in known] + config.validate()
     if violations:
         raise ScenarioError(violations)
     return config

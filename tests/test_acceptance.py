@@ -26,7 +26,6 @@ from safe_containment.gains import (
     synthesize_gains,
 )
 from safe_containment.safety import (
-    AgentRows,
     QPInfeasibleError,
     sequential_filter,
     solve_agent_qp,
@@ -204,12 +203,11 @@ def test_criterion_06_qp_oracle_equivalence():
         u_bar = rng.standard_normal(m) * rng.uniform(0.5, 3.0)
         rows = rng.standard_normal((k, m))
         rhs = rng.standard_normal(k)
-        cons = AgentRows(a=rows, b=rhs, pairs=[(0, 1)] * k)
         oracle = oracles.qp_enumeration(u_bar, rows, rhs) if k else (
             u_bar.copy(), ()
         )
         try:
-            res = solve_agent_qp(u_bar, cons)
+            res = solve_agent_qp(u_bar, rows, rhs, [(0, 1)] * k)
         except QPInfeasibleError:
             if oracle is not None:
                 mismatches += 1

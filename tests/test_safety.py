@@ -7,7 +7,6 @@ import oracles
 from oracles import cbf_value
 from safe_containment import safety
 from safe_containment.safety import (
-    AgentRows,
     PairConstraint,
     QPInfeasibleError,
     build_constraint,
@@ -53,15 +52,15 @@ def test_engine_models_give_build_constraint_the_filter_rows(monkeypatch):
     u_bars = np.array([[0.0, 0, 0], [10, 10, 0], [-1, 0, 0], [0, -1, 0]])
     rows = {}
 
-    def recorded(u_bar, constraints):
-        rows[constraints.pairs[0][0]] = constraints
-        return solve_agent_qp(u_bar, constraints)
+    def recorded(u_bar, a, b, pairs, *screen):
+        rows[pairs[0][0]] = a, b, pairs
+        return solve_agent_qp(u_bar, a, b, pairs, *screen)
 
     monkeypatch.setattr(safety, "solve_agent_qp", recorded)
     final = oracles.filtered_inputs(u_bars, sequential_filter(
         u_bars, x, engine.A, engine.B, 5.0, 0.3))
-    assert [j for _, j in rows[1].pairs] == [2, 3]
-    for a, b, (_, j) in zip(rows[1].a, rows[1].b, rows[1].pairs):
+    assert [j for _, j in rows[1][2]] == [2, 3]
+    for a, b, (_, j) in zip(*rows[1]):
         con = build_constraint(1, j, x, engine.models, final[j], 5.0, 0.3)
         assert np.array_equal(con.a, a)
         assert con.b == b
@@ -129,17 +128,18 @@ def _constraint(a, b):
 
 
 def _rows(constraints):
-    """The AgentRows of a list of PairConstraint, in list order."""
-    return AgentRows(
-        a=np.array([c.a for c in constraints], dtype=float),
-        b=np.array([c.b for c in constraints], dtype=float),
-        pairs=[c.pair for c in constraints],
+    """The rows, bounds and pairs of a list of PairConstraint, in list
+    order: the arguments of ``solve_agent_qp`` after u_bar."""
+    return (
+        np.array([c.a for c in constraints], dtype=float),
+        np.array([c.b for c in constraints], dtype=float),
+        [c.pair for c in constraints],
     )
 
 
 def test_qp_no_constraints_returns_request():
     u_bar = np.array([1.0, -2.0, 0.5])
-    res = solve_agent_qp(u_bar, _rows([]))
+    res = solve_agent_qp(u_bar, *_rows([]))
     assert np.array_equal(res.u, u_bar)
     assert np.array_equal(res.delta_u, np.zeros(3))
     assert res.active_set == []
@@ -147,7 +147,7 @@ def test_qp_no_constraints_returns_request():
 
 def test_qp_satisfied_constraints_inactive():
     u_bar = np.array([0.0, 0.0])
-    res = solve_agent_qp(u_bar, _rows([_constraint([1.0, 0.0], 5.0)]))
+    res = solve_agent_qp(u_bar, *_rows([_constraint([1.0, 0.0], 5.0)]))
     assert np.array_equal(res.u, u_bar)
     assert res.active_set == []
 
@@ -159,7 +159,7 @@ def test_qp_single_violated_is_halfspace_projection():
         u_bar = rng.standard_normal(m)
         a = rng.standard_normal(m)
         b = a @ u_bar - rng.uniform(0.1, 3.0)  # guaranteed violated
-        res = solve_agent_qp(u_bar, _rows([_constraint(a, b)]))
+        res = solve_agent_qp(u_bar, *_rows([_constraint(a, b)]))
         expected = u_bar - ((a @ u_bar - b) / (a @ a)) * a
         assert res.u == pytest.approx(expected, abs=1e-12)
         assert res.active_set == [(0, 1)]
@@ -169,7 +169,7 @@ def test_qp_single_violated_is_halfspace_projection():
 def test_qp_two_orthogonal_constraints():
     u_bar = np.array([2.0, 2.0])
     cons = [_constraint([1.0, 0.0], 1.0), _constraint([0.0, 1.0], 0.5)]
-    res = solve_agent_qp(u_bar, _rows(cons))
+    res = solve_agent_qp(u_bar, *_rows(cons))
     assert res.u == pytest.approx([1.0, 0.5], abs=1e-12)
     rows = np.array([c.a for c in cons])
     rhs = np.array([c.b for c in cons])
@@ -184,16 +184,16 @@ def test_qp_infeasible_antagonistic_constraints():
         _constraint([-1.0, 0, 0], -5.0),
     ]
     with pytest.raises(QPInfeasibleError) as err:
-        solve_agent_qp(u_bar, _rows(cons))
+        solve_agent_qp(u_bar, *_rows(cons))
     assert (0, 1) in err.value.pairs
 
 
 def test_qp_degenerate_zero_row():
     u_bar = np.array([1.0])
-    ok = solve_agent_qp(u_bar, _rows([_constraint([0.0], 1.0)]))
+    ok = solve_agent_qp(u_bar, *_rows([_constraint([0.0], 1.0)]))
     assert np.array_equal(ok.u, u_bar)
     with pytest.raises(QPInfeasibleError):
-        solve_agent_qp(u_bar, _rows([_constraint([0.0], -1.0)]))
+        solve_agent_qp(u_bar, *_rows([_constraint([0.0], -1.0)]))
 
 
 def test_the_qp_one_row_step_is_lapacks_division():
@@ -228,7 +228,7 @@ def test_qp_minimality_against_random_feasible_points():
         oracle = oracles.qp_enumeration(u_bar, rows, rhs)
         if oracle is None:
             continue
-        res = solve_agent_qp(u_bar, _rows(cons))
+        res = solve_agent_qp(u_bar, *_rows(cons))
         cost = np.linalg.norm(res.u - u_bar)
         feasible = 0
         while feasible < 1000:
@@ -239,11 +239,11 @@ def test_qp_minimality_against_random_feasible_points():
         instances += 1
 
 
-def _qp_outcome(u_bar, rows):
-    """solve_agent_qp's u and delta_u bytes and active set, or its
-    QPInfeasibleError's pairs and message."""
+def _qp_outcome(*args):
+    """solve_agent_qp's u and delta_u bytes and active set on ``args``, or
+    its QPInfeasibleError's pairs and message."""
     try:
-        res = solve_agent_qp(u_bar, rows)
+        res = solve_agent_qp(*args)
     except QPInfeasibleError as err:
         return "infeasible", err.pairs, str(err)
     return res.u.tobytes(), res.delta_u.tobytes(), res.active_set
@@ -279,10 +279,10 @@ def test_the_qp_gives_the_reference_qps_bytes():
     # same iteration on 2-D stacks of the active rows through matmul
     rng = np.random.default_rng(59)
     seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
-    for u_bar, a, b, pairs in _qp_draws(rng, 2000):
-        got = _qp_outcome(u_bar, AgentRows(a=a, b=b, pairs=pairs))
+    for args in _qp_draws(rng, 2000):
+        got = _qp_outcome(*args)
         try:
-            u, du, active = oracles.reference_agent_qp(u_bar, a, b, pairs)
+            u, du, active = oracles.reference_agent_qp(*args)
             want = u.tobytes(), du.tobytes(), active
         except QPInfeasibleError as err:
             want = "infeasible", err.pairs, str(err)
@@ -299,13 +299,12 @@ def test_the_qp_started_from_the_screen_gives_the_bits_of_rows_alone():
     seen = {"infeasible": 0, "degenerate": 0, 1: 0, 2: 0, 3: 0}
     for u_bar, a, b, pairs in _qp_draws(rng, 1600):
         k = len(b)
-        screened = AgentRows(
-            a=a, b=b, pairs=pairs,
-            viol=np.vecdot(a, np.tile(u_bar, (k, 1))) - b,
-            scale=np.maximum(1.0, np.abs(b)),
+        got = _qp_outcome(
+            u_bar, a, b, pairs,
+            np.vecdot(a, np.tile(u_bar, (k, 1))) - b,
+            np.maximum(1.0, np.abs(b)),
         )
-        got = _qp_outcome(u_bar, screened)
-        assert got == _qp_outcome(u_bar, AgentRows(a=a, b=b, pairs=pairs))
+        assert got == _qp_outcome(u_bar, a, b, pairs)
         _tally(seen, got)
     assert min(seen.values()) >= 20, seen
 
@@ -329,9 +328,9 @@ def test_the_folded_barrier_rows_give_the_reference_bits(monkeypatch):
     qps = []
     original = safety.solve_agent_qp
 
-    def recorded(u_bar, constraints):
-        qps.append(constraints)
-        return original(u_bar, constraints)
+    def recorded(u_bar, a, b, pairs, *screen):
+        qps.append((a, b, pairs))
+        return original(u_bar, a, b, pairs, *screen)
 
     monkeypatch.setattr(safety, "solve_agent_qp", recorded)
     rng = np.random.default_rng(61)
@@ -360,14 +359,14 @@ def test_the_folded_barrier_rows_give_the_reference_bits(monkeypatch):
             except QPInfeasibleError:
                 continue
             final = oracles.filtered_inputs(u_bars, results)
-            for rows in qps:
-                i = rows.pairs[0][0]
+            for rows, bounds, pairs in qps:
+                i = pairs[0][0]
                 mine = slice(i * (2 * n - i - 1) // 2, None)
                 _, a, b = _reference_rows(
                     states, final, models, rates, d_s, pair_i, pair_j)
-                k = len(rows)
-                assert a[mine][:k].tobytes() == rows.a.tobytes()
-                assert b[mine][:k].tobytes() == rows.b.tobytes()
+                k = len(bounds)
+                assert a[mine][:k].tobytes() == rows.tobytes()
+                assert b[mine][:k].tobytes() == bounds.tobytes()
                 checked += 1
     assert checked > 50, checked
 
@@ -401,10 +400,10 @@ def _spy_on_qp(monkeypatch, returned=None):
     seen = []
     original = safety.solve_agent_qp
 
-    def spy(u_bar, constraints, *args, **kwargs):
-        seen.append(list(constraints.pairs))
-        assert len(constraints) == len(constraints.pairs)
-        result = original(u_bar, constraints, *args, **kwargs)
+    def spy(u_bar, a, b, pairs, *screen):
+        seen.append(list(pairs))
+        assert len(a) == len(b) == len(pairs)
+        result = original(u_bar, a, b, pairs, *screen)
         if returned is not None:
             returned.append(result)
         return result
@@ -469,7 +468,7 @@ def _reference_sweep(u_bars, states, models, delta, d_s):
             for j in range(i + 1, n)
         ]
         try:
-            results[i] = solve_agent_qp(u_bars[i], _rows(cons))
+            results[i] = solve_agent_qp(u_bars[i], *_rows(cons))
         except QPInfeasibleError as err:
             err.agent = i
             raise
@@ -547,12 +546,12 @@ def _nudge_to_the_tolerance(rng, u_bars, states, models, delta, d_s):
     final = {n - 1: u_bars[-1]}
     offsets = []
     for i in range(n - 2, -1, -1):
-        rows = _rows([
+        rows, bounds, pairs = _rows([
             build_constraint(i, j, states, models, final[j], delta[i, j], d_s)
             for j in range(i + 1, n)
         ])
-        k = int(rng.integers(len(rows)))
-        a, b = rows.a[k], rows.b[k]
+        k = int(rng.integers(len(bounds)))
+        a, b = rows[k], bounds[k]
         bound = safety.QP_TOL * max(1.0, abs(b))
         u = u_bars[i] - ((a @ u_bars[i] - b - bound) / (a @ a)) * a
         c = int(np.argmax(np.abs(a)))
@@ -560,9 +559,9 @@ def _nudge_to_the_tolerance(rng, u_bars, states, models, delta, d_s):
         for _ in range(abs(steps)):
             u[c] = np.nextafter(u[c], np.copysign(np.inf, a[c] * steps))
         u_bars[i] = u
-        offsets.append(float((rows.a @ u - rows.b)[k]) - bound)
+        offsets.append(float((rows @ u - bounds)[k]) - bound)
         try:
-            final[i] = solve_agent_qp(u, rows).u
+            final[i] = solve_agent_qp(u, rows, bounds, pairs).u
         except QPInfeasibleError:
             break
     return u_bars, offsets

@@ -439,6 +439,34 @@ def test_a_rejected_topology_is_listed_with_the_other_violations():
     ]
 
 
+@pytest.mark.parametrize("edit, violation", [
+    (lambda doc: doc.update(horizn=4.0), "unknown field horizn"),
+    (lambda doc: doc["followers"][0].update(alhpa=2.0),
+     "unknown field followers[0].alhpa"),
+    (lambda doc: doc["topology"].update(pining=[[1, 1]]),
+     "unknown field topology.pining"),
+    (lambda doc: doc["followers"][1]["attack_ol"].update(rates=[0.1] * 3),
+     "unknown field followers[1].attack_ol.rates"),
+], ids=["top_level", "follower", "topology", "attack_table"])
+def test_a_misspelled_field_is_listed_not_left_at_its_default(edit, violation):
+    doc = _tiny_doc()
+    edit(doc)
+    assert _violations(doc) == [violation]
+
+
+def test_an_unknown_field_is_listed_with_the_other_violations():
+    doc = _tiny_doc()
+    doc["horizn"] = 4.0
+    doc["followers"][1].update(alhpa=2.0, alpha=-1.0)
+    doc["dt"] = -1
+    assert _violations(doc) == [
+        "unknown field horizn",
+        "unknown field followers[1].alhpa",
+        "follower 2: alpha must be positive",
+        "dt must be positive",
+    ]
+
+
 @pytest.mark.parametrize("field, edit, violation", [
     ("Q", lambda f: f.update(Q=[[3, 1, 0], [0, 3, 0], [0, 0, 3]]),
      "Q must be symmetric"),

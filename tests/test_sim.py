@@ -7,6 +7,7 @@ from scipy.linalg import block_diag, expm
 
 import oracles
 from test_scenario_cli import _copies_doc, _tiny_doc, _tiny_doc_m2
+import safe_containment
 from safe_containment import safety, sim
 from safe_containment.attacks import eval_stacked
 from safe_containment.compensation import (
@@ -27,6 +28,15 @@ from safe_containment.scenario import (
 )
 from safe_containment.sim import Engine, SimulationError
 from safe_containment.topology import Topology, build_phi_family
+
+
+def test_every_exported_name_resolves():
+    # the package's __all__ is what ``from safe_containment import *`` reads
+    names = {}
+    exec("from safe_containment import *", names)
+    names.pop("__builtins__")
+    assert sorted(names) == sorted(set(safe_containment.__all__))
+    assert len(safe_containment.__all__) == len(names)
 
 
 def _observed(engine, x, leaders, zeta=None):

@@ -193,9 +193,10 @@ class ScenarioConfig:
         # run and sweep write files named after the scenario
         name = self.name
         if (not isinstance(name, str) or name in ("", ".", "..")
-                or "/" in name or "\\" in name):
+                or "/" in name or "\\" in name or "\0" in name):
             errs.append("name must be a non-empty string without a path "
-                        f"separator, other than '.' and '..', not {name!r}")
+                        f"separator or NUL, other than '.' and '..', "
+                        f"not {name!r}")
         return errs
 
     def _array_problems(self, n_steps: int, n: int, m: int) -> list[str]:
@@ -307,7 +308,7 @@ def _matrix(obj, key: str, where: str = "", default=None) -> np.ndarray:
         if key in obj and not _numeric(obj[key]):
             raise TypeError("a string, a boolean or a null is not a number")
         return np.asarray(obj.get(key, default), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ScenarioError(
             [f"{where}{key}: not a numeric array ({exc})"]) from exc
 
@@ -326,7 +327,7 @@ def _number(obj: dict, key: str, default: float, where: str = "") -> float:
         if not _numeric(value):
             raise TypeError
         return float(value)  # a TypeError for a list
-    except (TypeError, OverflowError):
+    except (TypeError, OverflowError, RecursionError):
         raise ScenarioError([f"{where}{key}: not a number"]) from None
 
 
@@ -421,4 +422,6 @@ def load_scenario(path_or_name) -> ScenarioConfig:
         raise ScenarioError(
             [f"parse error in {path} at line {exc.lineno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:  # nested past the decoder's depth limit
+        raise ScenarioError([f"parse error in {path}: {exc}"]) from None
     return scenario_from_dict(doc, name=path.stem)

@@ -77,10 +77,10 @@ TRACE_FIELDS = (
 
 BLOCK = 32  # steps a run integrates before it measures them together
 # What a sampled step's pipeline evaluation writes into its sample row, in
-# order: the outputs of L @ y (xi, eps, s and u_c, one slice), gamma_hat,
-# u and the pair-active mask.  ``advance`` derives u_r, u_bar and delta_u
-# from them for a whole block at once.
-SAMPLED = ("xi", "eps", "s", "u_c", "gamma_hat", "u", "pair_active")
+# order: the outputs of L @ y (xi, eps, s and u_c, one slice), the inputs
+# it forms from them and the pair-active mask.
+SAMPLED = ("xi", "eps", "s", "u_c", "gamma_hat", "u_r", "u_bar", "u",
+           "delta_u", "pair_active")
 
 
 # One sample of a run as views into its row of the run's table: t, then
@@ -226,17 +226,15 @@ class Engine:
         self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
         self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
         P = len(self.layout.pairs)
-        widths = [N * n, N * n, N * m, N * m, N * m, N * m, P]
+        widths = [N * n, N * n, *[N * m] * 7, P]
         self._recorded = dict(zip(SAMPLED, _consecutive(widths)))
         self._sample_width = sum(widths)
         # a sampled step's source row, whose columns its table row gathers:
-        # t, y, O y, its SAMPLED outputs, u_r, u_bar and delta_u, then pair
-        # distances and barriers
+        # t, y, O y, its SAMPLED outputs, then pair distances and barriers
         sizes = [1, *(sl.stop - sl.start for sl in self._slices),
-                 N * n, N * n, *widths, *[N * m] * 3, P, P]
+                 N * n, N * n, *widths, P, P]
         at = dict(zip(("t", "x", "leader_x", "zeta", "theta", "rho_hat", "e_c",
-                       "delta_o", *SAMPLED, "u_r", "u_bar", "delta_u",
-                       "pair_distance", "pair_h"),
+                       "delta_o", *SAMPLED, "pair_distance", "pair_h"),
                       np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
         del at["leader_x"], at["s"]
         self._columns = self.layout.column_map(at)
@@ -312,8 +310,8 @@ class Engine:
     def _workspace(self) -> SimpleNamespace:
         """A vector for the output of L y, with views of its parts: the
         derivative, its x (flat), zeta, theta and rho_hat parts, xi, s and
-        u_c, and ``outputs``, the SAMPLED outputs that follow the
-        derivative."""
+        u_c, and ``outputs``, the SAMPLED outputs xi to u_c that follow
+        the derivative."""
         z = np.empty(len(self.L))
         x, _, zeta, theta, rho = self._slices
         xi, _, s, u_c = self._outputs
@@ -382,8 +380,9 @@ class Engine:
         if row is not None:
             rec = self._recorded
             row[:rec["u_c"].stop] = ws.outputs
-            row[rec["gamma_hat"]] = gamma_hat.ravel()
-            row[rec["u"]] = u.ravel()
+            for name, value in zip(SAMPLED[4:9], (gamma_hat, u_r, u_bar, u,
+                                                  u - u_bar)):
+                row[rec[name]] = value.ravel()
             if active:  # pair (i, j)'s column: its row in the filter
                 row[rec["pair_active"]][[i * (2 * N - i - 1) // 2 + j - i - 1
                                          for i, j in active]] = 1.0
@@ -428,8 +427,7 @@ class Engine:
         The time-only terms come first, at every stage time of the steps,
         each formed as a lone step forms it: k dt, k dt + dt/2 and
         k dt + dt.  With a ``table``, a sampled step's first RK4 stage
-        writes the SAMPLED outputs into its sample row; u_r, u_bar and
-        delta_u follow for all sampled steps at once.  The first
+        writes the SAMPLED outputs into its sample row.  The first
         non-finite state of the block raises SimulationError."""
         sc = self.scenario
         k = np.arange(k0, k0 + steps)
@@ -458,21 +456,14 @@ class Engine:
             _check_finite(Y[1:i + 1], times[:i, 2])
             raise
         _check_finite(Y[1:integrated + 1], times[:integrated, 2])
-
-        at = np.flatnonzero(sampled)
-        rec, got = self._recorded, samples[at]
-        u_r = got[:, rec["u_c"]] - got[:, rec["gamma_hat"]]
-        u_bar = u_r + gamma[at, 0, :, self.n:].reshape(u_r.shape)
-        rows = np.concatenate([got, u_r, u_bar, got[:, rec["u"]] - u_bar],
-                              axis=1)
         y = y if integrated == steps else None
-        return y, *self.observe(k0, Y[:steps], rows, table)
+        return y, *self.observe(k0, Y[:steps], samples[sampled], table)
 
     def observe(self, k0: int, Y: np.ndarray, samples: np.ndarray, table):
         """The containment-error norms and least follower pair distances of
         the steps from k0 whose packed states are the rows of Y; with a
         ``table``, also write the sampled ones' rows, given the rows of
-        their SAMPLED outputs, u_r, u_bar and delta_u (see ``advance``)."""
+        their SAMPLED outputs (see ``advance``)."""
         sc = self.scenario
         # stacked, these products keep the bits of O @ y and a dot per step
         obs = np.matvec(self.O, Y)

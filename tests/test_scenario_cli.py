@@ -378,6 +378,13 @@ def test_a_table_of_the_wrong_type_is_listed_as_such(edit, violation):
     assert _violations(doc) == [violation]
 
 
+def _nested(value, depth):
+    """value inside ``depth`` one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("edit, violation", [
     (lambda doc: doc.update(horizon="16"), "horizon: not a number"),
     (lambda doc: doc.update(output_stride=True), "output_stride: not a number"),
@@ -394,9 +401,14 @@ def test_a_table_of_the_wrong_type_is_listed_as_such(edit, violation):
     (lambda doc: doc.update(delta=None), "delta: not a numeric array ("),
     (lambda doc: doc["S"][0].__setitem__(0, 10**400),
      "S: not a numeric array (int too large to convert to float)"),
+    # deeper than a recursive check of the nesting can go
+    (lambda doc: doc.update(horizon=_nested(16.0, 500)),
+     "horizon: not a number"),
+    (lambda doc: doc.update(S=_nested(doc["S"], 500)),
+     "S: not a numeric array ("),
 ], ids=["string", "boolean", "null", "follower_string", "huge_int",
         "string_matrix", "boolean_vector", "one_boolean", "null_matrix",
-        "huge_int_matrix"])
+        "huge_int_matrix", "deep_number", "deep_matrix"])
 def test_only_json_numbers_are_numeric(edit, violation):
     doc = _tiny_doc()
     edit(doc)
@@ -550,7 +562,7 @@ def test_cli_rejects_each_validation_gap_without_traceback(
 
 
 @pytest.mark.parametrize(
-    "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None]
+    "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None, "a\x00b"]
 )
 def test_validation_rejects_a_name_that_is_not_a_file_name(name):
     doc = _tiny_doc()
@@ -559,12 +571,16 @@ def test_validation_rejects_a_name_that_is_not_a_file_name(name):
     assert violation.startswith("name must be a non-empty string")
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("command, name", [
+    pytest.param(command, name, id=command + suffix)
+    for suffix, name in (("", "../escaped"), ("-nul", "a\x00b"))
+    for command in ("validate", "run", "sweep")
+])
 def test_cli_rejects_a_name_that_leaves_the_output_dir(
-    tmp_path, capsys, command
+    tmp_path, capsys, command, name
 ):
     doc = _tiny_doc()
-    doc["name"] = "../escaped"
+    doc["name"] = name
     work = tmp_path / "work"
     work.mkdir()
     args = [command, "--scenario", _write(work, doc)]
@@ -584,6 +600,19 @@ def test_parse_error_reports_line(tmp_path):
     path.write_text('{\n  "name": "x",\n  oops\n}\n')
     with pytest.raises(ScenarioError, match="line 3"):
         load_scenario(str(path))
+
+
+def test_a_document_nested_past_the_decoder_limit_is_a_parse_error(
+    tmp_path, capsys
+):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.run_command(["validate", "--scenario", str(path)]) == (
+        cli.EXIT_ERROR)
+    captured = capsys.readouterr()
+    (violation,) = json.loads(captured.out)["violations"]
+    assert violation.startswith(f"parse error in {path}: ")
+    assert captured.err == ""
 
 
 def test_missing_scenario_file():

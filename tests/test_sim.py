@@ -401,10 +401,11 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
             np.exp(-engine.c * t * t))
         if not resilient:
             gamma_hat, drho = 0 * gamma_hat, 0 * drho
-        u = u_c - gamma_hat + gamma[:, 3:]
+        u_r = u_c - gamma_hat
+        u = u_bar = u_r + gamma[:, 3:]
         if mode == "saar":
-            u = oracles.filtered_inputs(u, sequential_filter(
-                u, x, engine.A, engine.B, scn.delta, scn.d_s))
+            u = oracles.filtered_inputs(u_bar, sequential_filter(
+                u_bar, x, engine.A, engine.B, scn.delta, scn.d_s))
         dx = np.einsum("nij,nj->ni", engine.A, x) + np.einsum(
             "nij,nj->ni", engine.B, u)
         want = np.concatenate([dx.ravel(), (leader @ engine.S.T).ravel(),
@@ -415,11 +416,33 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
         tol = 64 * np.finfo(float).eps
         np.testing.assert_allclose(
             got, want, rtol=0, atol=tol * np.abs(want).max())
-        np.testing.assert_allclose(
-            parts["u"].reshape(u.shape), u, rtol=0, atol=tol * np.abs(u).max())
-        np.testing.assert_allclose(
-            parts["xi"].reshape(xi.shape), xi, rtol=0,
-            atol=tol * np.abs(xi).max())
+        # every input's bound is set from u, since delta_u is often all 0
+        for name, value, scale in (("u", u, u), ("u_r", u_r, u),
+                                   ("u_bar", u_bar, u),
+                                   ("delta_u", u - u_bar, u), ("xi", xi, xi)):
+            np.testing.assert_allclose(
+                parts[name].reshape(value.shape), value, rtol=0,
+                atol=tol * np.abs(scale).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("result", ["saar_result", "conventional_result"])
+def test_each_sampled_input_is_the_one_its_evaluation_formed(
+    paper_scenario, request, result
+):
+    # across the attack onset at 3 s, every record's u_r, u_bar and
+    # delta_u are, bit for bit, the inputs formed from its other fields
+    engine = Engine(paper_scenario)
+    attacked = 0
+    for rec in request.getfixturevalue(result).records:
+        gamma_cil = eval_stacked(
+            engine.attack_coeff, engine.attack_rate,
+            paper_scenario.attack_start, rec.t,
+            paper_scenario.absolute_clock)[:, engine.n:]
+        assert np.array_equal(rec.u_r, rec.u_c - rec.gamma_hat)
+        assert np.array_equal(rec.u_bar, rec.u_r + gamma_cil)
+        assert np.array_equal(rec.delta_u, rec.u - rec.u_bar)
+        attacked += bool(np.any(gamma_cil != 0))
+    assert attacked > 100
 
 
 @pytest.mark.parametrize("doc", [None, _tiny_doc_m2], ids=["paper", "m2"])

@@ -5,14 +5,17 @@ S = A + B @ Pi, and the feedback gain comes from the continuous algebraic
 Riccati equation A'P + PA + Q - P B U^-1 B' P = 0.  The Riccati equation
 is solved by Newton-Kleinman iteration seeded with a Bass-style
 stabilizing gain, with the residual norm as the acceptance contract.
+Each Newton step solves one Lyapunov equation by the Schur-form method
+of Bartels and Stewart, with the two LAPACK routines scipy ships.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import lapack
 
 CARE_TOL = 1e-8
 CARE_MAX_ITER = 60
@@ -42,7 +45,9 @@ def model_problems(A, B, Q, U, n: int | None = None) -> list[str]:
             problems.append(f"{name} must be {rows}x{cols}")
         elif not np.all(np.isfinite(mat)):
             problems.append(f"{name} must be finite")
-        elif name in "QU" and not np.allclose(mat, mat.T, atol=1e-12):
+        # np.allclose(mat, mat.T, atol=1e-12) on a finite mat
+        elif name in "QU" and not np.all(
+                np.abs(mat - mat.T) <= 1e-12 + 1e-5 * np.abs(mat.T)):
             problems.append(f"{name} must be symmetric")
         elif name in "QU" and np.any(np.linalg.eigvalsh(mat) <= 0):
             problems.append(f"{name} must be positive definite")
@@ -105,13 +110,37 @@ def solve_regulator(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with A X + X A' = Q for real float A and Q: the LAPACK calls of
+    ``scipy.linalg.solve_continuous_lyapunov``, in its order and with its
+    bits, without its validation and dispatch layers."""
+    a, q = np.asarray_chkfinite(a), np.asarray_chkfinite(q)
+    if a.size == 0:
+        return np.empty(a.shape)
+    # the Schur form R = U' A U, at the workspace size dgees asks for
+    work = lapack.dgees(lambda re, im: None, a, lwork=-1)[-2]
+    r, _, _, _, u, _, info = lapack.dgees(lambda re, im: None, a,
+                                          lwork=work[0].real.astype(np.int_))
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "Schur form not found. Possibly ill-conditioned.")
+    y, scale, info = lapack.dtrsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
+    if info == 1:
+        warnings.warn('Input "a" has an eigenvalue pair whose sum is '
+                      'very close to or exactly zero. The solution is '
+                      'obtained via perturbing the coefficients.',
+                      RuntimeWarning, stacklevel=2)
+    y *= scale
+    return u.dot(y).dot(u.T)
+
+
 def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bass-style stabilizing gain: K0 = -B' Z^-1 with
     (A + beta I) Z + Z (A + beta I)' = 2 B B', beta > spectral abscissa."""
     if np.all(np.linalg.eigvals(a).real < -1e-9):
         return np.zeros((b.shape[1], a.shape[0]))
     beta = np.linalg.norm(a, 2) + 0.5
-    z = solve_continuous_lyapunov(a + beta * np.eye(a.shape[0]), 2.0 * b @ b.T)
+    z = _lyapunov(a + beta * np.eye(a.shape[0]), 2.0 * b @ b.T)
     z = 0.5 * (z + z.T)
     k0 = -np.linalg.solve(z, b).T
     if np.any(np.linalg.eigvals(a + b @ k0).real >= 0):
@@ -121,7 +150,11 @@ def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def care_residual(A, B, Q, U, P) -> float:
     """Norm of the Riccati residual A'P + PA + Q - P B U^-1 B' P."""
-    uinv_bt = np.linalg.solve(U, B.T)
+    return _residual(A, B, Q, np.linalg.solve(U, B.T), P)
+
+
+def _residual(A, B, Q, uinv_bt, P) -> float:
+    """``care_residual`` with U^-1 B' formed by the caller."""
     return float(np.linalg.norm(A.T @ P + P @ A + Q - P @ B @ uinv_bt @ P))
 
 
@@ -138,12 +171,13 @@ def solve_care(A, B, Q, U) -> np.ndarray:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             k = _initial_stabilizing_gain(A, B)
+            uinv_bt = np.linalg.solve(U, B.T)
             for _ in range(CARE_MAX_ITER):
                 acl = A + B @ k
-                p = solve_continuous_lyapunov(acl.T, -(Q + k.T @ U @ k))
+                p = _lyapunov(acl.T, -(Q + k.T @ U @ k))
                 p = 0.5 * (p + p.T)
                 k = -np.linalg.solve(U, B.T @ p)
-                residual = care_residual(A, B, Q, U, p)
+                residual = _residual(A, B, Q, uinv_bt, p)
                 if not CARE_TOL * 1e-2 < residual < np.inf:
                     break  # converged, or not finite
     except ValueError as exc:  # ours, or a solver's on an overflowed iterate

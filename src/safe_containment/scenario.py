@@ -194,9 +194,11 @@ class ScenarioConfig:
         name = self.name
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or "/" in name or "\\" in name or "\0" in name):
+            # a non-string by its type: its repr may be huge, or recurse
             errs.append("name must be a non-empty string without a path "
-                        f"separator or NUL, other than '.' and '..', "
-                        f"not {name!r}")
+                        f"separator or NUL, other than '.' and '..', not "
+                        + (repr(name) if isinstance(name, str)
+                           else f"of type {type(name).__name__}"))
         return errs
 
     def _array_problems(self, n_steps: int, n: int, m: int) -> list[str]:
@@ -387,8 +389,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioConfig:
         topology=graph,
         delta=_matrix(doc, "delta", default=defaults["delta"]),
         absolute_clock=doc.get("absolute_clock", defaults["absolute_clock"]),
-        controller_mode=str(doc.get("controller_mode",
-                                    defaults["controller_mode"])),
+        controller_mode=doc.get("controller_mode",
+                                defaults["controller_mode"]),
         **numbers,
     )
     violations += [f"unknown field {where}{key}" for where, obj, known in tables

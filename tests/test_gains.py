@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from oracles import charpoly_eigenvalues
+from safe_containment import gains
 from safe_containment.gains import (
     CARE_TOL,
     REGULATOR_TOL,
     GainSynthesisError,
     care_residual,
     leader_problems,
+    model_problems,
     solve_care,
     solve_regulator,
     synthesize_gains,
@@ -135,6 +138,22 @@ def test_leader_check_repeated_axis_eigenvalue_fails():
     assert any("repeated" in r for r in problems)
 
 
+def _symmetry_edge():
+    """The largest q for which np.allclose(atol=1e-12) calls
+    [[1, q], [0.5, 1]] symmetric, and the float above it, which it does
+    not."""
+    def symmetric(q):
+        mat = np.array([[1, q], [0.5, 1]])
+        return np.allclose(mat, mat.T, atol=1e-12)
+
+    q = 0.5 + (1e-12 + 1e-5 * 0.5)
+    while not symmetric(q):
+        q = np.nextafter(q, 0.0)
+    while symmetric(np.nextafter(q, 1.0)):
+        q = np.nextafter(q, 1.0)
+    return q, np.nextafter(q, 1.0)
+
+
 def test_model_validation():
     S = np.zeros((2, 2))
     with pytest.raises(GainSynthesisError, match="symmetric"):
@@ -148,6 +167,67 @@ def test_model_validation():
             A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]),
             Q=np.eye(2), U=np.eye(1), S=S,
         )
+    # the symmetry check is np.allclose(mat, mat.T, atol=1e-12) written
+    # out: the same verdict just inside and just outside its tolerance,
+    # for Q and U, with the asymmetry above or below the diagonal
+    inside, outside = _symmetry_edge()
+    for q, symmetric in ((inside, True), (outside, False)):
+        for mat in (np.array([[1, q], [0.5, 1]]), np.array([[1, 0.5], [q, 1]])):
+            assert np.allclose(mat, mat.T, atol=1e-12) == symmetric
+            for name in "QU":
+                model = dict(A=np.eye(2), B=np.eye(2), Q=np.eye(2), U=np.eye(2))
+                model[name] = mat
+                assert model_problems(**model) == (
+                    [] if symmetric else [f"{name} must be symmetric"])
+
+
+def test_the_lyapunov_solve_is_scipys_bit_for_bit():
+    # seeded draws, n from 1 to 8, entries spread over 1e-3 to 1e3, half
+    # of them with A a transposed view, as solve_care passes it
+    rng = np.random.default_rng(29)
+    for i in range(2000):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        q = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        if i % 2:
+            a = a.T
+        expected = solve_continuous_lyapunov(a, q)
+        got = gains._lyapunov(a, q)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("where", ["a", "q"])
+def test_the_lyapunov_solve_rejects_non_finite_input_as_scipy_does(bad, where):
+    args = {"a": -np.eye(2), "q": np.eye(2)}
+    args[where][0, 1] = bad
+    with pytest.raises(ValueError) as expected:
+        solve_continuous_lyapunov(**args)
+    with pytest.raises(ValueError) as got:
+        gains._lyapunov(**args)
+    assert str(got.value) == str(expected.value)
+
+
+def test_paper_gains_are_the_bits_of_scipys_lyapunov_solver(
+    paper_scenario, monkeypatch
+):
+    # the gain sets a run uses, against scipy's public solver in the place
+    # of the module's own
+    ours = paper_scenario.gain_sets
+    monkeypatch.setattr(gains, "_lyapunov", solve_continuous_lyapunov)
+    for f, mine in zip(paper_scenario.followers, ours):
+        reference = synthesize_gains(*_model(f), paper_scenario.S)
+        for field in ("P", "K", "H", "Pi"):
+            assert (getattr(mine, field).tobytes()
+                    == getattr(reference, field).tobytes())
+
+
+def test_an_empty_model_has_empty_gains():
+    empty = np.zeros((0, 0))
+    g = synthesize_gains(empty, empty, empty, empty, empty)
+    for field in ("P", "K", "H", "Pi"):
+        assert getattr(g, field).shape == (0, 0)
 
 
 def test_model_is_checked_at_the_leader_state_size():

@@ -10,6 +10,7 @@ import pytest
 
 from safe_containment import cli, gains, sim, topology
 from safe_containment.scenario import (
+    CONTROLLER_MODES,
     SWEEPABLE,
     FollowerSpec,
     ScenarioConfig,
@@ -562,13 +563,27 @@ def test_cli_rejects_each_validation_gap_without_traceback(
 
 
 @pytest.mark.parametrize(
-    "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None, "a\x00b"]
+    "name", ["../escaped", "a/b", "a\\b", "", ".", "..", 7, None, "a\x00b",
+             pytest.param(_nested("x", 3000), id="deep_list")]
 )
 def test_validation_rejects_a_name_that_is_not_a_file_name(name):
+    # a non-string is named by its type, so a deep list cannot make the
+    # violation long, or recurse past the interpreter's limit
     doc = _tiny_doc()
     doc["name"] = name
     (violation,) = _violations(doc)
     assert violation.startswith("name must be a non-empty string")
+    assert len(violation) < 200
+
+
+@pytest.mark.parametrize("mode", [
+    "fast", 5, pytest.param(_nested("saar", 3000), id="deep_list"),
+])
+def test_validation_rejects_an_unknown_controller_mode(mode):
+    doc = _tiny_doc()
+    doc["controller_mode"] = mode
+    assert _violations(doc) == [
+        f"controller_mode must be one of {CONTROLLER_MODES}"]
 
 
 @pytest.mark.parametrize("command, name", [

@@ -195,10 +195,11 @@ class ScenarioConfig:
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or "/" in name or "\\" in name or "\0" in name):
             # a non-string by its type: its repr may be huge, or recurse
+            shown = (repr(name) if isinstance(name, str)
+                     else f"of type {type(name).__name__}")
             errs.append("name must be a non-empty string without a path "
-                        f"separator or NUL, other than '.' and '..', not "
-                        + (repr(name) if isinstance(name, str)
-                           else f"of type {type(name).__name__}"))
+                        "separator or NUL, other than '.' and '..', "
+                        f"not {shown}")
         return errs
 
     def _array_problems(self, n_steps: int, n: int, m: int) -> list[str]:

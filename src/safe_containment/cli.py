@@ -66,22 +66,6 @@ def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
         fh.write(row_fmt % tuple(row.tolist()))
 
 
-def _write_part(fd: int, rows: np.ndarray, row_fmt: str) -> None:
-    """A forked writer's whole life: format ``rows`` into the part file
-    open on ``fd`` and leave the process, 0 on success, 1 on any error.
-
-    Forked rather than spawned, the child reads the table in place, with
-    nothing to import or pickle; ``os._exit`` keeps it from running the
-    parent's exit handlers or flushing the parent's buffers."""
-    status = 1
-    try:
-        with open(fd, "w", newline="\n") as fh:
-            _write_rows(fh, rows, row_fmt)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 @contextlib.contextmanager
 def _replacing(path: Path):
     """A new text file beside ``path``, open for writing, that is moved
@@ -106,56 +90,58 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
 
     The rows are cut into contiguous chunks, one per usable CPU but none
     under ``MIN_CHUNK_CELLS`` cells.  A forked child formats each chunk
-    after the first into a part file beside ``path``; this process writes
-    the header and the first chunk, then appends the parts in order, so the
-    bytes do not depend on the chunk count.  The file is written under a
-    temporary name and takes its place at ``path`` only once complete.  A
-    child that fails raises ``OSError``; every child is reaped and every
-    part and temporary file removed however the write ends.  ``state_dim``
-    is not needed: the result's layout gives the columns."""
+    after the first into an unnamed temporary file in ``path``'s
+    directory; this process writes the header and the first chunk, then
+    appends the parts in order, so the bytes do not depend on the chunk
+    count.  The file is written under a temporary name and takes its place
+    at ``path`` only once complete.  A child that fails raises ``OSError``;
+    every child is reaped however the write ends.  ``state_dim`` is not
+    needed: the result's layout gives the columns."""
     layout = result.layout
     table = result.table[:, :layout.n_csv]
     row_fmt = ",".join(["%.17g"] * layout.n_csv) + "\n"
     n_chunks = max(1, min(_usable_cpus(), table.size // MIN_CHUNK_CELLS))
     bounds = [len(table) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [table[a:b] for a, b in zip(bounds, bounds[1:])]
-    children: list[tuple[int, str]] = []
-    parts: list[str] = []
+    children = []
     try:
-        for chunk in chunks[1:]:
-            fd, part = tempfile.mkstemp(
-                prefix=f".{path.name}.", suffix=".part", dir=path.parent
-            )
-            parts.append(part)
-            try:
+        with contextlib.ExitStack() as parts:
+            for chunk in chunks[1:]:
+                part = parts.enter_context(
+                    tempfile.TemporaryFile(dir=path.parent))
+                # forked, not spawned: the child reads the table in place,
+                # with nothing to import or pickle; os._exit skips this
+                # process's exit handlers and buffers
                 pid = os.fork()
                 if pid == 0:
-                    _write_part(fd, chunk, row_fmt)
-            finally:
-                os.close(fd)
-            children.append((pid, part))
-        with _replacing(path) as fh:
-            fh.write(",".join(layout.header()) + "\n")
-            _write_rows(fh, chunks[0], row_fmt)
-            fh.flush()
-            while children:
-                pid, part = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if status != 0:
-                    raise OSError(
-                        f"{path}: the process writing {part} exited "
-                        f"with status {status}"
-                    )
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
+                    status = 1
+                    try:
+                        with open(part.fileno(), "w", newline="\n") as fh:
+                            _write_rows(fh, chunk, row_fmt)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, part))
+            with _replacing(path) as fh:
+                fh.write(",".join(layout.header()) + "\n")
+                _write_rows(fh, chunks[0], row_fmt)
+                fh.flush()
+                while children:
+                    pid, part = children[0]
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[0]
+                    if status != 0:
+                        raise OSError(
+                            f"{path}: a process writing its rows exited "
+                            f"with status {status}"
+                        )
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
     finally:
         for pid, _ in children:  # left only by a failure or an interrupt
             with contextlib.suppress(ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -187,17 +173,27 @@ def _load(args) -> "ScenarioConfig | None":
     return scenario
 
 
-def _output_dir_error(outdir: Path) -> str | None:
-    """Why ``outdir`` cannot take a command's outputs, or None.  Checked
-    before simulating, so a bad ``--output-dir`` costs no run; creates
-    nothing."""
-    for path in (outdir, *outdir.parents):
-        if path.exists():
-            if not path.is_dir():
-                return f"--output-dir: {path} is not a directory"
-            if not os.access(path, os.W_OK | os.X_OK):
-                return f"--output-dir: {path} is not writable"
-            return None
+def _output_dir_error(outdir: Path, names: list[str]) -> str | None:
+    """Why ``outdir`` cannot take a command's output files ``names``, or
+    None.  Checked before simulating, so a bad ``--output-dir`` or a name
+    too long for its file system costs no run; creates nothing."""
+    try:
+        path = next(p for p in (outdir, *outdir.parents) if p.exists())
+    except OSError as exc:  # such as a name too long for the file system
+        return f"--output-dir: {exc}"
+    if not path.is_dir():
+        return f"--output-dir: {path} is not a directory"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return f"--output-dir: {path} is not writable"
+    if "PC_NAME_MAX" not in getattr(os, "pathconf_names", ()):
+        return None
+    limit = os.pathconf(path, "PC_NAME_MAX")  # -1: no limit
+    for name in names:
+        # _replacing's temporary name: "." name "." 8 random ".tmp"
+        size = len(os.fsencode(name)) + 14
+        if 0 < limit < size:
+            return (f"{name}: file name too long for {path}: its "
+                    f"temporary name takes {size} bytes, over {limit}")
     return None
 
 
@@ -211,15 +207,16 @@ def cmd_run(args) -> int:
     if scenario is None:
         return EXIT_ERROR
     outdir = Path(args.output_dir)
-    problem = _output_dir_error(outdir)
+    base = f"{scenario.name}_{scenario.controller_mode}"
+    csv_name, summary_name = f"{base}.csv", f"{base}_summary.json"
+    problem = _output_dir_error(outdir, [csv_name, summary_name])
     if problem:
         return _report(problem)
     result = sim.run(scenario)
-    base = f"{scenario.name}_{scenario.controller_mode}"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(outdir / f"{base}.csv", result, scenario.state_dim)
-        write_summary_json(outdir / f"{base}_summary.json", result)
+        write_trace_csv(outdir / csv_name, result, scenario.state_dim)
+        write_summary_json(outdir / summary_name, result)
     except OSError as exc:
         return _report(str(exc))
     print(json.dumps(result.summary, indent=2, sort_keys=True))
@@ -279,7 +276,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         return _report(f"--values: {exc}")
     outdir = Path(args.output_dir)
-    problem = _output_dir_error(outdir)
+    sweep_name = f"{scenario.name}_sweep_{args.param}.json"
+    problem = _output_dir_error(outdir, [sweep_name])
     if problem:
         return _report(problem)
     rows = []
@@ -298,7 +296,7 @@ def cmd_sweep(args) -> int:
         print(json.dumps(row, sort_keys=True))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / f"{scenario.name}_sweep_{args.param}.json", rows)
+        _write_json(outdir / sweep_name, rows)
     except OSError as exc:
         return _report(str(exc))
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -200,6 +201,12 @@ class ScenarioConfig:
             errs.append("name must be a non-empty string without a path "
                         "separator or NUL, other than '.' and '..', "
                         f"not {shown}")
+        else:
+            try:
+                os.fsencode(name)
+            except UnicodeEncodeError:  # a lone surrogate such as \ud800
+                errs.append("name must be encodable as a file name, "
+                            f"not {name!r}")
         return errs
 
     def _array_problems(self, n_steps: int, n: int, m: int) -> list[str]:

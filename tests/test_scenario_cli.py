@@ -586,6 +586,26 @@ def test_validation_rejects_an_unknown_controller_mode(mode):
         f"controller_mode must be one of {CONTROLLER_MODES}"]
 
 
+def test_validation_rejects_a_name_no_file_name_can_encode(
+    tmp_path, capsys, monkeypatch
+):
+    # a lone surrogate loads from JSON, but os.fsencode cannot encode it:
+    # run must say so before it simulates, not after, with a traceback
+    def no_run(scenario):
+        raise AssertionError("simulated a scenario with an unusable name")
+
+    monkeypatch.setattr(cli.sim, "run", no_run)
+    doc = _tiny_doc()
+    doc["name"] = "\ud800x"
+    assert _violations(doc) == [
+        "name must be encodable as a file name, not '\\ud800x'"]
+    args = ["run", "--scenario", _write(tmp_path, doc),
+            "--output-dir", str(tmp_path / "o")]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, name", [
     pytest.param(command, name, id=command + suffix)
     for suffix, name in (("", "../escaped"), ("-nul", "a\x00b"))
@@ -787,6 +807,29 @@ def test_a_failed_trace_write_reaps_its_children_and_parts(
     _assert_no_child_left()
 
 
+def test_a_trace_write_gives_its_parts_no_name(tmp_path, monkeypatch):
+    # while this process writes the first chunk, three writers are at
+    # work, yet the directory holds only _replacing's temporary file
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(cli, "MIN_CHUNK_CELLS", 1)
+    parent, write_rows, seen = os.getpid(), cli._write_rows, []
+
+    def list_dir_in_parent(fh, rows, row_fmt):
+        if os.getpid() == parent:
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        write_rows(fh, rows, row_fmt)
+
+    monkeypatch.setattr(cli, "_write_rows", list_dir_in_parent)
+    result = _random_result(30)
+    cli.write_trace_csv(tmp_path / "t.csv", result, 3)
+    ((entry,),) = seen
+    assert entry.startswith(".t.csv.") and entry.endswith(".tmp")
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(result)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
 def test_an_output_dir_that_cannot_be_made_fails_before_the_run(
@@ -807,6 +850,76 @@ def test_an_output_dir_that_cannot_be_made_fails_before_the_run(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --output-dir: {blocker} is not a directory\n"
+
+
+def _name_max(path):
+    if "PC_NAME_MAX" not in getattr(os, "pathconf_names", ()):
+        pytest.skip("no PC_NAME_MAX")
+    return os.pathconf(path, "PC_NAME_MAX")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_dir_named_too_long_is_one_error_line_before_the_run(
+    tmp_path, capsys, monkeypatch, command
+):
+    # stat fails with ENAMETOOLONG, which Path.exists does not swallow
+    def no_run(scenario):
+        raise AssertionError("simulated before checking --output-dir")
+
+    monkeypatch.setattr(cli.sim, "run", no_run)
+    outdir = tmp_path / ("d" * (_name_max(tmp_path) + 1)) / "sub"
+    args = [command, "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(outdir)]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --output-dir: [Errno ")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+
+
+# each command's longest output file name: run's summary,
+# <name>_resilient_unsafe_summary.json (name + 30 bytes), and sweep's
+# <name>_sweep_d_s.json (name + 15); _replacing's temporary name adds 14.
+# At the usual limit of 255 the names below are 212 and 227 bytes long,
+# the shortest that fail.
+@pytest.mark.parametrize("command, margin", [("run", 30), ("sweep", 15)])
+def test_a_name_too_long_for_its_output_files_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, command, margin
+):
+    def no_run(scenario):
+        raise AssertionError("simulated before checking the file names")
+
+    monkeypatch.setattr(cli.sim, "run", no_run)
+    out = tmp_path / "o"
+    out.mkdir()
+    doc = _tiny_doc()
+    doc["name"] = "n" * (_name_max(out) - margin - 14 + 1)
+    args = [command, "--scenario", _write(tmp_path, doc),
+            "--output-dir", str(out), "--mode", "resilient_unsafe"]
+    if command == "sweep":
+        args += ["--param", "d_s", "--values", "0.3,0.35"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too long" in captured.err
+    assert captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_the_longest_name_its_output_files_take_still_runs(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    doc = _tiny_doc()
+    doc["name"] = name = "n" * (_name_max(out) - 30 - 14)  # 211 at 255
+    args = ["run", "--scenario", _write(tmp_path, doc),
+            "--output-dir", str(out), "--mode", "resilient_unsafe"]
+    assert cli.run_command(args) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{name}_resilient_unsafe.csv",
+        f"{name}_resilient_unsafe_summary.json"]
 
 
 @pytest.mark.parametrize("command, output", [

@@ -16,7 +16,10 @@ delta_u, eps, e_c, delta_o; state blocks x, zeta, eps, e_c and delta_o have
 components suffixed _1.._n, input blocks u_c .. delta_u _1.._m), then one
 block per follower pair (i, j) in lexicographic order (d_i_j, h_i_j,
 active_i_j).  The layout is ``sim.TRACE_FIELDS``.  Floats carry 17
-significant digits so values round-trip.
+significant digits so values round-trip: each cell holds the bytes of
+``b"%.17g" % v``, made for blocks of cells at once by a numpy kernel that
+leaves the cells it cannot decide exactly (NaN, infinities, the extremes
+of the exponent range, near-ties) to ``%`` itself.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ EXIT_QP_INFEASIBLE = 3
 
 
 # Fewest table cells (rows x columns) one writer process formats.  On a
-# 2-vCPU x86 KVM guest a fork, its part file and the copy back cost about
-# 4 ms, what formatting 10,000 cells takes, so a table of fewer than twice
-# this many cells is written by one process.
-MIN_CHUNK_CELLS = 10_000
+# 2-vCPU x86 KVM guest, in a process of about 85 MB, a fork, its part file
+# and the copy back cost about 10 ms, what formatting 50,000 cells takes at
+# _write_rows' 0.2 us a cell; one process and two took about as long on
+# tables of 80,000 to 120,000 cells.  So a table of fewer than twice this
+# many cells is written by one process.
+MIN_CHUNK_CELLS = 50_000
 
 
 def _usable_cpus() -> int:
@@ -61,9 +66,211 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
-    for row in rows:
-        fh.write(row_fmt % tuple(row.tolist()))
+# The cells are formatted by a numpy kernel that writes the bytes of
+# b"%.17g" % v for a block of cells at once.  A cell's magnitude a is
+# scaled to S = a * 10**(16 - e), e = floor(log10 a), exactly enough to
+# round it: 10**k is held as a double-double hi + lo (Dekker 1971), and
+# a * hi is formed without error by splitting both factors into 26-bit
+# halves.  The 17 digits of round(S) and the %g layout are then picked
+# from a 48-byte field per cell by a mask chosen by the cell's shape (sign,
+# exponent, last nonzero digit).  Cells the kernel cannot decide go through
+# b"%.17g" % v itself: NaN, infinities, magnitudes outside
+# [_KERNEL_MIN, _KERNEL_MAX] (subnormals among them), an S within
+# _TIE_MARGIN of half an integer (the error of S is under 1e-14) and a
+# digit string out of [10**16, 10**17] after one exponent correction.
+
+# cells per block: the fastest of 512 to 16,384 on the dense trace; the
+# workspace takes about 250 B a cell
+_BLOCK_CELLS = 4096
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+_TIE_MARGIN = 1e-6
+_POW10_SPAN = 300  # covers 16 - e for e in [-281, 281]
+_SPLITTER = 2.0 ** 27 + 1
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of x into halves of at most 26 significant bits."""
+    c = _SPLITTER * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _pow10_double_doubles() -> tuple[np.ndarray, ...]:
+    """hi, its halves and lo with hi + lo = 10**k to 2**-106, for k in
+    [-_POW10_SPAN, _POW10_SPAN]; Python's int division rounds exactly."""
+    hi, lo = [], []
+    for k in range(-_POW10_SPAN, _POW10_SPAN + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den
+        m, p = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * p - m * den) / (den * p))
+    hi = np.array(hi)
+    return (hi, *_split(hi), np.array(lo))
+
+
+_POW10, _POW10_HIGH, _POW10_LOW, _POW10_REST = _pow10_double_doubles()
+
+
+def _scaled(a, a_high, a_low, k):
+    """a * 10**k as s + r: s the rounded double, |r| <= ulp(s) / 2."""
+    i = k + _POW10_SPAN
+    hi, hi_high, hi_low = _POW10[i], _POW10_HIGH[i], _POW10_LOW[i]
+    p = a * hi
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high
+           + a_low * hi_low)
+    t = err + a * _POW10_REST[i]
+    s = p + t
+    return s, t - (s - p)
+
+
+# A cell's field: 48 bytes, read as six native uint64 words.
+#   word 0      "-" "0" "." "0" "0" "0" d0 "."
+#   words 1-4   d1 "." d2 "." ... d16 "."
+#   word 5      "e" "+" "-" and three exponent digits, separator, unused
+_DIGIT = 6  # column of digit j: _DIGIT + 2 j; its point follows it
+_E, _EXP, _SEP = 40, 43, 46
+_FIELD = 48
+
+
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 8 ASCII codes as native uint64 words."""
+    return np.ascontiguousarray(chars, np.uint8).view(np.uint64).ravel()
+
+
+def _digit_columns(count: int, width: int) -> np.ndarray:
+    """The ``width`` digits of 0 .. count - 1 as rows of uint8."""
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int16)
+    return (np.arange(count, dtype=np.int16)[:, None] // powers % 10
+            ).astype(np.uint8)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each 4-digit group 0000-9999: its word of digits and points,
+    and the index of its last nonzero digit (far below 0 for 0000)."""
+    digits = _digit_columns(10_000, 4)
+    word = _words(np.insert(48 + digits, [1, 2, 3, 4], ord("."), axis=1))
+    last = np.where(digits.any(axis=1),
+                    3 - np.argmax(digits[:, ::-1] != 0, axis=1), -99)
+    return word, last
+
+
+_GROUP_WORD, _GROUP_LAST = _group_tables()
+_LEAD_WORD = _words([list(b"-0.000") + [48 + d, ord(".")] for d in range(10)])
+_EXP_WORD = _words(np.hstack([
+    np.tile(np.frombuffer(b"e+-", np.uint8), (400, 1)),
+    48 + _digit_columns(400, 3),
+    np.zeros((400, 2), np.uint8),
+]))
+
+# shapes: fixed point for exponents -4..16, then exponent form by the
+# exponent's sign and digit count, each by the last nonzero digit (17
+# each); then zero and a fallback cell (its separator only); by sign
+_N_FIXED = 21 * 17
+_ZERO_SHAPE = _N_FIXED + 4 * 17
+_FALLBACK_SHAPE = _ZERO_SHAPE + 1
+_N_SHAPES = _FALLBACK_SHAPE + 1
+
+
+def _shape_masks() -> np.ndarray:
+    masks = np.zeros((2, _N_SHAPES, _FIELD), bool)
+    masks[:, :, _SEP] = True
+    masks[1, :_FALLBACK_SHAPE, 0] = True  # the minus sign
+    for last in range(17):
+        for x in range(-4, 17):
+            row = masks[:, (x + 4) * 17 + last]
+            end = max(x, last)
+            row[:, _DIGIT:_DIGIT + 2 * end + 1:2] = True
+            if x < 0:
+                row[:, 1:2 - x] = True  # "0." and -x - 1 zeros
+            elif last > x:
+                row[:, _DIGIT + 2 * x + 1] = True
+        for code in range(4):
+            row = masks[:, _N_FIXED + code * 17 + last]
+            row[:, _DIGIT:_DIGIT + 2 * last + 1:2] = True
+            row[:, _DIGIT + 1] = last > 0
+            row[:, [_E, _E + 1 + code // 2, _EXP + 1, _EXP + 2]] = True
+            row[:, _EXP] = code % 2  # a third exponent digit
+    masks[:, _ZERO_SHAPE, _DIGIT] = True
+    return masks.reshape(2 * _N_SHAPES, _FIELD)
+
+
+_SHAPE_MASK = _shape_masks()
+_SHAPE_LEN = _SHAPE_MASK.sum(axis=1)
+
+
+def _format_block(cells: np.ndarray, field: np.ndarray,
+                  separators: np.ndarray) -> list:
+    """The CSV bytes of ``cells`` (float64, row-major) as buffers in order.
+
+    ``field`` is a (>= len(cells), _FIELD) uint8 workspace and
+    ``separators`` the byte that follows each cell."""
+    n = len(cells)
+    words = field[:n].view(np.uint64)
+    a = np.abs(cells)
+    decided = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
+    a = np.where(decided, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    a_high, a_low = _split(a)
+    s, r = _scaled(a, a_high, a_low, 16 - e)
+    low = (s < 1e16) | ((s == 1e16) & (r < 0))
+    high = (s > 1e17) | ((s == 1e17) & (r >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.int64) - low[fix]
+        s[fix], r[fix] = _scaled(a[fix], a_high[fix], a_low[fix], 16 - e[fix])
+    floor_r = np.floor(r)
+    frac = r - floor_r
+    d = s.astype(np.int64) + floor_r.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17  # 99..9.5 rounds up to 1 at the next exponent
+    d[carry] = 10 ** 16
+    e += carry
+    decided &= ((np.abs(frac - 0.5) >= _TIE_MARGIN)
+                & (d >= 10 ** 16) & (d < 10 ** 17))
+    d[~decided] = 0  # zeros print their first digit
+    top, bottom = np.divmod(d, 10 ** 8)
+    lead, top = np.divmod(top, 10 ** 8)
+    groups = (*np.divmod(top, 10 ** 4), *np.divmod(bottom, 10 ** 4))
+    words[:, 0] = _LEAD_WORD.take(lead)
+    for j, g in enumerate(groups):
+        words[:, 1 + j] = _GROUP_WORD.take(g)
+    exp = np.abs(e)
+    words[:, 5] = _EXP_WORD.take(exp)
+    field[:n, _SEP] = separators[:n]
+    last = np.maximum.reduce(
+        [_GROUP_LAST.take(g) + 1 + 4 * j for j, g in enumerate(groups)]
+        + [np.zeros(n, np.int64)])
+    shape = np.where((e >= -4) & (e < 17), (e + 4) * 17 + last,
+                     _N_FIXED + ((e < 0) * 2 + (exp >= 100)) * 17 + last)
+    shape[cells == 0] = _ZERO_SHAPE
+    fallback = ~decided & (cells != 0)
+    shape[fallback] = _FALLBACK_SHAPE
+    shape += np.signbit(cells) * _N_SHAPES
+    text = np.compress(_SHAPE_MASK.take(shape, axis=0).ravel(),
+                       field[:n].ravel())
+    if not fallback.any():
+        return [text]
+    lengths = _SHAPE_LEN.take(shape)
+    starts = np.cumsum(lengths) - lengths
+    pieces, done, view = [], 0, memoryview(text)
+    for i in np.flatnonzero(fallback).tolist():
+        pieces += [view[done:starts[i]], b"%.17g" % cells[i]]
+        done = starts[i]
+    pieces.append(view[done:])
+    return pieces
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Write ``rows`` to the binary file ``fh`` as CSV lines, every cell
+    as ``b"%.17g" % v`` writes it, ``_BLOCK_CELLS`` cells at a time."""
+    n_cols = rows.shape[1]
+    block = max(1, _BLOCK_CELLS // n_cols)
+    field = np.empty((block * n_cols, _FIELD), np.uint8)
+    separators = np.tile(
+        np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8), block)
+    for start in range(0, len(rows), block):
+        cells = rows[start:start + block].ravel()
+        fh.writelines(_format_block(cells, field, separators))
 
 
 @contextlib.contextmanager
@@ -86,7 +293,8 @@ def _replacing(path: Path):
 
 
 def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
-    """Write the run's table as the trace CSV, one format call per row.
+    """Write the run's table as the trace CSV, each cell as
+    ``b"%.17g" % v`` writes it, through ``_write_rows``' numpy blocks.
 
     The rows are cut into contiguous chunks, one per usable CPU but none
     under ``MIN_CHUNK_CELLS`` cells.  A forked child formats each chunk
@@ -99,7 +307,6 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     needed: the result's layout gives the columns."""
     layout = result.layout
     table = result.table[:, :layout.n_csv]
-    row_fmt = ",".join(["%.17g"] * layout.n_csv) + "\n"
     n_chunks = max(1, min(_usable_cpus(), table.size // MIN_CHUNK_CELLS))
     bounds = [len(table) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [table[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -116,16 +323,17 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
                 if pid == 0:
                     status = 1
                     try:
-                        with open(part.fileno(), "w", newline="\n") as fh:
-                            _write_rows(fh, chunk, row_fmt)
+                        _write_rows(part, chunk)
+                        part.flush()
                         status = 0
                     finally:
                         os._exit(status)
                 children.append((pid, part))
             with _replacing(path) as fh:
-                fh.write(",".join(layout.header()) + "\n")
-                _write_rows(fh, chunks[0], row_fmt)
-                fh.flush()
+                out = fh.buffer
+                out.write((",".join(layout.header()) + "\n").encode())
+                _write_rows(out, chunks[0])
+                out.flush()
                 while children:
                     pid, part = children[0]
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -136,7 +344,7 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
                             f"with status {status}"
                         )
                     part.seek(0)
-                    shutil.copyfileobj(part, fh.buffer)
+                    shutil.copyfileobj(part, out)
     finally:
         for pid, _ in children:  # left only by a failure or an interrupt
             with contextlib.suppress(ChildProcessError):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safe_containment import cli, gains, sim, topology
 from safe_containment.scenario import (
@@ -744,6 +746,61 @@ def _reference_csv(result):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _written_rows(values, n_cols=1):
+    """The bytes ``cli._write_rows`` writes for ``values`` in rows of
+    ``n_cols``, and the same rows formatted one value at a time."""
+    rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
+    fh = io.BytesIO()
+    cli._write_rows(fh, rows)
+    expected = b"".join(b",".join(b"%.17g" % v for v in row) + b"\n"
+                        for row in rows.tolist())
+    return fh.getvalue(), expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_the_csv_kernel_writes_what_17g_writes_for_any_bit_pattern(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    written, expected = _written_rows(values)
+    assert written == expected
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.9999999999999991e-05,
+    1e-4, 2.0**53, 1e16, 99999999999999999.0, 1e23, 1234567890123456.25,
+    1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+]
+
+
+def test_the_csv_kernel_writes_what_17g_writes_at_the_edges():
+    # the listed edges, then the powers of ten the kernel scales by and
+    # their neighbours up to two ulps away, where floor(log10 |v|) can be
+    # off by one
+    values = np.concatenate([EDGE_VALUES, 10.0 ** np.arange(-300, 301)])
+    with np.errstate(over="ignore"):  # past the largest double
+        up = np.nextafter(values, np.inf)
+        down = np.nextafter(values, -np.inf)
+        values = np.concatenate([values, -values, up, down,
+                                 np.nextafter(up, np.inf),
+                                 np.nextafter(down, -np.inf)])
+    written, expected = _written_rows(values)
+    assert written == expected
+    lines = written.split(b"\n")
+    assert lines[:2] == [b"0", b"-0"]
+    assert lines[8] == b"1e+17"
+    assert lines[10] == b"1234567890123456.2"
+
+
+def test_the_csv_kernel_keeps_the_order_of_the_cells_it_passes_on():
+    # NaN, infinities, subnormals, magnitudes out of [1e-280, 1e280] and
+    # an exact tie go through "%.17g" itself, between kernel cells
+    row = [1.5, float("nan"), -0.0, 1e-300, -2.5, float("inf"),
+           1234567890123456.25, 5e-324, 3e300, 0.1, -7.0]
+    written, expected = _written_rows(row + row[::-1], len(row))
+    assert written == expected
+    assert written.count(b"\n") == 2
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -788,10 +845,10 @@ def test_a_failed_trace_write_reaps_its_children_and_parts(
     if fault == "child_fails":
         parent, write_rows = os.getpid(), cli._write_rows
 
-        def write_rows_in_parent_only(fh, rows, row_fmt):
+        def write_rows_in_parent_only(fh, rows):
             if os.getpid() != parent:
                 raise ValueError("chunk after the first")
-            write_rows(fh, rows, row_fmt)
+            write_rows(fh, rows)
 
         monkeypatch.setattr(cli, "_write_rows", write_rows_in_parent_only)
         expected, match = OSError, "exited with status 1"
@@ -815,10 +872,10 @@ def test_a_trace_write_gives_its_parts_no_name(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "MIN_CHUNK_CELLS", 1)
     parent, write_rows, seen = os.getpid(), cli._write_rows, []
 
-    def list_dir_in_parent(fh, rows, row_fmt):
+    def list_dir_in_parent(fh, rows):
         if os.getpid() == parent:
             seen.append(sorted(p.name for p in tmp_path.iterdir()))
-        write_rows(fh, rows, row_fmt)
+        write_rows(fh, rows)
 
     monkeypatch.setattr(cli, "_write_rows", list_dir_in_parent)
     result = _random_result(30)
@@ -957,8 +1014,8 @@ def test_an_output_that_fails_midway_leaves_no_file(
     if failing.endswith(".csv"):
         write_rows = cli._write_rows
 
-        def fail_after_a_row(fh, rows, row_fmt):
-            write_rows(fh, rows[:1], row_fmt)
+        def fail_after_a_row(fh, rows):
+            write_rows(fh, rows[:1])
             fh.flush()
             full_disk()
 

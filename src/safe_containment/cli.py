@@ -17,9 +17,10 @@ components suffixed _1.._n, input blocks u_c .. delta_u _1.._m), then one
 block per follower pair (i, j) in lexicographic order (d_i_j, h_i_j,
 active_i_j).  The layout is ``sim.TRACE_FIELDS``.  Floats carry 17
 significant digits so values round-trip: each cell holds the bytes of
-``b"%.17g" % v``, made for blocks of cells at once by a numpy kernel that
-leaves the cells it cannot decide exactly (NaN, infinities, the extremes
-of the exponent range, near-ties) to ``%`` itself.
+``b"%.17g" % v``, made for blocks of cells at once by a numpy kernel in
+one pass; a block holding a cell it cannot decide exactly (NaN, an
+infinity, the extremes of the exponent range, a near-tie) goes to ``%``
+itself whole.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import mmap
 import os
 import shutil
 import signal
@@ -73,11 +75,13 @@ def _usable_cpus() -> int:
 # a * hi is formed without error by splitting both factors into 26-bit
 # halves.  The 17 digits of round(S) and the %g layout are then picked
 # from a 48-byte field per cell by a mask chosen by the cell's shape (sign,
-# exponent, last nonzero digit).  Cells the kernel cannot decide go through
-# b"%.17g" % v itself: NaN, infinities, magnitudes outside
-# [_KERNEL_MIN, _KERNEL_MAX] (subnormals among them), an S within
-# _TIE_MARGIN of half an integer (the error of S is under 1e-14) and a
-# digit string out of [10**16, 10**17] after one exponent correction.
+# exponent, last nonzero digit).  A block with a nonzero cell the kernel
+# cannot decide goes to b"%.17g" % v whole: NaN, infinities, magnitudes
+# outside [_KERNEL_MIN, _KERNEL_MAX] (subnormals among them), an S within
+# _TIE_MARGIN of half an integer (the error of S is under 1e-14), and an S
+# under 10**16 or rounding to 10**17.  Near-ties are some 2e-6 of cells
+# near 1, but 0.2% near 4e11 and a quarter or more in [1e15, 1e16): a
+# table of such values is written at the speed of %.
 
 # cells per block: the fastest of 512 to 16,384 on the dense trace; the
 # workspace takes about 250 B a cell
@@ -112,8 +116,9 @@ def _pow10_double_doubles() -> tuple[np.ndarray, ...]:
 _POW10, _POW10_HIGH, _POW10_LOW, _POW10_REST = _pow10_double_doubles()
 
 
-def _scaled(a, a_high, a_low, k):
+def _scaled(a, k):
     """a * 10**k as s + r: s the rounded double, |r| <= ulp(s) / 2."""
+    a_high, a_low = _split(a)
     i = k + _POW10_SPAN
     hi, hi_high, hi_low = _POW10[i], _POW10_HIGH[i], _POW10_LOW[i]
     p = a * hi
@@ -165,17 +170,16 @@ _EXP_WORD = _words(np.hstack([
 
 # shapes: fixed point for exponents -4..16, then exponent form by the
 # exponent's sign and digit count, each by the last nonzero digit (17
-# each); then zero and a fallback cell (its separator only); by sign
+# each); then zero; by sign
 _N_FIXED = 21 * 17
 _ZERO_SHAPE = _N_FIXED + 4 * 17
-_FALLBACK_SHAPE = _ZERO_SHAPE + 1
-_N_SHAPES = _FALLBACK_SHAPE + 1
+_N_SHAPES = _ZERO_SHAPE + 1
 
 
 def _shape_masks() -> np.ndarray:
     masks = np.zeros((2, _N_SHAPES, _FIELD), bool)
     masks[:, :, _SEP] = True
-    masks[1, :_FALLBACK_SHAPE, 0] = True  # the minus sign
+    masks[1, :, 0] = True  # the minus sign
     for last in range(17):
         for x in range(-4, 17):
             row = masks[:, (x + 4) * 17 + last]
@@ -196,12 +200,11 @@ def _shape_masks() -> np.ndarray:
 
 
 _SHAPE_MASK = _shape_masks()
-_SHAPE_LEN = _SHAPE_MASK.sum(axis=1)
 
 
 def _format_block(cells: np.ndarray, field: np.ndarray,
-                  separators: np.ndarray) -> list:
-    """The CSV bytes of ``cells`` (float64, row-major) as buffers in order.
+                  separators: np.ndarray):
+    """The CSV bytes of ``cells`` (float64, row-major) as one buffer.
 
     ``field`` is a (>= len(cells), _FIELD) uint8 workspace and
     ``separators`` the byte that follows each cell."""
@@ -211,23 +214,17 @@ def _format_block(cells: np.ndarray, field: np.ndarray,
     decided = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
     a = np.where(decided, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    a_high, a_low = _split(a)
-    s, r = _scaled(a, a_high, a_low, 16 - e)
-    low = (s < 1e16) | ((s == 1e16) & (r < 0))
-    high = (s > 1e17) | ((s == 1e17) & (r >= 0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        e[fix] += high[fix].astype(np.int64) - low[fix]
-        s[fix], r[fix] = _scaled(a[fix], a_high[fix], a_low[fix], 16 - e[fix])
+    s, r = _scaled(a, 16 - e)
     floor_r = np.floor(r)
     frac = r - floor_r
     d = s.astype(np.int64) + floor_r.astype(np.int64) + (frac > 0.5)
-    carry = d == 10 ** 17  # 99..9.5 rounds up to 1 at the next exponent
-    d[carry] = 10 ** 16
-    e += carry
-    decided &= ((np.abs(frac - 0.5) >= _TIE_MARGIN)
-                & (d >= 10 ** 16) & (d < 10 ** 17))
-    d[~decided] = 0  # zeros print their first digit
+    decided &= ((np.abs(frac - 0.5) >= _TIE_MARGIN) & (d < 10 ** 17)
+                & ((s > 1e16) | ((s == 1e16) & (r >= 0))))  # S >= 10**16
+    zero = cells == 0
+    if not (decided | zero).all():
+        return b"".join(b"%.17g%c" % cell for cell in
+                        zip(cells.tolist(), separators[:n].tobytes()))
+    d[zero] = 0  # zeros print their first digit
     top, bottom = np.divmod(d, 10 ** 8)
     lead, top = np.divmod(top, 10 ** 8)
     groups = (*np.divmod(top, 10 ** 4), *np.divmod(bottom, 10 ** 4))
@@ -242,22 +239,10 @@ def _format_block(cells: np.ndarray, field: np.ndarray,
         + [np.zeros(n, np.int64)])
     shape = np.where((e >= -4) & (e < 17), (e + 4) * 17 + last,
                      _N_FIXED + ((e < 0) * 2 + (exp >= 100)) * 17 + last)
-    shape[cells == 0] = _ZERO_SHAPE
-    fallback = ~decided & (cells != 0)
-    shape[fallback] = _FALLBACK_SHAPE
+    shape[zero] = _ZERO_SHAPE
     shape += np.signbit(cells) * _N_SHAPES
-    text = np.compress(_SHAPE_MASK.take(shape, axis=0).ravel(),
+    return np.compress(_SHAPE_MASK.take(shape, axis=0).ravel(),
                        field[:n].ravel())
-    if not fallback.any():
-        return [text]
-    lengths = _SHAPE_LEN.take(shape)
-    starts = np.cumsum(lengths) - lengths
-    pieces, done, view = [], 0, memoryview(text)
-    for i in np.flatnonzero(fallback).tolist():
-        pieces += [view[done:starts[i]], b"%.17g" % cells[i]]
-        done = starts[i]
-    pieces.append(view[done:])
-    return pieces
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
@@ -270,7 +255,7 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8), block)
     for start in range(0, len(rows), block):
         cells = rows[start:start + block].ravel()
-        fh.writelines(_format_block(cells, field, separators))
+        fh.write(_format_block(cells, field, separators))
 
 
 @contextlib.contextmanager
@@ -302,8 +287,9 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     directory; this process writes the header and the first chunk, then
     appends the parts in order, so the bytes do not depend on the chunk
     count.  The file is written under a temporary name and takes its place
-    at ``path`` only once complete.  A child that fails raises ``OSError``;
-    every child is reaped however the write ends.  ``state_dim`` is not
+    at ``path`` only once complete.  A child that fails raises ``OSError``,
+    with the errno of the ``OSError`` that stopped it, if one did; every
+    child is reaped however the write ends.  ``state_dim`` is not
     needed: the result's layout gives the columns."""
     layout = result.layout
     table = result.table[:, :layout.n_csv]
@@ -313,7 +299,9 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
     children = []
     try:
         with contextlib.ExitStack() as parts:
-            for chunk in chunks[1:]:
+            # shared with the children: chunk k's errno, if one stopped it
+            errnos = parts.enter_context(mmap.mmap(-1, n_chunks))
+            for k in range(1, n_chunks):
                 part = parts.enter_context(
                     tempfile.TemporaryFile(dir=path.parent))
                 # forked, not spawned: the child reads the table in place,
@@ -323,21 +311,26 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
                 if pid == 0:
                     status = 1
                     try:
-                        _write_rows(part, chunk)
+                        _write_rows(part, chunks[k])
                         part.flush()
                         status = 0
+                    except OSError as exc:
+                        errnos[k] = exc.errno or 0
                     finally:
                         os._exit(status)
-                children.append((pid, part))
+                children.append((pid, part, k))
             with _replacing(path) as fh:
                 out = fh.buffer
                 out.write((",".join(layout.header()) + "\n").encode())
                 _write_rows(out, chunks[0])
                 out.flush()
                 while children:
-                    pid, part = children[0]
+                    pid, part, k = children[0]
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     del children[0]
+                    if errnos[k]:
+                        raise OSError(errnos[k], os.strerror(errnos[k]),
+                                      str(path))
                     if status != 0:
                         raise OSError(
                             f"{path}: a process writing its rows exited "
@@ -346,7 +339,7 @@ def write_trace_csv(path: Path, result: RunResult, state_dim: int) -> None:
                     part.seek(0)
                     shutil.copyfileobj(part, out)
     finally:
-        for pid, _ in children:  # left only by a failure or an interrupt
+        for pid, *_ in children:  # left only by a failure or an interrupt
             with contextlib.suppress(ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

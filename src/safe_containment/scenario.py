@@ -159,7 +159,7 @@ class ScenarioConfig:
         if off > 1e-9 * abs(steps):
             errs.append(f"horizon must be a whole number of dt steps, "
                         f"not {steps:.6g}")
-        elif 2**63 <= steps < np.inf:  # the step indices are int64
+        elif steps >= 2**63 and np.isfinite(self.horizon):  # int64 indices
             errs.append(f"horizon must be under 2**63 dt steps, not {steps:.6g}")
         elif 0 < steps < np.inf:
             n_steps = int(round(steps))

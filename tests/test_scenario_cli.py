@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -746,22 +747,48 @@ def _reference_csv(result):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _written_rows(values, n_cols=1):
+def _written_rows(values, n_cols=1, block_cells=cli._BLOCK_CELLS):
     """The bytes ``cli._write_rows`` writes for ``values`` in rows of
-    ``n_cols``, and the same rows formatted one value at a time."""
+    ``n_cols``, ``block_cells`` cells a block; the same rows formatted one
+    value at a time; and, for each block, whether the kernel formatted it
+    rather than handing it to "%.17g" whole."""
     rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
-    fh = io.BytesIO()
-    cli._write_rows(fh, rows)
+    fh, kernel, format_block = io.BytesIO(), [], cli._format_block
+
+    def format_and_note(*args):
+        text = format_block(*args)
+        kernel.append(not isinstance(text, bytes))  # % returns bytes
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_CELLS", block_cells)
+        patch.setattr(cli, "_format_block", format_and_note)
+        cli._write_rows(fh, rows)
     expected = b"".join(b",".join(b"%.17g" % v for v in row) + b"\n"
                         for row in rows.tolist())
-    return fh.getvalue(), expected
+    return fh.getvalue(), expected, kernel
+
+
+# one cell a block, so that a cell the kernel cannot decide sends no other
+# cell to "%.17g" with it
+BLOCK_SIZES = (cli._BLOCK_CELLS, 1)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
 def test_the_csv_kernel_writes_what_17g_writes_for_any_bit_pattern(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    written, expected = _written_rows(values)
+    for block_cells in BLOCK_SIZES:
+        written, expected, _ = _written_rows(values, 1, block_cells)
+        assert written == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(1e-280, 1e280) | st.floats(-1e280, -1e-280)
+                | st.sampled_from([0.0, -0.0]), min_size=1, max_size=50))
+def test_the_csv_kernel_writes_what_17g_writes_in_its_range(values):
+    # every finite magnitude the kernel takes, and zeros, a cell a block
+    written, expected, _ = _written_rows(values, 1, 1)
     assert written == expected
 
 
@@ -783,22 +810,44 @@ def test_the_csv_kernel_writes_what_17g_writes_at_the_edges():
         values = np.concatenate([values, -values, up, down,
                                  np.nextafter(up, np.inf),
                                  np.nextafter(down, -np.inf)])
-    written, expected = _written_rows(values)
-    assert written == expected
-    lines = written.split(b"\n")
-    assert lines[:2] == [b"0", b"-0"]
-    assert lines[8] == b"1e+17"
-    assert lines[10] == b"1234567890123456.2"
+    for block_cells in BLOCK_SIZES:
+        written, expected, kernel = _written_rows(values, 1, block_cells)
+        assert written == expected
+        lines = written.split(b"\n")
+        assert lines[:2] == [b"0", b"-0"]
+        assert lines[8] == b"1e+17"
+        assert lines[10] == b"1234567890123456.2"
+    # of the 3,696 values a cell a block, the kernel itself writes 1,693;
+    # "%.17g" the 287 out of its range, the 1,711 whose floor(log10 |v|)
+    # is one too high and the 6 near-ties
+    assert len(kernel) == 3696 and sum(kernel) >= 1693
 
 
 def test_the_csv_kernel_keeps_the_order_of_the_cells_it_passes_on():
-    # NaN, infinities, subnormals, magnitudes out of [1e-280, 1e280] and
-    # an exact tie go through "%.17g" itself, between kernel cells
-    row = [1.5, float("nan"), -0.0, 1e-300, -2.5, float("inf"),
-           1234567890123456.25, 5e-324, 3e300, 0.1, -7.0]
-    written, expected = _written_rows(row + row[::-1], len(row))
+    # one row a block: rows the kernel writes alternate with rows holding
+    # one cell it cannot decide (NaN, an infinity, a subnormal, a magnitude
+    # out of [1e-280, 1e280], an exact tie), which "%.17g" writes whole
+    row = [1.5, -0.0, -2.5, 0.1, 3e10, 1e-5, 0.0, -7.0]
+    odd = [float("nan"), float("inf"), 5e-324, 1e-300, 3e300,
+           1234567890123456.25, float("-inf"), -1e300]
+    rows = []
+    for i, v in enumerate(odd):
+        rows += [[x * (i + 1) for x in row],
+                 row[:i] + [v] + row[i + 1:]]
+    written, expected, kernel = _written_rows(rows, len(row), 1)
     assert written == expected
-    assert written.count(b"\n") == 2
+    assert kernel == [True, False] * len(odd)
+
+
+def test_no_row_of_a_short_paper_trace_goes_to_17g():
+    # a kernel that handed every block to "%.17g" would write the same
+    # bytes at a fraction of the speed; here each row is a block
+    doc = dict(_bundled_doc(), horizon=0.2, controller_mode="saar")
+    result = sim.run(scenario_from_dict(doc))
+    table = result.table[:, :result.layout.n_csv]
+    written, expected, kernel = _written_rows(table, table.shape[1], 1)
+    assert written == expected
+    assert kernel == [True] * len(table)
 
 
 def _assert_no_child_left():
@@ -861,6 +910,39 @@ def test_a_failed_trace_write_reaps_its_children_and_parts(
     with pytest.raises(expected, match=match):
         cli.write_trace_csv(tmp_path / "t.csv", _random_result(30), 3)
     assert [p.name for p in tmp_path.iterdir()] == []
+    _assert_no_child_left()
+
+
+def test_a_child_stopped_by_an_os_error_reports_its_errno(
+    tmp_path, capsys, monkeypatch
+):
+    # a full disk under a forked writer reads as it would in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(cli, "MIN_CHUNK_CELLS", 1)
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def disk_full_in_children(fh, rows):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_rows(fh, rows)
+
+    monkeypatch.setattr(cli, "_write_rows", disk_full_in_children)
+    with pytest.raises(OSError) as raised:
+        cli.write_trace_csv(tmp_path / "t.csv", _random_result(30), 3)
+    assert raised.value.errno == errno.ENOSPC
+    assert raised.value.filename == str(tmp_path / "t.csv")
+    assert [p.name for p in tmp_path.iterdir()] == []
+    _assert_no_child_left()
+
+    out = tmp_path / "o"
+    args = ["run", "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(out)]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == (f"error: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}: '{out / 'tiny_saar.csv'}'\n")
+    assert list(out.iterdir()) == []
     _assert_no_child_left()
 
 
@@ -1342,6 +1424,44 @@ def test_a_horizon_past_numpys_largest_array_is_listed(
         assert json.loads(stdout) == {"valid": False, "violations": [
             f"horizon of {steps} dt steps needs {needs}, more than "
             f"numpy's largest array ({np.iinfo(np.intp).max} bytes)"]}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, violation", [
+    ({"horizon": 1e308}, "horizon must be under 2**63 dt steps, not inf"),
+    ({"dt": 1e-320}, "horizon must be under 2**63 dt steps, not inf"),
+    ({"horizon": float("inf")}, "horizon must be finite"),
+], ids=["huge_horizon", "tiny_dt", "infinite_horizon"])
+def test_a_step_count_that_overflows_to_infinity_is_listed(
+    tmp_path, capfd, edit, violation
+):
+    # horizon / dt of two finite numbers can overflow to infinity; only an
+    # infinite horizon is listed as such
+    doc = dict(_bundled_doc(), **edit)
+    out = tmp_path / "o"
+    for args in (["validate"], ["run", "--output-dir", str(out)],
+                 ["sweep", "--output-dir", str(out),
+                  "--param", "d_s", "--values", "0.3"]):
+        args = [args[0], "--scenario", _write(tmp_path, doc), *args[1:]]
+        assert cli.run_command(args) == cli.EXIT_ERROR
+        stdout, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(stdout) == {"valid": False,
+                                      "violations": [violation]}
+    assert not out.exists()
+
+
+def test_a_sweep_to_a_dt_whose_step_count_is_infinite_is_one_error_line(
+    tmp_path, capfd
+):
+    out = tmp_path / "o"
+    args = ["sweep", "--scenario", _write(tmp_path, _tiny_doc()),
+            "--output-dir", str(out), "--param", "dt", "--values", "1e-320"]
+    assert cli.run_command(args) == cli.EXIT_ERROR
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    assert err == ("error: dt=1e-320 invalid: "
+                   "['horizon must be under 2**63 dt steps, not inf']\n")
     assert not out.exists()
 
 

@@ -8,7 +8,9 @@ Subcommands:
     sweep     rerun a scenario varying one scalar parameter
 
 Exit codes: 0 success, 1 error (parse/validation/simulation), 2 divergence
-threshold crossed during the run, 3 at least one infeasible safety QP.
+threshold crossed during the run, 3 at least one infeasible safety QP.  A
+sweep that writes every row exits 3 if any variant met an infeasible QP,
+else 2 if any diverged, naming each such variant on stderr.
 
 CSV schema (stable): one header row; column order is ``t``, then one block
 per follower i (x, zeta, theta, rho_hat, u_c, gamma_hat, u_r, u_bar, u,
@@ -403,6 +405,21 @@ def _report(message: str) -> int:
     return EXIT_ERROR
 
 
+def _outcome(summary: dict, threshold: float, prefix: str = "") -> int:
+    """A completed run's exit code; an infeasible QP or a divergence is
+    also named on stderr, after ``prefix``."""
+    if summary["qp_infeasible_count"] > 0:
+        print(f"{prefix}infeasible safety QP encountered at "
+              f"t={summary['first_infeasible_time']:.6f}", file=sys.stderr)
+        return EXIT_QP_INFEASIBLE
+    if summary["first_divergence_time"] is not None:
+        print(f"{prefix}divergence detected: containment error crossed "
+              f"{threshold:g} at t={summary['first_divergence_time']:.6f}",
+              file=sys.stderr)
+        return EXIT_DIVERGENCE
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     scenario = _load(args)
     if scenario is None:
@@ -421,23 +438,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _report(str(exc))
     print(json.dumps(result.summary, indent=2, sort_keys=True))
-
-    if result.summary["qp_infeasible_count"] > 0:
-        print(
-            "infeasible safety QP encountered at "
-            f"t={result.summary['first_infeasible_time']:.6f}",
-            file=sys.stderr,
-        )
-        return EXIT_QP_INFEASIBLE
-    if result.summary["first_divergence_time"] is not None:
-        print(
-            "divergence detected: containment error crossed "
-            f"{scenario.divergence_threshold:g} at "
-            f"t={result.summary['first_divergence_time']:.6f}",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGENCE
-    return EXIT_OK
+    return _outcome(result.summary, scenario.divergence_threshold)
 
 
 def cmd_validate(args) -> int:
@@ -481,7 +482,7 @@ def cmd_sweep(args) -> int:
     problem = _output_dir_error(outdir, [sweep_name])
     if problem:
         return _report(problem)
-    rows = []
+    rows, codes = [], []
     for value in values:
         variant = scenario.with_value(args.param, value)
         violations = variant.validate()
@@ -495,12 +496,15 @@ def cmd_sweep(args) -> int:
         row[args.param] = value
         rows.append(row)
         print(json.dumps(row, sort_keys=True))
+        codes.append(_outcome(result.summary, variant.divergence_threshold,
+                              f"{args.param}={value}: "))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / sweep_name, rows)
     except OSError as exc:
         return _report(str(exc))
-    return EXIT_OK
+    # an infeasible QP (3) outranks a divergence (2), which outranks 0
+    return max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,9 @@ those parts evaluated on the identity once per scenario.  A run
 integrates BLOCK steps at a time.  The attacks and the compensation's
 regularizer depend on time alone, so each block computes them first at
 every stage time of its steps, in one vectorised call each.  It then
-integrates, keeping each state and what only a sampled step's pipeline
-evaluation knows, and at the end checks every state for finiteness and
-measures and records the steps together in a few stacked products.
+integrates, keeping each state and writing what only a sampled step's
+pipeline evaluation knows into its table row, and at the end checks
+every state for finiteness and measures and records the steps together.
 
 Three controller modes share the pipeline:
 
@@ -76,11 +76,6 @@ TRACE_FIELDS = (
 
 
 BLOCK = 32  # steps a run integrates before it measures them together
-# What a sampled step's pipeline evaluation writes into its sample row, in
-# order: the outputs of L @ y (xi, eps, s and u_c, one slice), the inputs
-# it forms from them and the pair-active mask.
-SAMPLED = ("xi", "eps", "s", "u_c", "gamma_hat", "u_r", "u_bar", "u",
-           "delta_u", "pair_active")
 
 
 # One sample of a run as views into its row of the run's table: t, then
@@ -124,26 +119,28 @@ class TraceLayout:
             cols.extend(f"{c}_{i + 1}_{j + 1}" for c in ("d", "h", "active"))
         return cols
 
-    def column_map(self, at: dict) -> np.ndarray:
-        """The source column each column of a row copies, given in ``at``
-        those of t and of every other TraceRecord array, flattened."""
-        cols = np.empty(self.width, dtype=np.intp)
-        rec = self.record(cols)
-        for name, src in at.items():
-            view = cols[:1] if name == "t" else getattr(rec, name)
-            view[...] = src.reshape(view.shape)
-        return cols
+    def views(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of t and of every other TraceRecord array in a stack of
+        table rows, keeping its leading axes (...): t (...), each field
+        (..., N) or (..., N, width), xi (..., N, n) and each pair column
+        (..., P)."""
+        batch = rows.shape[:-1]
+        body = rows[..., 1:self.pair_start].reshape(
+            *batch, self.N, sum(self.widths))
+        pair = rows[..., self.pair_start:self.n_csv].reshape(
+            *batch, len(self.pairs), 3)
+        return {
+            "t": rows[..., 0],
+            **{attr: body[..., col] for attr, col in self.columns.items()},
+            "xi": rows[..., self.n_csv:].reshape(*batch, self.N, self.n),
+            "pair_distance": pair[..., 0], "pair_h": pair[..., 1],
+            "pair_active": pair[..., 2],
+        }
 
     def record(self, row: np.ndarray) -> TraceRecord:
         """The TraceRecord viewing one row of a table."""
-        body = row[1:self.pair_start].reshape(self.N, -1)
-        pair = row[self.pair_start:self.n_csv].reshape(-1, 3)
-        return TraceRecord(
-            t=float(row[0]), xi=row[self.n_csv:].reshape(self.N, self.n),
-            pairs=list(self.pairs),
-            pair_distance=pair[:, 0], pair_h=pair[:, 1], pair_active=pair[:, 2],
-            **{attr: body[:, col] for attr, col in self.columns.items()},
-        )
+        return TraceRecord(**{**self.views(row), "t": float(row[0]),
+                              "pairs": list(self.pairs)})
 
 
 def _consecutive(lengths: list[int], start: int = 0) -> list[slice]:
@@ -225,19 +222,6 @@ class Engine:
         self.L, self.O = np.split(ops, [self._outputs[-1].stop])
         self.B_diag = np.zeros((N * n, N * m))  # B u of every follower at once
         self.B_diag.reshape(N, n, N, m)[range(N), :, range(N)] = self.B
-        P = len(self.layout.pairs)
-        widths = [N * n, N * n, *[N * m] * 7, P]
-        self._recorded = dict(zip(SAMPLED, _consecutive(widths)))
-        self._sample_width = sum(widths)
-        # a sampled step's source row, whose columns its table row gathers:
-        # t, y, O y, its SAMPLED outputs, then pair distances and barriers
-        sizes = [1, *(sl.stop - sl.start for sl in self._slices),
-                 N * n, N * n, *widths, P, P]
-        at = dict(zip(("t", "x", "leader_x", "zeta", "theta", "rho_hat", "e_c",
-                       "delta_o", *SAMPLED, "pair_distance", "pair_h"),
-                      np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])))
-        del at["leader_x"], at["s"]
-        self._columns = self.layout.column_map(at)
         # one workspace per RK4 stage, and the state each later stage is at
         self._workspaces = [self._workspace() for _ in range(4)]
         self._stage_state = np.empty(self.D)
@@ -309,23 +293,24 @@ class Engine:
 
     def _workspace(self) -> SimpleNamespace:
         """A vector for the output of L y, with views of its parts: the
-        derivative, its x (flat), zeta, theta and rho_hat parts, xi, s and
-        u_c, and ``outputs``, the SAMPLED outputs xi to u_c that follow
-        the derivative."""
+        derivative, its x (flat), zeta, theta and rho_hat parts, xi, eps,
+        s and u_c."""
         z = np.empty(len(self.L))
         x, _, zeta, theta, rho = self._slices
-        xi, _, s, u_c = self._outputs
+        xi, eps, s, u_c = self._outputs
         N = self.N
         return SimpleNamespace(
             z=z, deriv=z[:self.D], dx=z[x], dzeta=z[zeta].reshape(N, -1),
             dtheta=z[theta], drho=z[rho], xi=z[xi].reshape(N, -1),
-            s=z[s].reshape(N, -1), u_c=z[u_c].reshape(N, -1),
-            outputs=z[self.D:])
+            eps=z[eps].reshape(N, -1), s=z[s].reshape(N, -1),
+            u_c=z[u_c].reshape(N, -1))
 
-    def _pipeline(self, stage: tuple, y: np.ndarray, row=None, *, out=None):
+    def _pipeline(self, stage: tuple, y: np.ndarray, rows=None, row: int = 0,
+                  *, out=None):
         """The derivative of the packed state y at a stage (t, attacks,
-        exp(-c t^2)) of ``_time_table``; given a sample ``row``, also write
-        the SAMPLED outputs into it, whose pair-active entries start at 0.
+        exp(-c t^2)) of ``_time_table``; given ``TraceLayout.views`` of
+        table rows, also write into row ``row`` of them what only it forms:
+        xi, eps, the inputs and the pair-active flags, which start at 0.
 
         One product L y gives the derivative's linear part, xi, eps, s and
         u_c.  What is not linear in y is added to it: the observer's
@@ -377,15 +362,15 @@ class Engine:
 
         ws.dx += self.B_diag.dot(u.ravel())
         ws.dzeta += driving
-        if row is not None:
-            rec = self._recorded
-            row[:rec["u_c"].stop] = ws.outputs
-            for name, value in zip(SAMPLED[4:9], (gamma_hat, u_r, u_bar, u,
-                                                  u - u_bar)):
-                row[rec[name]] = value.ravel()
+        if rows is not None:
+            for name, value in zip(
+                    ("xi", "eps", "u_c", "gamma_hat", "u_r", "u_bar", "u"),
+                    (ws.xi, ws.eps, ws.u_c, gamma_hat, u_r, u_bar, u)):
+                rows[name][row] = value
+            np.subtract(u, u_bar, out=rows["delta_u"][row])
             if active:  # pair (i, j)'s column: its row in the filter
-                row[rec["pair_active"]][[i * (2 * N - i - 1) // 2 + j - i - 1
-                                         for i, j in active]] = 1.0
+                rows["pair_active"][row, [i * (2 * N - i - 1) // 2 + j - i - 1
+                                          for i, j in active]] = 1.0
         return ws.deriv
 
     # -- integration -------------------------------------------------------
@@ -427,7 +412,7 @@ class Engine:
         The time-only terms come first, at every stage time of the steps,
         each formed as a lone step forms it: k dt, k dt + dt/2 and
         k dt + dt.  With a ``table``, a sampled step's first RK4 stage
-        writes the SAMPLED outputs into its sample row.  The first
+        writes what only it forms into its table row.  The first
         non-finite state of the block raises SimulationError."""
         sc = self.scenario
         k = np.arange(k0, k0 + steps)
@@ -438,17 +423,22 @@ class Engine:
                           gamma.reshape(3 * steps, self.N, -1),
                           reg.reshape(3 * steps, self.N)))
         sampled = self._sampled(k) & (table is not None)
+        rows = None
+        if table is not None:  # the block's sampled rows, consecutive
+            r0 = -(-k0 // sc.output_stride)
+            rows = self.layout.views(table[r0:r0 + sampled.sum()])
+            rows["pair_active"][...] = 0.0
         # Y[i] is step k0 + i's state, Y[i + 1] the one it integrates to
         integrated = min(steps, self.n_steps - k0)
         Y = np.empty((steps + 1, self.D))
         Y[0] = y
-        samples = np.zeros((steps, self._sample_width))
+        r = 0  # the next sampled step's row among rows
         try:
             for i, is_sampled in enumerate(sampled.tolist()):
                 first, mid, end = stages[3 * i:3 * i + 3]
-                k1 = self._pipeline(first, y,
-                                    samples[i] if is_sampled else None,
-                                    out=self._workspaces[0])
+                k1 = self._pipeline(first, y, rows if is_sampled else None,
+                                    r, out=self._workspaces[0])
+                r += is_sampled
                 if i < integrated:
                     y = Y[i + 1] = self._rk4(y, sc.dt, k1, mid, end)
         except Exception:
@@ -457,13 +447,13 @@ class Engine:
             raise
         _check_finite(Y[1:integrated + 1], times[:integrated, 2])
         y = y if integrated == steps else None
-        return y, *self.observe(k0, Y[:steps], samples[sampled], table)
+        return y, *self.observe(k0, Y[:steps], sampled, rows)
 
-    def observe(self, k0: int, Y: np.ndarray, samples: np.ndarray, table):
+    def observe(self, k0: int, Y: np.ndarray, sampled: np.ndarray, rows):
         """The containment-error norms and least follower pair distances of
-        the steps from k0 whose packed states are the rows of Y; with a
-        ``table``, also write the sampled ones' rows, given the rows of
-        their SAMPLED outputs (see ``advance``)."""
+        the steps from k0 whose packed states are the rows of Y; given the
+        ``views`` of the table rows of the steps ``sampled`` marks, also
+        write into them what their pipeline evaluations did not."""
         sc = self.scenario
         # stacked, these products keep the bits of O @ y and a dot per step
         obs = np.matvec(self.O, Y)
@@ -473,12 +463,16 @@ class Engine:
         diffs = (x[:, i] - x[:, j]).reshape(-1, self.n)
         rr = np.vecdot(diffs, diffs).reshape(len(Y), -1)
         dist = np.sqrt(rr)  # bits of a per-pair norm
-        if table is not None:
-            at = np.flatnonzero(self._sampled(k0 + np.arange(len(Y))))
-            table[-(-(k0 + at) // sc.output_stride)] = np.concatenate([
-                ((k0 + at) * sc.dt)[:, None], Y[at], obs[at], samples,
-                dist[at], sc.d_s * sc.d_s - rr[at],  # the filter's barrier
-            ], axis=1)[:, self._columns]
+        if rows is not None:
+            rows["t"][...] = (k0 + np.flatnonzero(sampled)) * sc.dt
+            Ys, obs_s = Y[sampled], obs[sampled]
+            for name, part in zip(
+                    ("x", "zeta", "theta", "rho_hat", "e_c", "delta_o"),
+                    [Ys[:, sl] for sl in self._slices[:1] + self._slices[2:]]
+                    + [obs_s[:, sl] for sl in self._observed]):
+                rows[name][...] = part.reshape(rows[name].shape)
+            rows["pair_distance"][...] = dist[sampled]
+            rows["pair_h"][...] = sc.d_s * sc.d_s - rr[sampled]  # the barrier
         return (np.sqrt(np.vecdot(e_c, e_c)),
                 dist.min(axis=1, initial=np.inf))
 

@@ -10,20 +10,25 @@ it over 16,000 steps.
 
     python tests/replay.py record   # rewrite the fixture from this checkout
     python tests/replay.py report   # worst differences against the fixture
+    python tests/replay.py digests  # sha256 of whole runs' output files
 
 Record only at a commit whose traces are the reference: a change that
-moves bits must leave the fixture as it is.
+moves bits must leave the fixture as it is.  ``digests`` is the byte
+identity gate of a change that must not move bits: it prints the same
+lines at both commits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from safe_containment import sim
+from safe_containment import cli, sim
 from safe_containment.scenario import CONTROLLER_MODES, load_scenario
 
 FIXTURE = Path(__file__).with_name("replay_paper_sec4.npz")
@@ -69,7 +74,7 @@ def record(path: Path = FIXTURE) -> None:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(eng.n_steps):
                 ys[k + 1] = eng.step(k, ys[k], table)[0]
-        active = table[:-1, eng.layout.pair_start:eng.layout.n_csv][:, 2::3]
+        active = eng.layout.views(table[:-1])["pair_active"]
         active_steps = np.flatnonzero(active.any(axis=1))
         onset = int(round(eng.scenario.attack_start / eng.scenario.dt))
         picks = [
@@ -116,11 +121,11 @@ def replay(
     layout = eng.layout
     sc = eng.scenario
     inputs = np.zeros(layout.width, dtype=bool)
-    body = inputs[1:layout.pair_start].reshape(layout.N, -1)
+    flags = layout.views(inputs)
     for attr in INPUT_FIELDS:
-        body[:, layout.columns[attr]] = True
+        flags[attr][...] = True
     activity = np.zeros(layout.width, dtype=bool)
-    activity[layout.pair_start + 2:layout.n_csv:3] = True
+    layout.views(activity)["pair_active"][...] = True
     others = ~inputs & ~activity
     pb_norm = np.linalg.norm(eng.PB, axis=(1, 2))
     b_norm = np.linalg.norm(eng.B, ord=2, axis=(1, 2))
@@ -160,9 +165,37 @@ def replay(
     return {name: tuple(map(np.array, pair)) for name, pair in out.items()}
 
 
+def digests() -> list[str]:
+    """For the bundled 16 s run in every mode, and in resilient_unsafe
+    sampled at every step (the benchmark's paper_dense_unsafe), the sha256
+    of the trace CSV ``cli.write_trace_csv`` writes and of the summary
+    JSON without its wall_clock_s, one line per run."""
+    base = load_scenario("paper_sec4")
+    runs = [base.with_mode(mode) for mode in CONTROLLER_MODES]
+    runs.append(dataclasses.replace(base.with_mode("resilient_unsafe"),
+                                    output_stride=1))
+    lines = []
+    for scenario in runs:
+        result = sim.run(scenario)
+        del result.summary["wall_clock_s"]
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, summary = Path(tmp, "trace.csv"), Path(tmp, "summary.json")
+            cli.write_trace_csv(csv, result, scenario.state_dim)
+            cli.write_summary_json(summary, result)
+            csv_hash, summary_hash = (hashlib.sha256(path.read_bytes())
+                                      .hexdigest() for path in (csv, summary))
+        lines.append(f"{scenario.controller_mode} output_stride "
+                     f"{scenario.output_stride}: "
+                     f"csv {csv_hash} summary {summary_hash}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if argv == ["record"]:
         record()
+        return 0
+    if argv == ["digests"]:
+        print("\n".join(digests()))
         return 0
     if argv == ["report"]:
         with np.load(FIXTURE) as data:

@@ -1204,6 +1204,40 @@ def test_cli_sweep(tmp_path):
     assert all("min_pair_distance" in row for row in rows)
 
 
+@pytest.mark.parametrize("case, code, named", [
+    ("infeasible", cli.EXIT_QP_INFEASIBLE,
+     "infeasible safety QP encountered at t=0.000000"),
+    ("divergent", cli.EXIT_DIVERGENCE,
+     "divergence detected: containment error crossed 1e-09 at t=0.001000"),
+])
+def test_cli_sweep_exits_as_run_does_for_its_variants(
+    tmp_path, capsys, case, code, named
+):
+    # a sweep writes every row, then exits with run's code, naming each
+    # variant that met an infeasible QP or diverged as run names it
+    if case == "infeasible":  # test_cli_infeasible_exit_code's document
+        doc = _tiny_doc()
+        doc["horizon"] = 0.02
+        doc["followers"][1] = copy.deepcopy(doc["followers"][0])
+    else:  # the error crosses the threshold at the first step
+        doc = _bundled_doc()
+        doc.update(divergence_threshold=1e-9, horizon=0.01)
+    scn_path = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.run_command(
+        ["run", "--scenario", scn_path, "--output-dir", str(out)]) == code
+    assert capsys.readouterr().err == named + "\n"
+    assert cli.run_command(
+        ["sweep", "--scenario", scn_path, "--param", "d_s", "--values",
+         "0.3,0.35", "--output-dir", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"d_s=0.3: {named}", f"d_s=0.35: {named}"]
+    rows = json.loads((out / f"{doc['name']}_sweep_d_s.json").read_text())
+    assert [row["d_s"] for row in rows] == [0.3, 0.35]
+    infeasible = [row["qp_infeasible_count"] > 0 for row in rows]
+    assert infeasible == [case == "infeasible"] * 2
+
+
 @pytest.mark.parametrize("extra, named", [
     (["--param", "d_s", "--values", "0.3,abc"], "'abc'"),
     # dt = 0.5 is far past RK4's stability limit for these gains

@@ -361,6 +361,78 @@ def test_records_are_views_built_on_read(paper_scenario):
     assert np.array_equal(result.records[2].x, rec.x)
 
 
+@pytest.mark.parametrize("N, n, m", [(4, 3, 3), (3, 3, 2), (1, 2, 1)])
+def test_views_and_the_header_name_the_same_columns(N, n, m):
+    # a row holding its own column indices: each view reads the indices
+    # of the header's columns of its name, and xi those after the CSV's
+    layout = sim.TraceLayout(N, n, m)
+    header = layout.header()
+    assert len(header) == layout.n_csv
+    views = layout.views(np.arange(layout.width, dtype=float))
+    assert header[int(views["t"])] == "t"
+    for attr, prefix, dim in sim.TRACE_FIELDS:
+        cols = views[attr].astype(int)
+        if dim == 1:
+            assert [header[c] for c in cols] == [
+                f"{prefix}_{i + 1}" for i in range(N)]
+            continue
+        assert cols.shape == (N, n if dim == "n" else m)
+        for i in range(N):
+            assert [header[c] for c in cols[i]] == [
+                f"{prefix}_{i + 1}_{l + 1}" for l in range(cols.shape[1])]
+    for name, prefix in (("pair_distance", "d"), ("pair_h", "h"),
+                         ("pair_active", "active")):
+        assert [header[c] for c in views[name].astype(int)] == [
+            f"{prefix}_{i + 1}_{j + 1}" for i, j in layout.pairs]
+    assert np.array_equal(views["xi"], np.arange(
+        layout.n_csv, layout.width).reshape(N, n))
+    every = np.concatenate([np.ravel(v) for v in views.values()])
+    assert np.array_equal(np.sort(every), np.arange(layout.width))
+
+    # the views of a stack of rows are each row's record, in its memory
+    rows = np.random.default_rng(24).standard_normal((5, layout.width))
+    stack = layout.views(rows)
+    assert stack.keys() == views.keys()
+    for r, row in enumerate(rows):
+        rec = layout.record(row)
+        assert rec.pairs == list(layout.pairs)
+        for name, view in stack.items():
+            assert view.shape == (5, *np.shape(views[name]))
+            assert view.size == 0 or np.shares_memory(view, rows)
+            assert np.array_equal(view[r], getattr(rec, name))
+
+
+@pytest.mark.parametrize("mode, stride, followers", [
+    ("saar", None, 4), ("resilient_unsafe", None, 4),
+    ("conventional", None, 4),
+    # 50 steps: the last is sampled only for being the last
+    ("saar", 7, 4),
+    ("saar", None, 1),
+], ids=["saar", "resilient_unsafe", "conventional", "stride_7",
+        "one_follower"])
+def test_a_run_writes_every_cell_of_its_table(
+    paper_scenario, monkeypatch, mode, stride, followers
+):
+    # new_table leaves its cells unset (np.empty); filled with NaN here, a
+    # cell that no write of the run reaches stays NaN
+    new_table = sim.Engine.new_table
+    monkeypatch.setattr(sim.Engine, "new_table",
+                        lambda self: np.full_like(new_table(self), np.nan))
+    scn = paper_scenario
+    if followers == 1:  # no pairs
+        doc = _tiny_doc()
+        doc["followers"] = doc["followers"][:1]
+        doc["topology"] = {"adjacency": [[0]], "pinning": [[1]]}
+        scn = scenario_from_dict(doc)
+    scn = dataclasses.replace(scn.with_mode(mode), horizon=0.05,
+                              output_stride=stride or scn.output_stride)
+    result = sim.run(scn)
+    assert result.table.shape == (-(-50 // scn.output_stride) + 1,
+                                  result.layout.width)
+    assert np.isfinite(result.table).all()
+    assert len(result.layout.pairs) == followers * (followers - 1) // 2
+
+
 def _stage(engine, t):
     """The pipeline's stage at time t: t with its time-only terms."""
     return (t, *engine._time_table(np.asarray(t)))
@@ -410,9 +482,10 @@ def test_the_pipeline_is_its_layers_composed(paper_scenario, mode):
             "nij,nj->ni", engine.B, u)
         want = np.concatenate([dx.ravel(), (leader @ engine.S.T).ravel(),
                                dzeta.ravel(), dtheta, drho])
-        row = np.zeros(engine._sample_width)
-        got = engine._pipeline(_stage(engine, t), y, row)
-        parts = {name: row[sl] for name, sl in engine._recorded.items()}
+        rows = np.zeros((1, engine.layout.width))
+        got = engine._pipeline(_stage(engine, t), y,
+                               engine.layout.views(rows), 0)
+        parts = engine.layout.views(rows[0])
         tol = 64 * np.finfo(float).eps
         np.testing.assert_allclose(
             got, want, rtol=0, atol=tol * np.abs(want).max())
@@ -561,12 +634,13 @@ def test_a_workspace_keeps_nothing_of_its_last_evaluation(
     paper_scenario, doc, mode
 ):
     # an Engine workspace evaluates state A, then B: the derivative and the
-    # sample row hold the bits of B's evaluation in a fresh workspace, and
+    # table row hold the bits of B's evaluation in a fresh workspace, and
     # the gain rates those of the laws at B's own xi and s
     scn = (paper_scenario if doc is None else scenario_from_dict(doc())
            ).with_mode(mode)
     engine = Engine(scn)
-    N, n, rec = engine.N, engine.n, engine._recorded
+    N, n, views = engine.N, engine.n, engine.layout.views
+    width = engine.layout.width
     resilient = mode != "conventional"
     ws = engine._workspaces[0]
     rng = np.random.default_rng(22)
@@ -576,26 +650,26 @@ def test_a_workspace_keeps_nothing_of_its_last_evaluation(
         for spread_a, spread_b in ((0.2, 5.0), (5.0, 0.2), (1.0, 1.0)):
             a = _random_state(engine, rng, spread_a)
             b = _random_state(engine, rng, spread_b)
-            engine._pipeline(stage, a, np.zeros(engine._sample_width),
+            engine._pipeline(stage, a, views(np.zeros((1, width))), 0,
                              out=ws)
-            row = np.zeros(engine._sample_width)
-            got = engine._pipeline(stage, b, row, out=ws)
-            fresh_row = np.zeros(engine._sample_width)
-            fresh = engine._pipeline(stage, b, fresh_row)
+            row = np.zeros((1, width))
+            got = engine._pipeline(stage, b, views(row), 0, out=ws)
+            fresh_row = np.zeros((1, width))
+            fresh = engine._pipeline(stage, b, views(fresh_row), 0)
             assert np.shares_memory(got, ws.z)
             assert not np.shares_memory(fresh, ws.z)
             assert np.array_equal(got, fresh)
             assert np.array_equal(row, fresh_row)
-            active += row[rec["pair_active"]].sum()
+            active += views(row)["pair_active"].sum()
 
             _, gamma, reg = stage
             gain = adaptive_gain(b[engine._slices[3].start:], scn.gain_cap)
             _, dtheta = observer_input(
-                row[rec["xi"]].reshape(N, n), gamma[:, :n], gain[:N],
+                views(row)["xi"].reshape(N, n), gamma[:, :n], gain[:N],
                 engine.q)
             if not resilient:  # the standard observer: theta' = 0
                 dtheta = np.zeros(N)
-            _, drho = compensation_law(row[rec["s"]].reshape(N, -1),
+            _, drho = compensation_law(ws.s.reshape(N, -1),
                                        gain[N:], engine.alpha, reg)
             assert np.array_equal(got[engine._slices[3]], dtheta)
             assert np.array_equal(got[engine._slices[4]],
@@ -723,7 +797,7 @@ def test_run_matches_stepping_by_hand(paper_scenario, mode, stride):
     engine, table, norms, mins = _stepped(scn)
     if mode == "saar":
         assert engine.filter_intervention_count > 0
-        assert table[:, engine.layout.pair_start + 2:engine.layout.n_csv:3].any()
+        assert engine.layout.views(table)["pair_active"].any()
     # only step 0 lies above this threshold, and it does not count
     threshold = (norms[0] + norms[1:].max()) / 2
     assert norms[0] > threshold
